@@ -10,7 +10,6 @@ import numpy as np
 from .graph import (
     LabeledGraphDataset,
     induced_subgraph,
-    ier_log_likelihood,
     validate_probability_matrix,
     vertex_set,
 )
@@ -76,96 +75,86 @@ def fit_plugin(dataset, restrict=None, classes=None, clamp=None):
     )
 
 
+def _log_posteriors(priors, probabilities, graphs, vertices):
+    """(N, classes) unnormalized log posteriors of an (N, n, n) adjacency stack.
+
+    ``probabilities`` are per-class matrices on the sorted ``vertices``; the
+    graphs are read on the pairs u < v of that induced subgraph. A pair at
+    probability exactly 0 or 1 adds nothing to the matmul over finite logs;
+    a graph contradicting it (an edge where p = 0, a non-edge where p = 1)
+    gets log posterior -inf for that class.
+    """
+    iu = np.triu_indices(vertices.size, 1)
+    flat = graphs[:, vertices[iu[0]], vertices[iu[1]]]
+    # checked on the gathered pairs, so the (N, n, n) stack is never copied
+    if np.count_nonzero(flat) != np.count_nonzero(flat == 1.0):
+        raise ValueError("adjacency must be binary for likelihood operations")
+    p = np.stack([q[iu] for q in probabilities])
+    with np.errstate(divide="ignore"):
+        log_prior, log_p, log_1p = np.log(priors), np.log(p), np.log1p(-p)
+    scores = (
+        log_prior
+        + flat @ np.where(p > 0.0, log_p, 0.0).T
+        + (1.0 - flat) @ np.where(p < 1.0, log_1p, 0.0).T
+    )
+    zero, one = p == 0.0, p == 1.0
+    if zero.any() or one.any():
+        scores[flat @ zero.T + (1.0 - flat) @ one.T > 0.0] = -np.inf
+    return scores
+
+
 def _decide(class_labels, scores):
     # argmax takes the first maximum, i.e. ties go to the smaller label
-    return class_labels[int(np.argmax(scores))]
+    return np.asarray([class_labels[i] for i in np.argmax(scores, axis=1)])
 
 
-def plugin_predict(model, a, restrict=None):
-    """Most probable class for one adjacency matrix under the fitted model.
+def _stack(graphs):
+    graphs = np.asarray(graphs, dtype=float)
+    if graphs.ndim != 3 or graphs.shape[1] != graphs.shape[2]:
+        raise ValueError("graphs must form an (N, n, n) stack of square adjacencies")
+    return graphs
+
+
+def plugin_predict_many(model, graphs, restrict=None):
+    """Most probable class for each adjacency of an (N, n, n) stack under the
+    fitted model; ``restrict``, when given, must be the model's vertex set.
 
     Exact ties resolve toward the smaller class label.
     """
-    if restrict is not None:
-        requested = vertex_set(restrict, np.asarray(a).shape[0])
-        if not np.array_equal(requested, model.vertices):
-            raise ValueError("model was fitted on a different vertex set")
-    sub = induced_subgraph(a, model.vertices)
-    scores = [
-        np.log(model.priors[i]) + ier_log_likelihood(sub, model.edge_probabilities[i])
-        for i in range(len(model.class_labels))
-    ]
+    graphs = _stack(graphs)
+    vertices = vertex_set(model.vertices, graphs.shape[1])
+    if restrict is not None and not np.array_equal(
+        vertex_set(restrict, graphs.shape[1]), vertices
+    ):
+        raise ValueError("model was fitted on a different vertex set")
+    scores = _log_posteriors(model.priors, model.edge_probabilities, graphs, vertices)
     return _decide(model.class_labels, scores)
 
 
-def bayes_predict(priors, edge_probabilities, a, class_labels=None):
-    """Bayes rule with the true generating parameters (simulation only)."""
+def plugin_predict(model, a, restrict=None):
+    """plugin_predict_many for one adjacency matrix."""
+    return plugin_predict_many(model, np.asarray(a)[None], restrict)[0]
+
+
+def bayes_predict_many(priors, edge_probabilities, graphs, class_labels=None):
+    """Bayes rule with the true generating parameters (simulation only) over
+    an (N, n, n) stack; probabilities may sit exactly at 0 or 1."""
+    graphs = _stack(graphs)
     priors = np.asarray(priors, dtype=float)
     mats = [validate_probability_matrix(p) for p in edge_probabilities]
     if priors.shape != (len(mats),):
         raise ValueError("need one prior per class")
-    if class_labels is None:
-        class_labels = tuple(range(len(mats)))
-    with np.errstate(divide="ignore"):
-        log_priors = np.log(priors)
-    scores = [
-        log_priors[i] + ier_log_likelihood(a, mats[i]) for i in range(len(mats))
-    ]
-    return _decide(tuple(class_labels), scores)
-
-
-def _batch_log_posteriors(graphs, vertices, priors, restricted_ps):
-    """(N, classes) unnormalized log posteriors.
-
-    ``restricted_ps`` are probability matrices already on the ``vertices``
-    set with off-diagonal entries strictly inside (0, 1).
-    """
-    vertices = np.asarray(vertices, dtype=int)
-    iu = np.triu_indices(vertices.size, 1)
-    sub = graphs[np.ix_(np.arange(graphs.shape[0]), vertices, vertices)]
-    flat = sub[:, iu[0], iu[1]]
-    log_p = np.stack([np.log(p[iu]) for p in restricted_ps])
-    log_1p = np.stack([np.log1p(-p[iu]) for p in restricted_ps])
-    return np.log(priors) + flat @ log_p.T + (1.0 - flat) @ log_1p.T
-
-
-def plugin_predict_many(model, graphs):
-    """plugin_predict over an (N, n, n) stack of adjacencies."""
-    graphs = np.asarray(graphs, dtype=float)
-    off_diag = ~np.eye(model.vertices.size, dtype=bool)
-    interior = all(
-        np.all((p[off_diag] > 0.0) & (p[off_diag] < 1.0))
-        for p in model.edge_probabilities
-    )
-    if not interior:  # an unclamped model can hold saturated estimates
-        return np.asarray([plugin_predict(model, a) for a in graphs])
-    scores = _batch_log_posteriors(
-        graphs, model.vertices, model.priors, model.edge_probabilities
-    )
-    picks = np.argmax(scores, axis=1)
-    return np.asarray([model.class_labels[i] for i in picks])
-
-
-def bayes_predict_many(priors, edge_probabilities, graphs, class_labels=None):
-    """bayes_predict over an (N, n, n) stack; falls back to the scalar rule
-    when a probability sits exactly at 0 or 1."""
-    graphs = np.asarray(graphs, dtype=float)
-    mats = [validate_probability_matrix(p) for p in edge_probabilities]
     if any(p.shape != graphs.shape[1:] for p in mats):
         raise ValueError("probability matrices must match the adjacency shape")
     if class_labels is None:
         class_labels = tuple(range(len(mats)))
-    off_diag = ~np.eye(graphs.shape[1], dtype=bool)
-    interior = all(np.all((p[off_diag] > 0.0) & (p[off_diag] < 1.0)) for p in mats)
-    if not interior:
-        return np.asarray(
-            [bayes_predict(priors, mats, a, class_labels) for a in graphs]
-        )
-    scores = _batch_log_posteriors(
-        graphs, np.arange(graphs.shape[1]), np.asarray(priors, dtype=float), mats
-    )
-    picks = np.argmax(scores, axis=1)
-    return np.asarray([class_labels[i] for i in picks])
+    scores = _log_posteriors(priors, mats, graphs, np.arange(graphs.shape[1]))
+    return _decide(tuple(class_labels), scores)
+
+
+def bayes_predict(priors, edge_probabilities, a, class_labels=None):
+    """bayes_predict_many for one adjacency matrix."""
+    return bayes_predict_many(priors, edge_probabilities, np.asarray(a)[None], class_labels)[0]
 
 
 def knn_predict(train, a, k, restrict=None):

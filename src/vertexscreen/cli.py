@@ -14,7 +14,6 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,32 +30,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-# config-file keys and their parsers; flags use the same names with dashes
-_CONVERTERS = {
-    "graphs": str,
-    "labels": str,
-    "n": int,
-    "stat": str,
-    "iterative": lambda s: s.lower() in ("1", "true", "yes"),
-    "delta": float,
-    "threshold": float,
-    "size": int,
-    "size-rule": str,
-    "classifier": str,
-    "k": int,
-    "group": str,
-    "repeats": int,
-    "seed": int,
-    "threads": int,
-    "out": str,
-    "m": int,
-    "m-grid": str,
-    "test-draws": int,
-    "methods": str,
-    "experiment": str,
-}
-
-
 def build_parser():
     parser = _Parser(prog="vertexscreen", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -64,7 +37,6 @@ def build_parser():
     def add_common(p):
         p.add_argument("--config", help="key=value file; explicit flags win")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
 
     p = sub.add_parser("simulate", help="write a generator draw as graphs.csv/labels.csv")
@@ -112,10 +84,32 @@ def build_parser():
     return parser
 
 
-def _apply_config(args):
+def _parse_switch(text):
+    return text.lower() in ("1", "true", "yes")
+
+
+def _config_keys(parser):
+    """Config-file keys and their value parsers: the long flags of every
+    subcommand without their dashes, except --config and --help."""
+    (subparsers,) = (
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    keys = {}
+    for sub in subparsers.choices.values():
+        for action in sub._actions:
+            for flag in action.option_strings:
+                key = flag[2:]
+                if flag.startswith("--") and key not in ("config", "help"):
+                    # store_true flags take no value on the command line
+                    keys[key] = _parse_switch if action.nargs == 0 else action.type or str
+    return keys
+
+
+def _apply_config(args, parser):
     """Fill unset options from the --config key=value file."""
     if not getattr(args, "config", None):
         return args
+    converters = _config_keys(parser)
     values = {}
     with open(args.config) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -126,10 +120,10 @@ def _apply_config(args):
                 raise CliError(f"{args.config}:{line_no}: expected key=value")
             key, _, raw = line.partition("=")
             key = key.strip()
-            if key not in _CONVERTERS:
+            if key not in converters:
                 raise CliError(f"{args.config}:{line_no}: unknown option {key!r}")
             try:
-                values[key] = _CONVERTERS[key](raw.strip())
+                values[key] = converters[key](raw.strip())
             except ValueError:
                 raise CliError(f"{args.config}:{line_no}: bad value for {key!r}") from None
     for key, value in values.items():
@@ -149,17 +143,9 @@ def _require(value, name):
     return value
 
 
-@dataclass(frozen=True)
-class ScreeningOptions:
-    statistic: str
-    iterative: bool
-    delta: float
-    threshold: float
-    size_rule: str
-    size: int | None
-
-
-def _screening_options(args):
+def _screening_options(args, **pipeline):
+    """The screening flags as a pipeline config; ``pipeline`` adds the
+    classifier fields."""
     size = args.size
     rule = args.size_rule
     if size is not None:
@@ -176,13 +162,14 @@ def _screening_options(args):
     threshold = _default(args.threshold, 0.0)
     if not 0.0 <= threshold <= 1.0:
         raise CliError("--threshold must lie in [0, 1]")
-    return ScreeningOptions(
+    return evaluate.PipelineConfig(
         statistic=_default(args.stat, "dcorr"),
         iterative=bool(_default(args.iterative, False)),
         delta=delta,
         threshold=threshold,
         size_rule=rule,
         size=size,
+        **pipeline,
     )
 
 
@@ -215,41 +202,21 @@ def cmd_simulate(args):
 
 def cmd_screen(args):
     dataset = _load(args)
-    opts = _screening_options(args)
-    threads = _default(args.threads, 1)
-    if opts.iterative:
-        result = screen.screen_iterative(
-            dataset, delta=opts.delta, statistic=opts.statistic, threads=threads
-        )
-    else:
-        result = screen.screen_once(
-            dataset, opts.threshold, statistic=opts.statistic, threads=threads
-        )
-    selected = screen.select_vertices(result, opts.size_rule, opts.size)
-    ranking = screen.vertex_ranking(result)
-    rank_of = np.empty(dataset.n, dtype=int)
-    rank_of[ranking] = np.arange(1, dataset.n + 1)
-    chosen = np.zeros(dataset.n, dtype=bool)
-    chosen[selected] = True
-
+    result, selected = screen.run(dataset, _screening_options(args))
+    ranks = screen.rank_positions(result)
+    chosen = np.isin(np.arange(dataset.n), selected)
     out = _out_dir(args)
     path = os.path.join(out, "screening.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vertex", "score", "rank", "elimination_level", "selected"])
-        for v in range(dataset.n):
-            level = result.elimination_order[v]
-            writer.writerow(
-                [
-                    v,
-                    repr(float(result.scores[v])),
-                    int(rank_of[v]),
-                    "" if np.isinf(level) else int(level),
-                    int(chosen[v]),
-                ]
-            )
-    names = dataset.vertex_names or tuple(str(v) for v in range(dataset.n))
-    print(f"selected {selected.size} vertices: " + " ".join(names[v] for v in selected))
+    evaluate.write_csv(
+        path,
+        ["vertex", "score", "rank", "elimination_level", "selected"],
+        (
+            (v, float(result.scores[v]), int(ranks[v]),
+             None if np.isinf(level) else int(level), int(chosen[v]))
+            for v, level in enumerate(result.elimination_order)
+        ),
+    )
+    print(f"selected {selected.size} vertices: " + " ".join(str(v) for v in selected))
     print(f"wrote {path}")
     return 0
 
@@ -271,43 +238,29 @@ def cmd_classify(args):
             )
         predictions = classify.bayes_predict_many(priors, params, dataset.graphs)
         loss = classify.loss_from_predictions(predictions, dataset.labels)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["fold", "graph_id", "label", "prediction", "unseen_class"])
-            for i in range(dataset.m):
-                writer.writerow([i, i, dataset.labels[i], predictions[i], 0])
-        print(f"classifier=bayes error={loss.error:.4f} se={loss.standard_error:.4f} "
-              f"({loss.count} instances)")
-        print(f"wrote {path}")
-        return 0
-
-    if grouping == "subject" and dataset.subject_ids is None:
-        raise CliError("--group subject needs a subject_id column in labels.csv")
-    opts = _screening_options(args)
-    k = _default(args.k, 11)
-    if k < 1:
-        raise CliError("--k must be at least 1")
-    pipeline = evaluate.PipelineConfig(
-        statistic=opts.statistic,
-        iterative=opts.iterative,
-        delta=opts.delta,
-        threshold=opts.threshold,
-        size_rule=opts.size_rule,
-        size=opts.size,
-        classifier=classifier,
-        k=k,
-    )
-    report = evaluate.cross_validate(
-        dataset, pipeline, grouping=grouping, threads=_default(args.threads, 1)
-    )
+        rows = [[i, i, dataset.labels[i], predictions[i], 0] for i in range(dataset.m)]
+        summary = (f"classifier=bayes error={loss.error:.4f} se={loss.standard_error:.4f} "
+                   f"({loss.count} instances)")
+    else:
+        if grouping == "subject" and dataset.subject_ids is None:
+            raise CliError("--group subject needs a subject_id column in labels.csv")
+        k = _default(args.k, 11)
+        if k < 1:
+            raise CliError("--k must be at least 1")
+        pipeline = _screening_options(args, classifier=classifier, k=k)
+        report = evaluate.cross_validate(dataset, pipeline, grouping=grouping)
+        rows = [
+            [fold.fold, gid, truth, pred, int(fold.unseen_class)]
+            for fold in report.folds
+            for gid, truth, pred in zip(fold.test_indices, fold.truths, fold.predictions)
+        ]
+        summary = (f"classifier={classifier} folds={len(report.folds)} "
+                   f"error={report.loss.error:.4f} se={report.loss.standard_error:.4f}")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["fold", "graph_id", "label", "prediction", "unseen_class"])
-        for fold in report.folds:
-            for gid, truth, pred in zip(fold.test_indices, fold.truths, fold.predictions):
-                writer.writerow([fold.fold, gid, truth, pred, int(fold.unseen_class)])
-    print(f"classifier={classifier} folds={len(report.folds)} "
-          f"error={report.loss.error:.4f} se={report.loss.standard_error:.4f}")
+        writer.writerows(rows)
+    print(summary)
     print(f"wrote {path}")
     return 0
 
@@ -331,7 +284,6 @@ def cmd_replicate(args):
         m_grid=m_grid,
         methods=methods,
         test_draws=_default(args.test_draws, 500),
-        threads=_default(args.threads, 1),
     )
     out = _out_dir(args)
     written = evaluate.write_report(report, out)
@@ -350,7 +302,8 @@ _COMMANDS = {
 
 def main(argv=None):
     try:
-        args = _apply_config(build_parser().parse_args(argv))
+        parser = build_parser()
+        args = _apply_config(parser.parse_args(argv), parser)
         return _COMMANDS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,20 +43,12 @@ class RocCurve:
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(screen.ScreeningConfig):
     """Screening + classifier configuration for cross-validated runs.
 
-    ``fixed_vertices`` bypasses screening entirely. ``size_rule`` is one of
-    maxcorr (the screening's own selection), gap, or fixed (top ``size`` of
-    the vertex ranking).
+    ``fixed_vertices`` bypasses screening entirely.
     """
 
-    statistic: str = "dcorr"
-    iterative: bool = True
-    delta: float = 0.5
-    threshold: float = 0.0
-    size_rule: str = "maxcorr"
-    size: int | None = None
     fixed_vertices: tuple | None = None
     classifier: str = "plugin"
     k: int = 11
@@ -146,23 +138,6 @@ def fpr_at_size(selected, true_set, n):
     return false_positives / (n - true.size)
 
 
-def _screen_and_select(dataset, config, threads=1):
-    if config.fixed_vertices is not None:
-        return vertex_set(config.fixed_vertices, dataset.n), None
-    if config.iterative:
-        result = screen.screen_iterative(
-            dataset, delta=config.delta, statistic=config.statistic, threads=threads
-        )
-    else:
-        result = screen.screen_once(
-            dataset, config.threshold, statistic=config.statistic, threads=threads
-        )
-    selected = screen.select_vertices(result, config.size_rule, config.size)
-    if selected.size == 0:
-        raise ValueError("screening selected no vertices; lower the threshold")
-    return selected, result
-
-
 def _folds(dataset, grouping):
     if grouping == "none":
         return [np.array([i]) for i in range(dataset.m)]
@@ -176,7 +151,7 @@ def _folds(dataset, grouping):
     raise ValueError(f"unknown grouping {grouping!r}")
 
 
-def cross_validate(dataset, pipeline, grouping="none", threads=1):
+def cross_validate(dataset, pipeline, grouping="none"):
     """Leave-one-graph-out or leave-one-subject-out screening + prediction.
 
     Screening and fitting see only the training remainder of each fold, so
@@ -191,16 +166,21 @@ def cross_validate(dataset, pipeline, grouping="none", threads=1):
     for fold_id, test_idx in enumerate(folds):
         train_idx = np.setdiff1d(np.arange(dataset.m), test_idx)
         train = dataset.subset(train_idx)
-        selected, _ = _screen_and_select(train, pipeline, threads=threads)
+        if pipeline.fixed_vertices is not None:
+            selected = vertex_set(pipeline.fixed_vertices, dataset.n)
+        else:
+            _, selected = screen.run(train, pipeline)
+            if selected.size == 0:
+                raise ValueError("screening selected no vertices; lower the threshold")
         train_classes = set(np.unique(train.labels).tolist())
         unseen = any(
             dataset.labels[i].item() not in train_classes for i in test_idx
         )
         if pipeline.classifier == "plugin":
             model = classify.fit_plugin(train, restrict=selected)
-            predictions = [
-                classify.plugin_predict(model, dataset.graphs[i]) for i in test_idx
-            ]
+            predictions = classify.plugin_predict_many(
+                model, dataset.graphs[test_idx]
+            ).tolist()
         elif pipeline.classifier == "knn":
             predictions = [
                 classify.knn_predict(train, dataset.graphs[i], pipeline.k, selected)
@@ -264,23 +244,17 @@ def _repeat_seed(base, index):
     return int(base) ^ int(index)
 
 
-def _screen_method(dataset, method, threads):
+def _method_config(method):
+    """A named method screens at threshold 0 (one-shot) or with its delta
+    (iterative), then keeps the planted number of vertices."""
     statistic, iterative, delta = parse_method(method)
-    if iterative:
-        return screen.screen_iterative(dataset, delta=delta, statistic=statistic, threads=threads)
-    return screen.screen_once(dataset, 0.0, statistic=statistic, threads=threads)
-
-
-def _record_screening(report, result, selected):
-    ranking = screen.vertex_ranking(result)
-    rank_of = np.empty_like(ranking)
-    rank_of[ranking] = np.arange(1, ranking.size + 1)
-    chosen = np.zeros(ranking.size, dtype=bool)
-    chosen[np.asarray(selected, dtype=int)] = True
-    for v in range(ranking.size):
-        report.screening_rows.append(
-            (v, float(result.scores[v]), int(rank_of[v]), int(chosen[v]))
-        )
+    return screen.ScreeningConfig(
+        statistic=statistic,
+        iterative=iterative,
+        delta=0.5 if delta is None else delta,
+        size_rule="fixed",
+        size=SIGNAL_SIZE,
+    )
 
 
 def run_experiment(
@@ -291,7 +265,6 @@ def run_experiment(
     m_grid=None,
     methods=None,
     test_draws=500,
-    threads=1,
 ):
     """Replicate a simulation experiment over seeded repeats.
 
@@ -311,7 +284,7 @@ def run_experiment(
         for repeat in range(repeats):
             dataset, signal = sample_experiment("exp1", m, _repeat_seed(seed, repeat))
             for method in methods:
-                result = _screen_method(dataset, method, threads)
+                result, selected = screen.run(dataset, _method_config(method))
                 curve, auc = roc_auc(
                     screen.vertex_ranking(result),
                     signal,
@@ -324,8 +297,12 @@ def run_experiment(
                         (method, float(f), float(t)) for f, t in zip(curve.fpr, curve.tpr)
                     )
                     if method == methods[0]:
-                        selected = screen.select_vertices(result, "fixed", SIGNAL_SIZE)
-                        _record_screening(report, result, selected)
+                        ranks = screen.rank_positions(result)
+                        chosen = np.isin(np.arange(dataset.n), selected)
+                        report.screening_rows.extend(
+                            (v, float(result.scores[v]), int(ranks[v]), int(chosen[v]))
+                            for v in range(dataset.n)
+                        )
         return report
     if name == "exp2":
         methods = tuple(methods) if methods else DEFAULT_EXP2_METHODS
@@ -343,7 +320,7 @@ def run_experiment(
                 test, _ = sample_experiment("exp2", test_draws, rng)
                 for method in methods:
                     predictions, fpr = _exp2_method(
-                        method, train, test, params, priors, signal, threads
+                        method, train, test, params, priors, signal
                     )
                     error = float(np.mean(predictions != test.labels))
                     report.loss_records.append((method, m_value, repeat, error))
@@ -353,7 +330,7 @@ def run_experiment(
     raise ValueError(f"unknown experiment {name!r}")
 
 
-def _exp2_method(method, train, test, params, priors, signal, threads):
+def _exp2_method(method, train, test, params, priors, signal):
     """Predictions on the test stack plus the screening FPR when relevant."""
     if method == "bayes":
         return classify.bayes_predict_many(priors, params, test.graphs), None
@@ -363,8 +340,7 @@ def _exp2_method(method, train, test, params, priors, signal, threads):
     if method == "true-signal":
         model = classify.fit_plugin(train, restrict=signal)
         return classify.plugin_predict_many(model, test.graphs), None
-    result = _screen_method(train, method, threads)
-    selected = screen.select_vertices(result, "fixed", signal.size)
+    _, selected = screen.run(train, _method_config(method))
     model = classify.fit_plugin(train, restrict=selected)
     fpr = fpr_at_size(selected, signal, train.n)
     return classify.plugin_predict_many(model, test.graphs), fpr
@@ -377,45 +353,25 @@ def _mean_se(values):
     return mean, se
 
 
-def summarize_auc(report):
-    """(method, mean_auc, se) rows in method order."""
-    rows = []
-    for method in report.methods:
-        values = [a for meth, _, a in report.auc_records if meth == method]
-        if values:
-            rows.append((method, *_mean_se(values)))
-    return rows
+def summarize(methods, records):
+    """Mean and standard error per method, and per m when records carry one.
 
-
-def summarize_loss(report):
-    """(method, m, mean_error, se) rows grouped by method then m."""
+    ``records`` are (method, repeat, value) or (method, m, repeat, value);
+    rows are (method, mean, se) or (method, m, mean, se), in method order
+    then ascending m.
+    """
     rows = []
-    grid = sorted({m for _, m, _, _ in report.loss_records})
-    for method in report.methods:
-        for m in grid:
-            values = [
-                e for meth, mm, _, e in report.loss_records if meth == method and mm == m
-            ]
+    groups = sorted({r[1:-2] for r in records})
+    for method in methods:
+        for group in groups:
+            values = [r[-1] for r in records if r[0] == method and r[1:-2] == group]
             if values:
-                rows.append((method, m, *_mean_se(values)))
+                rows.append((method, *group, *_mean_se(values)))
     return rows
 
 
-def summarize_fpr(report):
-    """(method, m, mean_fpr, se) rows for the screening methods."""
-    rows = []
-    grid = sorted({m for _, m, _, _ in report.fpr_records})
-    for method in report.methods:
-        for m in grid:
-            values = [
-                f for meth, mm, _, f in report.fpr_records if meth == method and mm == m
-            ]
-            if values:
-                rows.append((method, m, *_mean_se(values)))
-    return rows
-
-
-def _write_csv(path, header, rows):
+def write_csv(path, header, rows):
+    """One header row, then the rows; floats as repr, None as empty."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -435,48 +391,22 @@ def write_report(report, out_dir):
     """Write the report CSVs (auc.csv, loss.csv, roc.csv, screening.csv,
     fpr.csv, summary.csv) for whatever records the experiment produced."""
     os.makedirs(out_dir, exist_ok=True)
+    tables = [
+        ("auc.csv", ["method", "repeat", "auc"], report.auc_records),
+        ("summary.csv", ["method", "mean_auc", "se"],
+         summarize(report.methods, report.auc_records)),
+        ("loss.csv", ["method", "m", "repeat", "error"], report.loss_records),
+        ("summary.csv", ["method", "m", "mean_error", "se"],
+         summarize(report.methods, report.loss_records)),
+        ("fpr.csv", ["method", "m", "repeat", "fpr"], report.fpr_records),
+        ("roc.csv", ["method", "fpr", "tpr"], report.roc_points),
+        ("screening.csv", ["vertex", "score", "rank", "selected"], report.screening_rows),
+    ]
     written = []
-    if report.auc_records:
-        _write_csv(
-            os.path.join(out_dir, "auc.csv"), ["method", "repeat", "auc"], report.auc_records
-        )
-        _write_csv(
-            os.path.join(out_dir, "summary.csv"),
-            ["method", "mean_auc", "se"],
-            summarize_auc(report),
-        )
-        written += ["auc.csv", "summary.csv"]
-    if report.loss_records:
-        _write_csv(
-            os.path.join(out_dir, "loss.csv"),
-            ["method", "m", "repeat", "error"],
-            report.loss_records,
-        )
-        _write_csv(
-            os.path.join(out_dir, "summary.csv"),
-            ["method", "m", "mean_error", "se"],
-            summarize_loss(report),
-        )
-        written += ["loss.csv", "summary.csv"]
-    if report.fpr_records:
-        _write_csv(
-            os.path.join(out_dir, "fpr.csv"),
-            ["method", "m", "repeat", "fpr"],
-            report.fpr_records,
-        )
-        written.append("fpr.csv")
-    if report.roc_points:
-        _write_csv(
-            os.path.join(out_dir, "roc.csv"), ["method", "fpr", "tpr"], report.roc_points
-        )
-        written.append("roc.csv")
-    if report.screening_rows:
-        _write_csv(
-            os.path.join(out_dir, "screening.csv"),
-            ["vertex", "score", "rank", "selected"],
-            report.screening_rows,
-        )
-        written.append("screening.csv")
+    for name, header, rows in tables:
+        if rows:
+            write_csv(os.path.join(out_dir, name), header, rows)
+            written.append(name)
     return written
 
 
@@ -485,16 +415,16 @@ def summary_text(report):
     lines = []
     if report.auc_records:
         lines.append(f"{'method':<16}{'mean AUC':>12}{'se':>12}")
-        for method, mean, se in summarize_auc(report):
+        for method, mean, se in summarize(report.methods, report.auc_records):
             lines.append(f"{method:<16}{mean:>12.4f}{_fmt_se(se):>12}")
     if report.loss_records:
         lines.append(f"{'method':<16}{'m':>6}{'mean error':>12}{'se':>12}")
-        for method, m, mean, se in summarize_loss(report):
+        for method, m, mean, se in summarize(report.methods, report.loss_records):
             lines.append(f"{method:<16}{m:>6}{mean:>12.4f}{_fmt_se(se):>12}")
     if report.fpr_records:
         lines.append("")
         lines.append(f"{'method':<16}{'m':>6}{'mean FPR':>12}{'se':>12}")
-        for method, m, mean, se in summarize_fpr(report):
+        for method, m, mean, se in summarize(report.methods, report.fpr_records):
             lines.append(f"{method:<16}{m:>6}{mean:>12.4f}{_fmt_se(se):>12}")
     return "\n".join(lines)
 

@@ -36,7 +36,6 @@ class LabeledGraphDataset:
     graphs: np.ndarray
     labels: np.ndarray
     subject_ids: tuple | None = None
-    vertex_names: tuple | None = None
     directed: bool = False
 
     def __post_init__(self):
@@ -61,11 +60,6 @@ class LabeledGraphDataset:
             if len(subject_ids) != graphs.shape[0]:
                 raise ValueError("need one subject id per graph")
             object.__setattr__(self, "subject_ids", subject_ids)
-        if self.vertex_names is not None:
-            vertex_names = tuple(str(v) for v in self.vertex_names)
-            if len(vertex_names) != graphs.shape[1]:
-                raise ValueError("need one name per vertex")
-            object.__setattr__(self, "vertex_names", vertex_names)
         graphs.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "graphs", graphs)
@@ -89,7 +83,6 @@ class LabeledGraphDataset:
             self.graphs[idx].copy(),
             self.labels[idx].copy(),
             subject_ids=subjects,
-            vertex_names=self.vertex_names,
             directed=self.directed,
         )
 
@@ -198,7 +191,8 @@ def load_dataset(graphs_path, labels_path, n=None):
     """Read a dataset from the long-form CSV pair.
 
     graphs.csv rows are ``graph_id,u,v,weight`` with undirected edges listed
-    once and absent pairs implicitly 0; labels.csv rows are
+    once (a pair repeated in either orientation is an error) and absent
+    pairs implicitly 0; labels.csv rows are
     ``graph_id,label[,subject_id]``. Vertex count is ``n`` if given,
     otherwise 1 + the largest vertex index seen.
     """
@@ -229,8 +223,8 @@ def load_dataset(graphs_path, labels_path, n=None):
     order = np.argsort(ids, kind="stable")
     position = {ids[i]: rank for rank, i in enumerate(order)}
 
-    edges = []
-    max_vertex = -1
+    # one entry per edge row, in file order
+    lines, gpos, us, vs, weights = [], [], [], [], []
     with open(graphs_path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -250,9 +244,14 @@ def load_dataset(graphs_path, labels_path, n=None):
                 raise ValueError(f"{graphs_path}:{line_no}: negative vertex index")
             if u == v and w != 0.0:
                 raise ValueError(f"{graphs_path}:{line_no}: self-loops are not supported")
-            max_vertex = max(max_vertex, u, v)
-            edges.append((position[gid], u, v, w))
+            lines.append(line_no)
+            gpos.append(position[gid])
+            us.append(u)
+            vs.append(v)
+            weights.append(w)
 
+    gpos, us, vs = (np.asarray(x, dtype=int) for x in (gpos, us, vs))
+    max_vertex = int(max(us.max(), vs.max())) if lines else -1
     if n is None:
         if max_vertex < 0:
             raise ValueError(f"{graphs_path}: no edges; pass the vertex count explicitly")
@@ -261,10 +260,18 @@ def load_dataset(graphs_path, labels_path, n=None):
         raise ValueError(f"{graphs_path}: vertex index {max_vertex} exceeds n={n}")
 
     m = len(ids)
+    pair = (gpos * n + np.minimum(us, vs)) * n + np.maximum(us, vs)
+    unique_pairs, first = np.unique(pair, return_index=True)
+    if first.size < pair.size:
+        again = int(np.setdiff1d(np.arange(pair.size), first)[0])
+        earlier = first[np.searchsorted(unique_pairs, pair[again])]
+        raise ValueError(
+            f"{graphs_path}:{lines[again]}: pair {us[again]},{vs[again]} of graph "
+            f"{ids[order[gpos[again]]]} is already listed on line {lines[earlier]}"
+        )
     graphs = np.zeros((m, n, n))
-    for gpos, u, v, w in edges:
-        graphs[gpos, u, v] = w
-        graphs[gpos, v, u] = w
+    graphs[gpos, us, vs] = weights
+    graphs[gpos, vs, us] = weights
 
     labels_arr = np.asarray([labels[i] for i in order])
     subject_ids = tuple(subjects[i] for i in order) if subjects else None

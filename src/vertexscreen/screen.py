@@ -10,7 +10,6 @@ the labels is largest.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +42,24 @@ class ScreeningResult:
     selected: np.ndarray
     threshold: float | None = None
     delta: float | None = None
+
+
+@dataclass(frozen=True)
+class ScreeningConfig:
+    """How ``run`` screens a dataset and sizes the selection.
+
+    Iterative screening drops the ``delta`` tail per level; one-shot keeps
+    scores above ``threshold``. ``size_rule`` is one of maxcorr (the
+    screening's own selection), gap, or fixed (top ``size`` of the vertex
+    ranking).
+    """
+
+    statistic: str = "dcorr"
+    iterative: bool = True
+    delta: float = 0.5
+    threshold: float = 0.0
+    size_rule: str = "maxcorr"
+    size: int | None = None
 
 
 def _features_tensor(dataset, restrict):
@@ -88,7 +105,7 @@ def _dcorr_scores(features, labels):
     return scores
 
 
-def score_vertices(dataset, restrict=None, statistic="dcorr", threads=1):
+def score_vertices(dataset, restrict=None, statistic="dcorr"):
     """Per-vertex statistic between adjacency-row features and the labels.
 
     Features are rows of the induced subgraph on ``restrict`` (the full
@@ -102,14 +119,9 @@ def score_vertices(dataset, restrict=None, statistic="dcorr", threads=1):
     features = _features_tensor(dataset, restrict)
     if statistic == "dcorr":
         return _dcorr_scores(features, dataset.labels)
-
-    def score_one(i):
-        return corr.feature_label_correlation(features[i], dataset.labels, statistic)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.array(list(pool.map(score_one, range(len(restrict)))))
-    return np.array([score_one(i) for i in range(len(restrict))])
+    return np.array(
+        [corr.feature_label_correlation(f, dataset.labels, statistic) for f in features]
+    )
 
 
 def subgraph_correlation(dataset, vertices, statistic="dcorr"):
@@ -126,11 +138,11 @@ def subgraph_correlation(dataset, vertices, statistic="dcorr"):
     return corr.feature_label_correlation(features, dataset.labels, statistic)
 
 
-def screen_once(dataset, threshold, statistic="dcorr", threads=1):
+def screen_once(dataset, threshold, statistic="dcorr"):
     """Keep the vertices whose score strictly exceeds the threshold."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
-    scores = score_vertices(dataset, None, statistic, threads)
+    scores = score_vertices(dataset, None, statistic)
     selected = np.flatnonzero(scores > threshold)
     return ScreeningResult(
         method="once",
@@ -143,7 +155,7 @@ def screen_once(dataset, threshold, statistic="dcorr", threads=1):
     )
 
 
-def screen_iterative(dataset, delta=0.5, statistic="dcorr", min_size=1, threads=1):
+def screen_iterative(dataset, delta=0.5, statistic="dcorr", min_size=1):
     """Iterative screening on shrinking induced subgraphs.
 
     At each level the delta-quantile of the scores is the cut: vertices
@@ -165,7 +177,7 @@ def screen_iterative(dataset, delta=0.5, statistic="dcorr", min_size=1, threads=
     level_sets = [current]
     iteration = 1
     while current.size > min_size:
-        level_scores = score_vertices(dataset, current, statistic, threads)
+        level_scores = score_vertices(dataset, current, statistic)
         scores[current] = level_scores
         cut = float(np.quantile(level_scores, delta))
         keep = level_scores > cut
@@ -180,7 +192,7 @@ def screen_iterative(dataset, delta=0.5, statistic="dcorr", min_size=1, threads=
         level_sets.append(current)
         iteration += 1
     if len(level_sets) == 1:
-        scores[current] = score_vertices(dataset, current, statistic, threads)
+        scores[current] = score_vertices(dataset, current, statistic)
     level_corrs = [subgraph_correlation(dataset, vs, statistic) for vs in level_sets]
     best = int(np.argmax(level_corrs))
     return ScreeningResult(
@@ -215,6 +227,27 @@ def vertex_ranking(result):
     return np.lexsort((idx, *ranking_keys(result)))
 
 
+def rank_positions(result):
+    """1-based position of every vertex in ``vertex_ranking``."""
+    ranking = vertex_ranking(result)
+    positions = np.empty_like(ranking)
+    positions[ranking] = np.arange(1, ranking.size + 1)
+    return positions
+
+
+def _largest_drop(ordered):
+    """How many leading entries stay when ``ordered`` is cut at its largest
+    consecutive drop; equal drops resolve to the earliest cut, and a
+    sequence that never drops keeps everything (with a warning)."""
+    if ordered.size < 2:
+        raise ValueError("need at least 2 scores")
+    gaps = ordered[:-1] - ordered[1:]
+    if not np.any(gaps > 0):
+        warnings.warn("scores never drop; gap selection keeps every vertex")
+        return ordered.size
+    return int(np.argmax(gaps)) + 1
+
+
 def select_size_by_gap(scores, vertices=None):
     """Cut the descending score sequence at its largest consecutive drop.
 
@@ -222,35 +255,42 @@ def select_size_by_gap(scores, vertices=None):
     (largest-score) cut. All-equal scores keep everything and warn.
     """
     scores = np.asarray(scores, dtype=float)
-    if scores.size < 2:
-        raise ValueError("need at least 2 scores")
     if vertices is None:
         vertices = np.arange(scores.size)
     vertices = np.asarray(vertices, dtype=int)
     order = np.lexsort((vertices, -scores))
-    ordered = scores[order]
-    gaps = ordered[:-1] - ordered[1:]
-    if np.all(gaps == 0):
-        warnings.warn("all scores are equal; gap selection keeps every vertex")
-        return np.sort(vertices)
-    cut = int(np.argmax(gaps))
-    return np.sort(vertices[order[: cut + 1]])
+    return np.sort(vertices[order[: _largest_drop(scores[order])]])
 
 
 def select_vertices(result, rule="maxcorr", size=None):
     """Apply a size-selection rule to a screening result.
 
-    ``maxcorr`` returns the screening's own selection, ``gap`` cuts the
-    score sequence at its largest drop, ``fixed`` takes the top ``size``
-    of the vertex ranking.
+    Every rule returns a prefix of ``vertex_ranking`` (sorted by index):
+    ``maxcorr`` the screening's own selection, ``gap`` the ranking cut at
+    its largest consecutive score drop, ``fixed`` the top ``size``.
+    Iterative scores come from different subgraphs, so the gap rule cuts
+    the ranking rather than re-sorting the raw scores.
     """
     if rule == "maxcorr":
         return result.selected
+    ranking = vertex_ranking(result)
     if rule == "gap":
-        return select_size_by_gap(result.scores)
+        return np.sort(ranking[: _largest_drop(result.scores[ranking])])
     if rule == "fixed":
-        n = result.scores.shape[0]
-        if size is None or not 1 <= size <= n:
+        if size is None or not 1 <= size <= ranking.size:
             raise ValueError("fixed-size selection needs a size in [1, n]")
-        return np.sort(vertex_ranking(result)[:size])
+        return np.sort(ranking[:size])
     raise ValueError(f"unknown size rule {rule!r}")
+
+
+def run(dataset, config):
+    """Screen a dataset as ``config`` says and apply its size rule.
+
+    Returns ``(result, selected)``; a one-shot threshold that no score
+    clears selects nothing.
+    """
+    if config.iterative:
+        result = screen_iterative(dataset, config.delta, config.statistic)
+    else:
+        result = screen_once(dataset, config.threshold, config.statistic)
+    return result, select_vertices(result, config.size_rule, config.size)

@@ -37,9 +37,11 @@ def exp1_report():
 
 
 def _mean_auc(report_, method):
-    return dict((m, mean) for m, mean, _ in evaluate.summarize_auc(report_))[method]
+    rows = evaluate.summarize(report_.methods, report_.auc_records)
+    return dict((m, mean) for m, mean, _ in rows)[method]
 
 
+@pytest.mark.slow
 def test_exp1_auc_distance_statistics(exp1_report):
     """Planted-block AUC windows and orderings for the distance statistics."""
     dcorr_auc = _mean_auc(exp1_report, "dcorr")
@@ -64,6 +66,7 @@ def _paired_gap(report_, better, worse):
     return float(diffs.mean()), float(diffs.std(ddof=1) / np.sqrt(diffs.size))
 
 
+@pytest.mark.slow
 def test_exp1_auc_baseline_windows(exp1_report):
     """Baseline AUC windows.
 
@@ -99,6 +102,7 @@ def test_exp1_auc_baseline_windows(exp1_report):
     report("1b exp1-auc-baselines", ok, "; ".join(d for _, d in checks))
 
 
+@pytest.mark.slow
 def test_screening_recovery_at_m300():
     """Three-class generator, m=300: iterative-dcorr selection of the true
     size has mean false positive rate at most 0.02 over 30 repeats."""
@@ -213,6 +217,7 @@ def test_oracle_equivalence():
     )
 
 
+@pytest.mark.slow
 def test_containment_probability_grows_with_m():
     """P(signal set inside the top-20 one-shot ranking) is non-decreasing
     over m in {50, 100, 200, 400}, 50 repeats each, within one standard
@@ -242,6 +247,7 @@ def test_containment_probability_grows_with_m():
     )
 
 
+@pytest.mark.slow
 def test_screened_loss_decreases_with_m():
     """Screened-plug-in loss decreases over m in {60, 150, 300, 600} within
     two standard errors per step (8 repeats, 800 test draws each)."""
@@ -250,7 +256,7 @@ def test_screened_loss_decreases_with_m():
         "exp2", repeats=8, seed=2, m_grid=(60, 150, 300, 600), test_draws=800,
         methods=("itdcorr-0.5",),
     )
-    rows = evaluate.summarize_loss(rep)
+    rows = evaluate.summarize(rep.methods, rep.loss_records)
     means = [mean for _, _, mean, _ in rows]
     ses = [se for _, _, _, se in rows]
     ok = all(

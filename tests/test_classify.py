@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from vertexscreen import classify, evaluate
-from vertexscreen.graph import LabeledGraphDataset, sample_ier, sample_ier_dataset
+from vertexscreen.graph import (
+    LabeledGraphDataset,
+    ier_log_likelihood,
+    sample_ier,
+    sample_ier_dataset,
+)
 
 
 def block_parameters(n=12, signal=4, p=(0.2, 0.7)):
@@ -21,6 +26,30 @@ def block_parameters(n=12, signal=4, p=(0.2, 0.7)):
 def block_dataset(m, seed, n=12, signal=4, p=(0.2, 0.7)):
     mats = block_parameters(n, signal, p)
     return sample_ier_dataset(mats, [0.5, 0.5], m, seed)
+
+
+def likelihood_oracle(priors, mats, graphs, class_labels):
+    """Per graph, the argmax of log prior + graph.ier_log_likelihood."""
+    with np.errstate(divide="ignore"):
+        log_priors = np.log(np.asarray(priors, dtype=float))
+    picks = [
+        np.argmax([lp + ier_log_likelihood(a, p) for lp, p in zip(log_priors, mats)])
+        for a in graphs
+    ]
+    return [class_labels[int(i)] for i in picks]
+
+
+def saturated_parameters(rng, n=6, classes=3):
+    """Random symmetric probability matrices with about a quarter of the
+    pairs at exactly 0 or 1."""
+    mats = []
+    for _ in range(classes):
+        p = rng.uniform(0.05, 0.95, size=(n, n))
+        p[rng.random((n, n)) < 0.25] = 0.0
+        p[rng.random((n, n)) < 0.1] = 1.0
+        p = np.triu(p, 1)
+        mats.append(p + p.T)
+    return mats
 
 
 class TestFitPlugin:
@@ -132,6 +161,32 @@ class TestPluginPredict:
         batched = classify.plugin_predict_many(model, test.graphs)
         scalar = [classify.plugin_predict(model, a) for a in test.graphs]
         assert list(batched) == scalar
+        sub = test.graphs[:, model.vertices][:, :, model.vertices]
+        oracle = likelihood_oracle(
+            model.priors, model.edge_probabilities, sub, model.class_labels
+        )
+        assert list(batched) == oracle
+
+    def test_unclamped_saturated_model_matches_oracle(self):
+        # with clamp 0 a small training set leaves estimates at exactly 0 and 1
+        ds = block_dataset(6, 30, n=8, signal=3)
+        model = classify.fit_plugin(ds, restrict=[0, 1, 2, 5], clamp=0.0)
+        off = ~np.eye(4, dtype=bool)
+        assert any(np.any((p[off] == 0) | (p[off] == 1)) for p in model.edge_probabilities)
+        test = block_dataset(40, 31, n=8, signal=3)
+        sub = test.graphs[:, model.vertices][:, :, model.vertices]
+        oracle = likelihood_oracle(
+            model.priors, model.edge_probabilities, sub, model.class_labels
+        )
+        assert list(classify.plugin_predict_many(model, test.graphs)) == oracle
+
+    def test_rejects_weighted_adjacency(self):
+        ds = block_dataset(10, 32)
+        model = classify.fit_plugin(ds)
+        with pytest.raises(ValueError, match="binary"):
+            classify.plugin_predict_many(model, 3.0 * ds.graphs)
+        with pytest.raises(ValueError, match="binary"):
+            classify.plugin_predict(model, 3.0 * ds.graphs[0])
 
     def test_class_recovery_with_training(self):
         mats = block_parameters(p=(0.2, 0.8))
@@ -165,6 +220,37 @@ class TestBayesPredict:
         batched = classify.bayes_predict_many(priors, mats, ds.graphs)
         scalar = [classify.bayes_predict(priors, mats, a) for a in ds.graphs]
         assert list(batched) == scalar
+        assert scalar == likelihood_oracle(priors, mats, ds.graphs, (0, 1, 2))
+
+    def test_saturated_probabilities_and_zero_prior_match_oracle(self):
+        rng = np.random.default_rng(33)
+        for trial in range(30):
+            mats = saturated_parameters(rng)
+            priors = [0.0, 0.4, 0.6] if trial % 2 else [0.5, 0.0, 0.5]
+            # draws from each class, so every class explains some graphs
+            graphs = np.stack([sample_ier(mats[i % 3], rng) for i in range(12)])
+            batched = classify.bayes_predict_many(priors, mats, graphs, ("a", "b", "c"))
+            oracle = likelihood_oracle(priors, mats, graphs, ("a", "b", "c"))
+            assert list(batched) == oracle
+
+    def test_rejects_wrong_prior_count(self):
+        mats, _, _ = evaluate.experiment_parameters("exp2")
+        graphs = sample_ier_dataset(mats, [1 / 3] * 3, 5, 34).graphs
+        with pytest.raises(ValueError, match="one prior per class"):
+            classify.bayes_predict_many([1.0], mats, graphs)
+        with pytest.raises(ValueError, match="one prior per class"):
+            classify.bayes_predict([1.0], mats, graphs[0])
+
+    def test_rejects_weighted_adjacency(self):
+        mats, priors, _ = evaluate.experiment_parameters("exp2")
+        graphs = sample_ier_dataset(mats, priors, 5, 35).graphs
+        with pytest.raises(ValueError, match="binary"):
+            classify.bayes_predict_many(priors, mats, 3.0 * graphs)
+
+    def test_rejects_shape_mismatch(self):
+        mats, priors, _ = evaluate.experiment_parameters("exp2")
+        with pytest.raises(ValueError, match="shape"):
+            classify.bayes_predict_many(priors, mats, np.zeros((2, 10, 10)))
 
     def test_bayes_not_worse_than_plugin(self):
         mats = block_parameters(p=(0.3, 0.6))

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,15 @@ class TestScreen:
         assert code == 0
         rows = (tmp_path / "screening.csv").read_text().splitlines()[1:]
         assert sum(int(r.split(",")[-1]) for r in rows) == 30
+
+    def test_threshold_one_selects_nothing_and_succeeds(self, small_dataset, tmp_path, capsys):
+        code = run(
+            ["screen", "--graphs", small_dataset / "graphs.csv",
+             "--labels", small_dataset / "labels.csv", "--n", 200,
+             "--threshold", 1, "--out", tmp_path]
+        )
+        assert code == 0
+        assert "selected 0 vertices" in capsys.readouterr().out
 
     def test_cca_dispatch(self, small_dataset, tmp_path):
         code = run(
@@ -213,6 +224,26 @@ class TestConfigFile:
         config = tmp_path / "run.cfg"
         config.write_text("bogus=1\n")
         assert run(["simulate", "exp1", "--config", config, "--out", tmp_path]) == 1
+        config.write_text("threads=2\n")  # the removed option
+        assert run(["simulate", "exp1", "--m", 4, "--config", config, "--out", tmp_path]) == 1
+
+    def test_keys_are_the_flags_of_every_subcommand(self, capsys):
+        from vertexscreen import cli
+
+        flags = set()
+        for command in ("simulate", "screen", "classify", "replicate"):
+            with pytest.raises(SystemExit):
+                run([command, "--help"])
+            flags |= set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out))
+        keys = cli._config_keys(cli.build_parser())
+        assert set(keys) == flags - {"config", "help"}
+        assert keys["iterative"]("Yes") is True and keys["iterative"]("0") is False
+        assert keys["delta"]("0.25") == 0.25 and keys["m-grid"]("60,150") == "60,150"
+
+
+def test_threads_flag_removed(tmp_path, capsys):
+    assert run(["simulate", "exp1", "--m", 4, "--threads", 2, "--out", tmp_path]) == 1
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_is_validation_error(capsys):

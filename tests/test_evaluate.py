@@ -245,7 +245,7 @@ class TestRunExperiment:
 
     def test_single_repeat_has_no_se(self):
         report = evaluate.run_experiment("exp1", repeats=1, seed=9, m=30, methods=("dcorr",))
-        rows = evaluate.summarize_auc(report)
+        rows = evaluate.summarize(report.methods, report.auc_records)
         assert rows[0][2] is None
         assert "-" in evaluate.summary_text(report)
 

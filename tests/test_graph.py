@@ -215,6 +215,21 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="unknown graph id"):
             graph.load_dataset(gp, lp, n=3)
 
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            ("0,0,1,1\n0,2,1,1\n0,0,1,5\n", 4),
+            ("0,0,1,1\n1,0,1,1\n0,1,0,5\n", 4),
+        ],
+        ids=["same-row", "both-orientations"],
+    )
+    def test_repeated_pair_rejected(self, tmp_path, rows, line):
+        gp, lp = tmp_path / "graphs.csv", tmp_path / "labels.csv"
+        lp.write_text("graph_id,label\n0,0\n1,1\n")
+        gp.write_text("graph_id,u,v,weight\n" + rows)
+        with pytest.raises(ValueError, match=f"graphs.csv:{line}: .* line 2"):
+            graph.load_dataset(gp, lp, n=3)
+
     def test_bad_header(self, tmp_path):
         gp, lp = tmp_path / "graphs.csv", tmp_path / "labels.csv"
         lp.write_text("id,label\n0,0\n")

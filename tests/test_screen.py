@@ -1,7 +1,11 @@
 """Tests for one-shot and iterative vertex screening."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vertexscreen import corr, evaluate, screen
 from vertexscreen.graph import LabeledGraphDataset, sample_ier, vertex_feature
@@ -45,12 +49,6 @@ class TestScoreVertices:
         scores = screen.score_vertices(ds, statistic="dcorr")
         assert np.argmax(scores) == 0
         assert scores[0] > np.max(scores[1:])
-
-    def test_threads_do_not_change_scores(self):
-        ds = random_dataset(m=12, n=9, seed=4)
-        single = screen.score_vertices(ds, statistic="rv", threads=1)
-        threaded = screen.score_vertices(ds, statistic="rv", threads=4)
-        assert np.array_equal(single, threaded)
 
     def test_unknown_statistic(self):
         with pytest.raises(ValueError):
@@ -165,6 +163,49 @@ class TestRankingAndSelection:
     def test_gap_earliest_cut_on_tied_gaps(self):
         selected = screen.select_size_by_gap(np.array([0.9, 0.6, 0.3]))
         assert np.array_equal(selected, [0])
+
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from([0.2, 0.5, 0.7]),
+        st.sampled_from(["maxcorr", "gap", "fixed"]),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_every_rule_selects_a_ranking_prefix(self, seed, delta, rule, iterative):
+        ds = random_dataset(m=14, n=9, seed=seed)
+        config = screen.ScreeningConfig(
+            iterative=iterative, delta=delta, threshold=0.05, size_rule=rule, size=3
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an all-zero score sequence warns
+            result, selected = screen.run(ds, config)
+        ranking = screen.vertex_ranking(result)
+        assert np.array_equal(selected, np.sort(ranking[: selected.size]))
+
+    def test_iterative_gap_cuts_the_ranking(self):
+        # scores from different levels are not comparable: the gap rule must
+        # cut the ranking, not re-sort the raw scores
+        result = screen.ScreeningResult(
+            method="iterative",
+            statistic="dcorr",
+            scores=np.array([0.1, 0.9, 0.8, 0.3]),
+            elimination_order=np.array([screen.SURVIVOR, 1.0, screen.SURVIVOR, 1.0]),
+            levels=(),
+            selected=np.array([0, 2]),
+        )
+        # ranking 2, 0, 1, 3 with scores 0.8, 0.1, 0.9, 0.3 drops most after
+        # vertex 2; sorting the raw scores would keep {1, 2} and skip survivor 0
+        assert np.array_equal(screen.select_vertices(result, "gap"), [2])
+
+    def test_run_matches_the_screening_it_names(self):
+        ds = random_dataset(seed=18)
+        config = screen.ScreeningConfig(iterative=True, delta=0.4, size_rule="fixed", size=3)
+        result, selected = screen.run(ds, config)
+        expected = screen.screen_iterative(ds, delta=0.4)
+        assert np.array_equal(result.scores, expected.scores)
+        assert np.array_equal(selected, screen.select_vertices(expected, "fixed", 3))
+        once, none = screen.run(ds, screen.ScreeningConfig(iterative=False, threshold=1.0))
+        assert once.method == "once" and none.size == 0
 
     def test_fixed_size_override(self):
         result = screen.screen_once(random_dataset(seed=15), 0.0)
