@@ -138,7 +138,10 @@ def plugin_predict(model, a, restrict=None):
 
 def bayes_predict_many(priors, edge_probabilities, graphs, class_labels=None):
     """Bayes rule with the true generating parameters (simulation only) over
-    an (N, n, n) stack; probabilities may sit exactly at 0 or 1."""
+    an (N, n, n) stack; probabilities may sit exactly at 0 or 1.
+
+    Only the pairs u < v enter the likelihood, so only they must be binary.
+    """
     graphs = _stack(graphs)
     priors = np.asarray(priors, dtype=float)
     mats = [validate_probability_matrix(p) for p in edge_probabilities]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 
@@ -143,9 +144,8 @@ def _require(value, name):
     return value
 
 
-def _screening_options(args, **pipeline):
-    """The screening flags as a pipeline config; ``pipeline`` adds the
-    classifier fields."""
+def _screening_options(args):
+    """The screening flags as a screening config."""
     size = args.size
     rule = args.size_rule
     if size is not None:
@@ -162,14 +162,13 @@ def _screening_options(args, **pipeline):
     threshold = _default(args.threshold, 0.0)
     if not 0.0 <= threshold <= 1.0:
         raise CliError("--threshold must lie in [0, 1]")
-    return evaluate.PipelineConfig(
+    return screen.ScreeningConfig(
         statistic=_default(args.stat, "dcorr"),
         iterative=bool(_default(args.iterative, False)),
         delta=delta,
         threshold=threshold,
         size_rule=rule,
         size=size,
-        **pipeline,
     )
 
 
@@ -247,7 +246,9 @@ def cmd_classify(args):
         k = _default(args.k, 11)
         if k < 1:
             raise CliError("--k must be at least 1")
-        pipeline = _screening_options(args, classifier=classifier, k=k)
+        pipeline = evaluate.PipelineConfig(
+            **dataclasses.asdict(_screening_options(args)), classifier=classifier, k=k
+        )
         report = evaluate.cross_validate(dataset, pipeline, grouping=grouping)
         rows = [
             [fold.fold, gid, truth, pred, int(fold.unseen_class)]

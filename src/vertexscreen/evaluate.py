@@ -248,12 +248,9 @@ def _method_config(method):
     """A named method screens at threshold 0 (one-shot) or with its delta
     (iterative), then keeps the planted number of vertices."""
     statistic, iterative, delta = parse_method(method)
+    delta_arg = {} if delta is None else {"delta": delta}
     return screen.ScreeningConfig(
-        statistic=statistic,
-        iterative=iterative,
-        delta=0.5 if delta is None else delta,
-        size_rule="fixed",
-        size=SIGNAL_SIZE,
+        statistic=statistic, iterative=iterative, size_rule="fixed", size=SIGNAL_SIZE, **delta_arg
     )
 
 

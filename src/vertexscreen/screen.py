@@ -235,33 +235,6 @@ def rank_positions(result):
     return positions
 
 
-def _largest_drop(ordered):
-    """How many leading entries stay when ``ordered`` is cut at its largest
-    consecutive drop; equal drops resolve to the earliest cut, and a
-    sequence that never drops keeps everything (with a warning)."""
-    if ordered.size < 2:
-        raise ValueError("need at least 2 scores")
-    gaps = ordered[:-1] - ordered[1:]
-    if not np.any(gaps > 0):
-        warnings.warn("scores never drop; gap selection keeps every vertex")
-        return ordered.size
-    return int(np.argmax(gaps)) + 1
-
-
-def select_size_by_gap(scores, vertices=None):
-    """Cut the descending score sequence at its largest consecutive drop.
-
-    Returns the vertices above the cut; equal gaps resolve to the earliest
-    (largest-score) cut. All-equal scores keep everything and warn.
-    """
-    scores = np.asarray(scores, dtype=float)
-    if vertices is None:
-        vertices = np.arange(scores.size)
-    vertices = np.asarray(vertices, dtype=int)
-    order = np.lexsort((vertices, -scores))
-    return np.sort(vertices[order[: _largest_drop(scores[order])]])
-
-
 def select_vertices(result, rule="maxcorr", size=None):
     """Apply a size-selection rule to a screening result.
 
@@ -275,7 +248,15 @@ def select_vertices(result, rule="maxcorr", size=None):
         return result.selected
     ranking = vertex_ranking(result)
     if rule == "gap":
-        return np.sort(ranking[: _largest_drop(result.scores[ranking])])
+        if ranking.size < 2:
+            raise ValueError("need at least 2 scores")
+        ordered = result.scores[ranking]
+        gaps = ordered[:-1] - ordered[1:]
+        if not np.any(gaps > 0):
+            warnings.warn("scores never drop; gap selection keeps every vertex")
+            return np.sort(ranking)
+        # argmax takes the first maximum: equal drops resolve to the earliest cut
+        return np.sort(ranking[: int(np.argmax(gaps)) + 1])
     if rule == "fixed":
         if size is None or not 1 <= size <= ranking.size:
             raise ValueError("fixed-size selection needs a size in [1, n]")

@@ -18,6 +18,19 @@ def random_dataset(m=20, n=10, seed=0, classes=2):
     return LabeledGraphDataset(graphs, labels)
 
 
+def one_shot_result(scores):
+    scores = np.asarray(scores, dtype=float)
+    return screen.ScreeningResult(
+        method="once",
+        statistic="dcorr",
+        scores=scores,
+        elimination_order=np.full(scores.size, screen.SURVIVOR),
+        levels=(),
+        selected=np.flatnonzero(scores > 0.0),
+        threshold=0.0,
+    )
+
+
 class TestScoreVertices:
     def test_constant_labels_score_zero(self):
         ds = random_dataset(seed=1)
@@ -152,16 +165,16 @@ class TestRankingAndSelection:
         assert max(rank_of[v] for v in last_level) < min(rank_of[v] for v in first_eliminated)
 
     def test_gap_selection_obvious(self):
-        selected = screen.select_size_by_gap(np.array([0.9, 0.85, 0.2, 0.15]))
+        selected = screen.select_vertices(one_shot_result([0.9, 0.85, 0.2, 0.15]), "gap")
         assert np.array_equal(selected, [0, 1])
 
     def test_gap_selection_all_equal_warns(self):
         with pytest.warns(UserWarning):
-            selected = screen.select_size_by_gap(np.array([0.5, 0.5, 0.5]))
+            selected = screen.select_vertices(one_shot_result([0.5, 0.5, 0.5]), "gap")
         assert np.array_equal(selected, [0, 1, 2])
 
     def test_gap_earliest_cut_on_tied_gaps(self):
-        selected = screen.select_size_by_gap(np.array([0.9, 0.6, 0.3]))
+        selected = screen.select_vertices(one_shot_result([0.9, 0.6, 0.3]), "gap")
         assert np.array_equal(selected, [0])
 
     @given(
