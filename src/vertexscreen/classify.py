@@ -54,7 +54,7 @@ def fit_plugin(dataset, restrict=None, classes=None, clamp=None):
         class_labels = tuple(classes)
     if clamp is None:
         clamp = 1.0 / (2.0 * dataset.m)
-    sub = dataset.graphs[np.ix_(np.arange(dataset.m), vertices, vertices)]
+    sub = induced_subgraph(dataset.graphs, vertices)
     priors = np.empty(len(class_labels))
     edge_probabilities = []
     for i, label in enumerate(class_labels):
@@ -174,7 +174,7 @@ def knn_predict(train, a, k, restrict=None):
         restrict if restrict is not None else np.arange(train.n), train.n
     )
     target = induced_subgraph(a, vertices)
-    pool = train.graphs[np.ix_(np.arange(train.m), vertices, vertices)]
+    pool = induced_subgraph(train.graphs, vertices)
     dists = np.sqrt(((pool - target) ** 2).sum(axis=(1, 2)))
     nearest = np.argsort(dists, kind="stable")[:k]
     votes = train.labels[nearest]

@@ -89,20 +89,19 @@ def _parse_switch(text):
     return text.lower() in ("1", "true", "yes")
 
 
-def _config_keys(parser):
-    """Config-file keys and their value parsers: the long flags of every
-    subcommand without their dashes, except --config and --help."""
+def _config_keys(parser, command):
+    """Config-file keys and their value parsers: the long flags of the
+    ``command`` subcommand without their dashes, except --config and --help."""
     (subparsers,) = (
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     )
     keys = {}
-    for sub in subparsers.choices.values():
-        for action in sub._actions:
-            for flag in action.option_strings:
-                key = flag[2:]
-                if flag.startswith("--") and key not in ("config", "help"):
-                    # store_true flags take no value on the command line
-                    keys[key] = _parse_switch if action.nargs == 0 else action.type or str
+    for action in subparsers.choices[command]._actions:
+        for flag in action.option_strings:
+            key = flag[2:]
+            if flag.startswith("--") and key not in ("config", "help"):
+                # store_true flags take no value on the command line
+                keys[key] = _parse_switch if action.nargs == 0 else action.type or str
     return keys
 
 
@@ -110,7 +109,7 @@ def _apply_config(args, parser):
     """Fill unset options from the --config key=value file."""
     if not getattr(args, "config", None):
         return args
-    converters = _config_keys(parser)
+    converters = _config_keys(parser, args.command)
     values = {}
     with open(args.config) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -122,14 +121,16 @@ def _apply_config(args, parser):
             key, _, raw = line.partition("=")
             key = key.strip()
             if key not in converters:
-                raise CliError(f"{args.config}:{line_no}: unknown option {key!r}")
+                raise CliError(
+                    f"{args.config}:{line_no}: unknown option {key!r} for {args.command}"
+                )
             try:
                 values[key] = converters[key](raw.strip())
             except ValueError:
                 raise CliError(f"{args.config}:{line_no}: bad value for {key!r}") from None
     for key, value in values.items():
         attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None and hasattr(args, attr):
+        if getattr(args, attr) is None:
             setattr(args, attr, value)
     return args
 
@@ -306,10 +307,7 @@ def main(argv=None):
         parser = build_parser()
         args = _apply_config(parser.parse_args(argv), parser)
         return _COMMANDS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except ValueError as exc:  # CliError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

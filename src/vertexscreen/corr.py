@@ -23,13 +23,19 @@ DEGENERATE_TOL = 1e-14
 MGC_REGION_FRACTION = 0.02
 
 
-def _as_sample_matrix(x):
+# cells of one intermediate of a dcorr kernel chunk: blocks per chunk scale with 1/m^2
+_CHUNK_CELLS = 2**23
+
+
+def _as_sample_matrix(x, stack=False):
+    """(m, d) float samples, or a (B, m, d) stack of them when ``stack`` is
+    set; 1-d input is one column."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    if x.ndim != 2:
+    if x.ndim != 2 and not (stack and x.ndim == 3):
         raise ValueError(f"expected a 1-d or 2-d sample array, got shape {x.shape}")
-    if x.shape[0] < 2:
+    if x.shape[-2] < 2:
         raise ValueError("need at least 2 samples")
     if not np.all(np.isfinite(x)):
         raise ValueError("samples contain non-finite entries")
@@ -39,17 +45,19 @@ def _as_sample_matrix(x):
 def pairwise_distances(samples, metric="euclidean"):
     """m x m matrix of pairwise distances between rows.
 
-    ``euclidean`` accepts any (m, d) sample matrix; ``discrete`` is the 0/1
-    mismatch indicator and only applies to 1-d label vectors.
+    ``euclidean`` accepts an (m, d) sample matrix or a (B, m, d) stack of
+    them and works on the last two axes; ``discrete`` is the 0/1 mismatch
+    indicator and only applies to 1-d label vectors.
     """
     if metric == "euclidean":
-        x = _as_sample_matrix(samples)
-        sq = np.einsum("ij,ij->i", x, x)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-        d2 = 0.5 * (d2 + d2.T)
+        x = _as_sample_matrix(samples, stack=True)
+        sq = np.einsum("...ij,...ij->...i", x, x)
+        d2 = sq[..., :, None] + sq[..., None, :] - 2.0 * (x @ np.swapaxes(x, -1, -2))
+        d2 = 0.5 * (d2 + np.swapaxes(d2, -1, -2))
         np.maximum(d2, 0.0, out=d2)
         d = np.sqrt(d2)
-        np.fill_diagonal(d, 0.0)
+        diag = np.arange(d.shape[-1])
+        d[..., diag, diag] = 0.0
         return d
     if metric == "discrete":
         y = np.asarray(samples)
@@ -66,56 +74,75 @@ def pairwise_distances(samples, metric="euclidean"):
 def double_center(d):
     """Subtract row and column means and add back the grand mean.
 
-    Every row and column of the result sums to zero, which makes the mean
-    of an entrywise product of two centered matrices a covariance-like
-    quantity.
+    Works on the last two axes, so a (..., m, m) stack is centred matrix by
+    matrix. Every row and column of the result sums to zero, which makes
+    the mean of an entrywise product of two centered matrices a
+    covariance-like quantity.
     """
     d = np.asarray(d, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+    if d.ndim < 2 or d.shape[-1] != d.shape[-2]:
         raise ValueError("distance matrix must be square")
-    return d - d.mean(axis=1, keepdims=True) - d.mean(axis=0, keepdims=True) + d.mean()
+    rows, cols = d.mean(axis=-1, keepdims=True), d.mean(axis=-2, keepdims=True)
+    return d - rows - cols + d.mean(axis=(-2, -1), keepdims=True)
 
 
-def _centered_pair(x, y, x_metric, y_metric):
-    cx = double_center(pairwise_distances(x, x_metric))
+def _dcov_terms(blocks, y, y_metric):
+    """V-statistic terms ``(vxy, vx, vy)`` of every block of a (B, m, d)
+    stack against y: unclamped cross terms and own terms per block, and y's
+    own term. Each chunk of blocks is copied to one contiguous array."""
+    blocks = np.asarray(blocks, dtype=float)
+    if blocks.ndim != 3:
+        raise ValueError(f"expected a (B, m, d) stack of samples, got shape {blocks.shape}")
+    n_blocks, m, _ = blocks.shape
     cy = double_center(pairwise_distances(y, y_metric))
-    if cx.shape != cy.shape:
-        raise ValueError(
-            f"sample counts differ: {cx.shape[0]} vs {cy.shape[0]}"
-        )
-    return cx, cy
+    if cy.shape != (m, m):
+        raise ValueError(f"y must be one sample of {m} observations, not distances {cy.shape}")
+    vxy = np.empty(n_blocks)
+    vx = np.empty(n_blocks)
+    chunk = max(1, _CHUNK_CELLS // (m * m))
+    for start in range(0, n_blocks, chunk):
+        part = slice(start, start + chunk)
+        cx = double_center(pairwise_distances(np.ascontiguousarray(blocks[part])))
+        vxy[part] = np.mean(cx * cy, axis=(-2, -1))
+        vx[part] = np.mean(cx * cx, axis=(-2, -1))
+    return vxy, vx, float(np.mean(cy * cy))
 
 
-def dcov_sq(x, y, x_metric="euclidean", y_metric="euclidean"):
+def dcorr_many(blocks, y, y_metric="euclidean"):
+    """Distance correlation of every block of a (B, m, d) stack with y.
+
+    The one dcorr kernel: ``dcorr`` is a batch of one. A degenerate
+    (constant) block or y scores 0.
+    """
+    vxy, vx, vy = _dcov_terms(blocks, y, y_metric)
+    scores = np.zeros(vx.shape)
+    if vy <= DEGENERATE_TOL:
+        return scores
+    ok = vx > DEGENERATE_TOL
+    scores[ok] = np.clip(np.maximum(vxy[ok], 0.0) / np.sqrt(vx[ok] * vy), 0.0, 1.0)
+    return scores
+
+
+def dcov_sq(x, y, y_metric="euclidean"):
     """Squared-scale distance covariance between two samples.
 
     Mean of the entrywise product of the double-centered distance matrices
     (the plain V-statistic). Mathematically nonnegative; tiny negative
     roundoff is clamped to 0. Symmetric in its arguments.
     """
-    cx, cy = _centered_pair(x, y, x_metric, y_metric)
-    return max(float(np.mean(cx * cy)), 0.0)
+    vxy, _, _ = _dcov_terms(_as_sample_matrix(x)[None], y, y_metric)
+    return max(float(vxy[0]), 0.0)
 
 
-def _ratio(vxy, vx, vy):
-    if vx <= DEGENERATE_TOL or vy <= DEGENERATE_TOL:
-        return 0.0
-    return float(np.clip(vxy / np.sqrt(vx * vy), 0.0, 1.0))
-
-
-def dcorr(x, y, x_metric="euclidean", y_metric="euclidean"):
+def dcorr(x, y, y_metric="euclidean"):
     """Distance correlation: dcov_sq(x, y) / sqrt(dcov_sq(x, x) * dcov_sq(y, y)).
 
     Lies in [0, 1]; a degenerate (constant) x or y gives 0 by convention.
     """
-    cx, cy = _centered_pair(x, y, x_metric, y_metric)
-    vxy = max(float(np.mean(cx * cy)), 0.0)
-    vx = float(np.mean(cx * cx))
-    vy = float(np.mean(cy * cy))
-    return _ratio(vxy, vx, vy)
+    return float(dcorr_many(_as_sample_matrix(x)[None], y, y_metric)[0])
 
 
-def local_correlation_grid(x, y, x_metric="euclidean", y_metric="euclidean"):
+def local_correlation_grid(x, y, y_metric="euclidean"):
     """Local distance correlations at every neighborhood scale.
 
     Entry [k-1, l-1] restricts the centered-product sums to sample pairs
@@ -124,7 +151,7 @@ def local_correlation_grid(x, y, x_metric="euclidean", y_metric="euclidean"):
     equals the global dcorr. Cells whose local variances are degenerate are
     set to 0.
     """
-    dx = pairwise_distances(x, x_metric)
+    dx = pairwise_distances(_as_sample_matrix(x))
     dy = pairwise_distances(y, y_metric)
     if dx.shape != dy.shape:
         raise ValueError(f"sample counts differ: {dx.shape[0]} vs {dy.shape[0]}")
@@ -155,7 +182,7 @@ def local_correlation_grid(x, y, x_metric="euclidean", y_metric="euclidean"):
     return grid
 
 
-def mgc(x, y, x_metric="euclidean", y_metric="euclidean"):
+def mgc(x, y, y_metric="euclidean"):
     """Smoothed maximum of the local distance correlations.
 
     Among the cells of the scale grid that strictly exceed the global
@@ -163,7 +190,7 @@ def mgc(x, y, x_metric="euclidean", y_metric="euclidean"):
     region covers more than MGC_REGION_FRACTION of the grid, return its
     largest value, otherwise fall back to the global statistic (= dcorr).
     """
-    grid = local_correlation_grid(x, y, x_metric, y_metric)
+    grid = local_correlation_grid(x, y, y_metric)
     m = grid.shape[0]
     if m < 4:
         raise ValueError("mgc needs at least 4 samples")

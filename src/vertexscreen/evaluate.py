@@ -241,7 +241,8 @@ def parse_method(name):
 
 
 def _repeat_seed(base, index):
-    return int(base) ^ int(index)
+    # one stream per (base, index) pair: distinct base seeds never share draws
+    return np.random.SeedSequence([int(base), int(index)])
 
 
 def _method_config(method):
@@ -269,8 +270,9 @@ def run_experiment(
     each screening method at a single m. exp2 trains the classifiers at
     each m in the grid, records Monte-Carlo 0-1 losses on fresh test draws,
     and the screening false positive rate at the planted size. The repeat
-    with index i uses seed ``seed XOR i`` (globally indexed across the m
-    grid), so reports are reproducible.
+    with index i draws from ``numpy.random.SeedSequence([seed, i])`` (i
+    counts repeats across the whole m grid), so reports are reproducible
+    and no two base seeds share a draw.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")

@@ -158,12 +158,17 @@ def ier_log_likelihood(a, p):
 
 
 def induced_subgraph(a, vertices):
-    """Adjacency of the induced subgraph, rows/cols in sorted vertex order."""
+    """Adjacency of the induced subgraph, rows/cols in sorted vertex order.
+
+    ``a`` is one (n, n) adjacency or a (..., n, n) stack; every matrix of a
+    stack is restricted to the same vertices.
+    """
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("adjacency matrix must be square")
-    idx = vertex_set(vertices, a.shape[0])
-    return a[np.ix_(idx, idx)]
+    idx = vertex_set(vertices, a.shape[-1])
+    # np.ix_ over every axis keeps the copy C-ordered
+    return a[np.ix_(*map(np.arange, a.shape[:-2]), idx, idx)]
 
 
 def vertex_feature(a, u, restrict):

@@ -15,13 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import corr
-from .graph import vertex_set
+from .graph import induced_subgraph, vertex_set
 
 # elimination_order entry for vertices that were never eliminated
 SURVIVOR = np.inf
-
-# memory cap for the vectorized dcorr path: vertices per chunk scale with 1/m^2
-_CHUNK_CELLS = 2**23
 
 
 @dataclass(frozen=True)
@@ -63,46 +60,8 @@ class ScreeningConfig:
 
 
 def _features_tensor(dataset, restrict):
-    sub = dataset.graphs[np.ix_(np.arange(dataset.m), restrict, restrict)]
     # feature of the i-th restricted vertex is row i of each induced adjacency
-    return sub.transpose(1, 0, 2)
-
-
-def _dcorr_scores(features, labels):
-    """Vectorized dcorr of many feature blocks against one label vector.
-
-    Matches corr.dcorr(features[i], labels, y_metric="discrete") for each
-    block up to roundoff.
-    """
-    n_blocks, m, _ = features.shape
-    cy = corr.double_center(corr.pairwise_distances(labels, "discrete"))
-    vy = float(np.mean(cy * cy))
-    scores = np.zeros(n_blocks)
-    if vy <= corr.DEGENERATE_TOL:
-        return scores
-    diag = np.arange(m)
-    chunk = max(1, _CHUNK_CELLS // (m * m))
-    for start in range(0, n_blocks, chunk):
-        block = np.ascontiguousarray(features[start : start + chunk])
-        sq = np.einsum("uij,uij->ui", block, block)
-        d2 = sq[:, :, None] + sq[:, None, :] - 2.0 * (block @ block.transpose(0, 2, 1))
-        d2 = 0.5 * (d2 + d2.transpose(0, 2, 1))
-        np.maximum(d2, 0.0, out=d2)
-        dx = np.sqrt(d2)
-        dx[:, diag, diag] = 0.0
-        cx = (
-            dx
-            - dx.mean(axis=2, keepdims=True)
-            - dx.mean(axis=1, keepdims=True)
-            + dx.mean(axis=(1, 2), keepdims=True)
-        )
-        vxy = np.maximum(np.mean(cx * cy, axis=(1, 2)), 0.0)
-        vx = np.mean(cx * cx, axis=(1, 2))
-        ok = vx > corr.DEGENERATE_TOL
-        out = np.zeros(len(block))
-        out[ok] = np.clip(vxy[ok] / np.sqrt(vx[ok] * vy), 0.0, 1.0)
-        scores[start : start + chunk] = out
-    return scores
+    return induced_subgraph(dataset.graphs, restrict).transpose(1, 0, 2)
 
 
 def score_vertices(dataset, restrict=None, statistic="dcorr"):
@@ -118,7 +77,7 @@ def score_vertices(dataset, restrict=None, statistic="dcorr"):
     restrict = vertex_set(restrict, dataset.n)
     features = _features_tensor(dataset, restrict)
     if statistic == "dcorr":
-        return _dcorr_scores(features, dataset.labels)
+        return corr.dcorr_many(features, dataset.labels, y_metric="discrete")
     return np.array(
         [corr.feature_label_correlation(f, dataset.labels, statistic) for f in features]
     )
@@ -133,8 +92,7 @@ def subgraph_correlation(dataset, vertices, statistic="dcorr"):
     iu = np.triu_indices(idx.size, 1)
     if iu[0].size == 0:
         return 0.0
-    sub = dataset.graphs[np.ix_(np.arange(dataset.m), idx, idx)]
-    features = sub[:, iu[0], iu[1]]
+    features = dataset.graphs[:, idx[iu[0]], idx[iu[1]]]
     return corr.feature_label_correlation(features, dataset.labels, statistic)
 
 

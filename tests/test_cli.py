@@ -230,15 +230,29 @@ class TestConfigFile:
     def test_keys_are_the_flags_of_every_subcommand(self, capsys):
         from vertexscreen import cli
 
-        flags = set()
+        keys = {}
         for command in ("simulate", "screen", "classify", "replicate"):
             with pytest.raises(SystemExit):
                 run([command, "--help"])
-            flags |= set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out))
-        keys = cli._config_keys(cli.build_parser())
-        assert set(keys) == flags - {"config", "help"}
-        assert keys["iterative"]("Yes") is True and keys["iterative"]("0") is False
-        assert keys["delta"]("0.25") == 0.25 and keys["m-grid"]("60,150") == "60,150"
+            flags = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out))
+            keys[command] = cli._config_keys(cli.build_parser(), command)
+            assert set(keys[command]) == flags - {"config", "help"}, command
+        assert keys["screen"]["iterative"]("Yes") is True
+        assert keys["screen"]["iterative"]("0") is False
+        assert keys["classify"]["delta"]("0.25") == 0.25
+        assert keys["replicate"]["m-grid"]("60,150") == "60,150"
+
+    def test_key_of_another_subcommand_rejected(self, tmp_path, capsys):
+        simulate_dir = tmp_path / "data"
+        assert run(["simulate", "exp1", "--m", 6, "--seed", 1, "--out", simulate_dir]) == 0
+        config = tmp_path / "run.cfg"
+        config.write_text("stat=rv\n\nm-grid=1,2\n")
+        assert run(
+            ["screen", "--graphs", simulate_dir / "graphs.csv",
+             "--labels", simulate_dir / "labels.csv", "--config", config, "--out", tmp_path]
+        ) == 1
+        err = capsys.readouterr().err
+        assert f"{config}:3:" in err and "m-grid" in err
 
 
 def test_threads_flag_removed(tmp_path, capsys):

@@ -156,6 +156,46 @@ class TestDcorr:
         assert corr.dcorr(x, labels, y_metric="discrete") > 0.5
 
 
+class TestStackedKernel:
+    """The (B, m, d) kernel paths against the one-sample ones, bit for bit."""
+
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 4), st.integers(2, 9), st.integers(1, 4)),
+            elements=st.floats(-50, 50, allow_nan=False),
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_stack_equals_each_slice(self, stack):
+        d = corr.pairwise_distances(stack)
+        c = corr.double_center(d)
+        for b in range(stack.shape[0]):
+            assert np.array_equal(d[b], corr.pairwise_distances(stack[b]))
+            assert np.array_equal(c[b], corr.double_center(d[b]))
+
+    @pytest.mark.parametrize("y_metric", ["euclidean", "discrete"])
+    @pytest.mark.parametrize("chunk_cells", [None, 3 * 12 * 12])
+    def test_many_equals_per_block_dcorr(self, monkeypatch, y_metric, chunk_cells):
+        if chunk_cells is not None:  # 3 blocks per chunk: 7 blocks span 3 chunks
+            monkeypatch.setattr(corr, "_CHUNK_CELLS", chunk_cells)
+        rng = np.random.default_rng(20)
+        labels = rng.integers(0, 3, size=12)
+        blocks = rng.normal(size=(7, 12, 4)) + labels[None, :, None] * np.arange(7)[:, None, None]
+        blocks[3] = 1.5  # a constant block scores 0
+        y = labels if y_metric == "discrete" else labels + rng.normal(size=12)
+        many = corr.dcorr_many(blocks, y, y_metric)
+        single = [corr.dcorr(block, y, y_metric=y_metric) for block in blocks]
+        assert np.array_equal(many, single)
+        assert many[3] == 0.0 and np.all(many[[0, 1, 2, 4, 5, 6]] > 0.0)
+
+    def test_many_rejects_mismatched_samples(self):
+        with pytest.raises(ValueError):
+            corr.dcorr_many(np.zeros((2, 5, 1)), np.arange(6.0))
+        with pytest.raises(ValueError):
+            corr.dcorr_many(np.zeros((5, 1)), np.arange(5.0))
+
+
 class TestMgc:
     def test_constant_is_zero(self):
         rng = np.random.default_rng(14)

@@ -221,6 +221,15 @@ class TestRunExperiment:
         assert a.auc_records == b.auc_records
         assert a.roc_points == b.roc_points
 
+    def test_base_seeds_draw_different_datasets(self):
+        aucs = [
+            sorted(auc for _, _, auc in evaluate.run_experiment(
+                "exp1", repeats=2, seed=seed, m=30, methods=("dcorr",)
+            ).auc_records)
+            for seed in (0, 1)
+        ]
+        assert aucs[0] != aucs[1]
+
     def test_exp2_records(self):
         report = evaluate.run_experiment(
             "exp2",

@@ -113,6 +113,14 @@ class TestInducedSubgraph:
         with pytest.raises(ValueError):
             graph.induced_subgraph(np.zeros((3, 3)), [0, 3])
 
+    def test_stack_restricts_every_matrix(self):
+        stack = np.arange(2 * 3 * 5 * 5, dtype=float).reshape(2, 3, 5, 5)
+        sub = graph.induced_subgraph(stack, [4, 1, 3])
+        assert sub.shape == (2, 3, 3, 3) and sub.flags.c_contiguous
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(sub[i, j], graph.induced_subgraph(stack[i, j], [1, 3, 4]))
+
     @given(st.sets(st.integers(0, 7), min_size=2, max_size=8).map(sorted))
     @settings(max_examples=30, deadline=None)
     def test_nested_composition(self, outer):
