@@ -22,7 +22,6 @@ class PluginModel:
     class_labels: tuple
     priors: np.ndarray
     edge_probabilities: tuple
-    clamp: float
     vertices: np.ndarray
 
 
@@ -32,12 +31,12 @@ class LossEstimate:
 
     error: float
     count: int
-    predictions: tuple
     standard_error: float
 
 
-def fit_plugin(dataset, restrict=None, classes=None, clamp=None):
-    """Maximum-likelihood priors and per-class edge means.
+def fit_plugin(dataset, restrict=None, clamp=None):
+    """Maximum-likelihood priors and per-class edge means, one class per
+    distinct label.
 
     Off-diagonal probability estimates are clamped into [clamp, 1 - clamp]
     (default clamp 1/(2m)) so later log-likelihoods stay finite; the
@@ -48,10 +47,7 @@ def fit_plugin(dataset, restrict=None, classes=None, clamp=None):
     vertices = vertex_set(
         restrict if restrict is not None else np.arange(dataset.n), dataset.n
     )
-    if classes is None:
-        class_labels = tuple(np.unique(dataset.labels).tolist())
-    else:
-        class_labels = tuple(classes)
+    class_labels = tuple(np.unique(dataset.labels).tolist())
     if clamp is None:
         clamp = 1.0 / (2.0 * dataset.m)
     sub = induced_subgraph(dataset.graphs, vertices)
@@ -59,10 +55,7 @@ def fit_plugin(dataset, restrict=None, classes=None, clamp=None):
     edge_probabilities = []
     for i, label in enumerate(class_labels):
         mask = dataset.labels == label
-        count = int(mask.sum())
-        if count == 0:
-            raise ValueError(f"class {label!r} has no training graphs")
-        priors[i] = count / dataset.m
+        priors[i] = mask.sum() / dataset.m
         p_hat = np.clip(sub[mask].mean(axis=0), clamp, 1.0 - clamp)
         np.fill_diagonal(p_hat, 0.0)
         edge_probabilities.append(p_hat)
@@ -70,7 +63,6 @@ def fit_plugin(dataset, restrict=None, classes=None, clamp=None):
         class_labels=class_labels,
         priors=priors,
         edge_probabilities=tuple(edge_probabilities),
-        clamp=float(clamp),
         vertices=vertices,
     )
 
@@ -183,12 +175,6 @@ def knn_predict(train, a, k, restrict=None):
     return candidates[int(np.argmax(counts))].item()
 
 
-def estimate_loss(predict, dataset):
-    """Empirical 0-1 loss of ``predict`` (adjacency -> label) on a dataset."""
-    predictions = [predict(a) for a in dataset.graphs]
-    return loss_from_predictions(predictions, dataset.labels)
-
-
 def loss_from_predictions(predictions, truths):
     """Misclassification rate with binomial standard error."""
     predictions = list(predictions)
@@ -201,6 +187,5 @@ def loss_from_predictions(predictions, truths):
     return LossEstimate(
         error=error,
         count=n,
-        predictions=tuple(predictions),
         standard_error=float(np.sqrt(error * (1.0 - error) / n)),
     )

@@ -11,8 +11,6 @@ Exit codes: 0 success, 1 validation error, 2 I/O error, 3 internal error.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import os
 import sys
 
@@ -139,6 +137,11 @@ def _default(value, fallback):
     return fallback if value is None else value
 
 
+def _given(**values):
+    """The options the user set; the library's defaults fill in the rest."""
+    return {key: value for key, value in values.items() if value is not None}
+
+
 def _require(value, name):
     if value is None:
         raise CliError(f"--{name} is required")
@@ -146,7 +149,7 @@ def _require(value, name):
 
 
 def _screening_options(args):
-    """The screening flags as a screening config."""
+    """The screening flags the user set, as ScreeningConfig keywords."""
     size = args.size
     rule = args.size_rule
     if size is not None:
@@ -155,22 +158,8 @@ def _screening_options(args):
         rule = "fixed"
     elif rule == "fixed":
         raise CliError("--size-rule fixed needs --size")
-    elif rule is None:
-        rule = "maxcorr"
-    delta = _default(args.delta, 0.5)
-    if not 0.0 < delta < 1.0:
-        raise CliError("--delta must lie in (0, 1)")
-    threshold = _default(args.threshold, 0.0)
-    if not 0.0 <= threshold <= 1.0:
-        raise CliError("--threshold must lie in [0, 1]")
-    return screen.ScreeningConfig(
-        statistic=_default(args.stat, "dcorr"),
-        iterative=bool(_default(args.iterative, False)),
-        delta=delta,
-        threshold=threshold,
-        size_rule=rule,
-        size=size,
-    )
+    return _given(statistic=args.stat, iterative=args.iterative, delta=args.delta,
+                  threshold=args.threshold, size_rule=rule, size=size)
 
 
 def _load(args):
@@ -202,7 +191,7 @@ def cmd_simulate(args):
 
 def cmd_screen(args):
     dataset = _load(args)
-    result, selected = screen.run(dataset, _screening_options(args))
+    result, selected = screen.run(dataset, screen.ScreeningConfig(**_screening_options(args)))
     ranks = screen.rank_positions(result)
     chosen = np.isin(np.arange(dataset.n), selected)
     out = _out_dir(args)
@@ -223,12 +212,10 @@ def cmd_screen(args):
 
 def cmd_classify(args):
     dataset = _load(args)
-    classifier = _default(args.classifier, "plugin")
-    grouping = _default(args.group, "none")
     out = _out_dir(args)
     path = os.path.join(out, "loss.csv")
 
-    if classifier == "bayes":
+    if args.classifier == "bayes":
         if args.experiment is None:
             raise CliError("--classifier bayes needs --experiment for the true parameters")
         params, priors, _ = evaluate.experiment_parameters(args.experiment)
@@ -242,35 +229,30 @@ def cmd_classify(args):
         summary = (f"classifier=bayes error={loss.error:.4f} se={loss.standard_error:.4f} "
                    f"({loss.count} instances)")
     else:
-        if grouping == "subject" and dataset.subject_ids is None:
-            raise CliError("--group subject needs a subject_id column in labels.csv")
-        k = _default(args.k, 11)
-        if k < 1:
-            raise CliError("--k must be at least 1")
         pipeline = evaluate.PipelineConfig(
-            **dataclasses.asdict(_screening_options(args)), classifier=classifier, k=k
+            **_screening_options(args), **_given(classifier=args.classifier, k=args.k)
         )
-        report = evaluate.cross_validate(dataset, pipeline, grouping=grouping)
+        report = evaluate.cross_validate(dataset, pipeline, **_given(grouping=args.group))
         rows = [
             [fold.fold, gid, truth, pred, int(fold.unseen_class)]
             for fold in report.folds
             for gid, truth, pred in zip(fold.test_indices, fold.truths, fold.predictions)
         ]
-        summary = (f"classifier={classifier} folds={len(report.folds)} "
+        summary = (f"classifier={pipeline.classifier} folds={len(report.folds)} "
                    f"error={report.loss.error:.4f} se={report.loss.standard_error:.4f}")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["fold", "graph_id", "label", "prediction", "unseen_class"])
-        writer.writerows(rows)
+    evaluate.write_csv(path, ["fold", "graph_id", "label", "prediction", "unseen_class"], rows)
     print(summary)
     print(f"wrote {path}")
     return 0
 
 
 def cmd_replicate(args):
-    repeats = _default(args.repeats, 50)
-    if repeats < 1:
-        raise CliError("--repeats must be at least 1")
+    if args.experiment == "exp1":
+        for flag, value in (("m-grid", args.m_grid), ("test-draws", args.test_draws)):
+            if value is not None:
+                raise CliError(f"--{flag} applies to exp2 only")
+    if args.m is not None and args.m_grid is not None:
+        raise CliError("--m and --m-grid exclude each other")
     m_grid = None
     if args.m_grid:
         try:
@@ -280,12 +262,9 @@ def cmd_replicate(args):
     methods = tuple(args.methods.split(",")) if args.methods else None
     report = evaluate.run_experiment(
         args.experiment,
-        repeats=repeats,
-        seed=_default(args.seed, 0),
-        m=args.m,
-        m_grid=m_grid,
-        methods=methods,
-        test_draws=_default(args.test_draws, 500),
+        repeats=_default(args.repeats, 50),
+        **_given(seed=args.seed, m=args.m, m_grid=m_grid, methods=methods,
+                 test_draws=args.test_draws),
     )
     out = _out_dir(args)
     written = evaluate.write_report(report, out)

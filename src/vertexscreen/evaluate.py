@@ -46,12 +46,18 @@ class RocCurve:
 class PipelineConfig(screen.ScreeningConfig):
     """Screening + classifier configuration for cross-validated runs.
 
-    ``fixed_vertices`` bypasses screening entirely.
+    ``fixed_vertices`` bypasses screening entirely; ``k`` is the knn
+    neighbour count.
     """
 
     fixed_vertices: tuple | None = None
     classifier: str = "plugin"
     k: int = 11
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.k < 1:
+            raise ValueError("k must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -80,9 +86,6 @@ class EvalReport:
     method's first repeat.
     """
 
-    experiment: str
-    seed: int
-    repeats: int
     methods: tuple
     auc_records: list = field(default_factory=list)
     loss_records: list = field(default_factory=list)
@@ -278,7 +281,7 @@ def run_experiment(
         raise ValueError("repeats must be at least 1")
     if name == "exp1":
         methods = tuple(methods) if methods else DEFAULT_EXP1_METHODS
-        report = EvalReport("exp1", int(seed), int(repeats), methods)
+        report = EvalReport(methods)
         m = m or DEFAULT_EXP1_M
         for repeat in range(repeats):
             dataset, signal = sample_experiment("exp1", m, _repeat_seed(seed, repeat))
@@ -306,7 +309,7 @@ def run_experiment(
     if name == "exp2":
         methods = tuple(methods) if methods else DEFAULT_EXP2_METHODS
         grid = tuple(m_grid) if m_grid else ((m,) if m else DEFAULT_EXP2_M_GRID)
-        report = EvalReport("exp2", int(seed), int(repeats), methods)
+        report = EvalReport(methods)
         params, priors, signal = experiment_parameters("exp2")
         for m_index, m_value in enumerate(grid):
             if m_value < len(params):
@@ -370,7 +373,8 @@ def summarize(methods, records):
 
 
 def write_csv(path, header, rows):
-    """One header row, then the rows; floats as repr, None as empty."""
+    """One header row, then the rows; floats (numpy's included) as the
+    Python float repr, None as empty."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -382,7 +386,7 @@ def _csv_cell(value):
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return value
 
 

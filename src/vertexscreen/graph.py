@@ -28,15 +28,13 @@ def vertex_set(indices, n):
 class LabeledGraphDataset:
     """m adjacency matrices on a shared vertex set with per-graph labels.
 
-    Graphs are hollow (no self-loops) and, unless ``directed`` is set,
-    symmetric. Arrays are frozen after construction so datasets can be
-    shared across threads.
+    Graphs are undirected: hollow (no self-loops) and symmetric. Arrays are
+    frozen after construction so datasets can be shared safely.
     """
 
     graphs: np.ndarray
     labels: np.ndarray
     subject_ids: tuple | None = None
-    directed: bool = False
 
     def __post_init__(self):
         graphs = np.asarray(self.graphs, dtype=float)
@@ -51,9 +49,7 @@ class LabeledGraphDataset:
             raise ValueError("adjacency entries must be finite")
         if np.any(np.diagonal(graphs, axis1=1, axis2=2) != 0):
             raise ValueError("self-loops are not supported")
-        if not self.directed and not np.array_equal(
-            graphs, np.swapaxes(graphs, 1, 2)
-        ):
+        if not np.array_equal(graphs, np.swapaxes(graphs, 1, 2)):
             raise ValueError("undirected graphs must have symmetric adjacency")
         if self.subject_ids is not None:
             subject_ids = tuple(str(s) for s in self.subject_ids)
@@ -80,10 +76,7 @@ class LabeledGraphDataset:
         if self.subject_ids is not None:
             subjects = tuple(self.subject_ids[i] for i in idx)
         return LabeledGraphDataset(
-            self.graphs[idx].copy(),
-            self.labels[idx].copy(),
-            subject_ids=subjects,
-            directed=self.directed,
+            self.graphs[idx].copy(), self.labels[idx].copy(), subject_ids=subjects
         )
 
 
@@ -115,21 +108,19 @@ def sample_ier(p, rng):
     return upper + upper.T
 
 
-def sample_ier_dataset(p_by_class, priors, m, rng, class_labels=None):
-    """m labeled draws: a class from ``priors``, then one graph from its
-    edge-probability matrix."""
+def sample_ier_dataset(p_by_class, priors, m, rng):
+    """m labeled draws: a class index from ``priors`` (the label), then one
+    graph from its edge-probability matrix."""
     mats = [validate_probability_matrix(p) for p in p_by_class]
     if len({p.shape for p in mats}) != 1:
         raise ValueError("per-class matrices must share one vertex set")
     priors = np.asarray(priors, dtype=float)
     if priors.shape != (len(mats),) or np.any(priors < 0) or not np.isclose(priors.sum(), 1.0):
         raise ValueError("priors must be a distribution over the classes")
-    if class_labels is None:
-        class_labels = np.arange(len(mats))
     rng = np.random.default_rng(rng)
     which = rng.choice(len(mats), size=m, p=priors / priors.sum())
     graphs = np.stack([sample_ier(mats[c], rng) for c in which])
-    return LabeledGraphDataset(graphs, np.asarray(class_labels)[which])
+    return LabeledGraphDataset(graphs, which)
 
 
 def _check_binary(a):
@@ -284,13 +275,11 @@ def load_dataset(graphs_path, labels_path, n=None):
 
 
 def save_dataset(dataset, graphs_path, labels_path):
-    """Write the CSV pair read back by load_dataset (undirected only).
+    """Write the CSV pair read back by load_dataset.
 
     Graph ids are the dataset positions; only nonzero upper-triangle entries
     are listed.
     """
-    if dataset.directed:
-        raise ValueError("the CSV format stores undirected graphs only")
     iu = np.triu_indices(dataset.n, 1)
     with open(graphs_path, "w", newline="") as fh:
         writer = csv.writer(fh)

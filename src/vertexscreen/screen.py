@@ -32,13 +32,20 @@ class ScreeningResult:
     """
 
     method: str
-    statistic: str
     scores: np.ndarray
     elimination_order: np.ndarray
     levels: tuple
     selected: np.ndarray
-    threshold: float | None = None
-    delta: float | None = None
+
+
+def _check_delta(delta):
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+
+
+def _check_threshold(threshold):
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError("threshold must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -48,15 +55,19 @@ class ScreeningConfig:
     Iterative screening drops the ``delta`` tail per level; one-shot keeps
     scores above ``threshold``. ``size_rule`` is one of maxcorr (the
     screening's own selection), gap, or fixed (top ``size`` of the vertex
-    ranking).
+    ranking). Both ranges are checked here, whichever screening runs.
     """
 
     statistic: str = "dcorr"
-    iterative: bool = True
+    iterative: bool = False
     delta: float = 0.5
     threshold: float = 0.0
     size_rule: str = "maxcorr"
     size: int | None = None
+
+    def __post_init__(self):
+        _check_delta(self.delta)
+        _check_threshold(self.threshold)
 
 
 def _features_tensor(dataset, restrict):
@@ -92,28 +103,27 @@ def subgraph_correlation(dataset, vertices, statistic="dcorr"):
     iu = np.triu_indices(idx.size, 1)
     if iu[0].size == 0:
         return 0.0
-    features = dataset.graphs[:, idx[iu[0]], idx[iu[1]]]
+    # take on the (m, n*n) view returns the pairs C-ordered, as the kernel needs
+    pairs = idx[iu[0]] * dataset.n + idx[iu[1]]
+    features = np.take(dataset.graphs.reshape(dataset.m, -1), pairs, axis=1)
     return corr.feature_label_correlation(features, dataset.labels, statistic)
 
 
 def screen_once(dataset, threshold, statistic="dcorr"):
     """Keep the vertices whose score strictly exceeds the threshold."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must lie in [0, 1]")
+    _check_threshold(threshold)
     scores = score_vertices(dataset, None, statistic)
     selected = np.flatnonzero(scores > threshold)
     return ScreeningResult(
         method="once",
-        statistic=statistic,
         scores=scores,
         elimination_order=np.full(dataset.n, SURVIVOR),
         levels=((np.arange(dataset.n), float("nan")),),
         selected=selected,
-        threshold=float(threshold),
     )
 
 
-def screen_iterative(dataset, delta=0.5, statistic="dcorr", min_size=1):
+def screen_iterative(dataset, delta, statistic="dcorr"):
     """Iterative screening on shrinking induced subgraphs.
 
     At each level the delta-quantile of the scores is the cut: vertices
@@ -124,17 +134,14 @@ def screen_iterative(dataset, delta=0.5, statistic="dcorr", min_size=1):
     is the level with the largest whole-subgraph correlation (ties go to the
     larger subgraph).
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    if min_size < 1:
-        raise ValueError("min_size must be at least 1")
+    _check_delta(delta)
     n = dataset.n
     scores = np.zeros(n)
     elimination = np.full(n, SURVIVOR)
     current = np.arange(n)
     level_sets = [current]
     iteration = 1
-    while current.size > min_size:
+    while current.size > 1:
         level_scores = score_vertices(dataset, current, statistic)
         scores[current] = level_scores
         cut = float(np.quantile(level_scores, delta))
@@ -155,12 +162,10 @@ def screen_iterative(dataset, delta=0.5, statistic="dcorr", min_size=1):
     best = int(np.argmax(level_corrs))
     return ScreeningResult(
         method="iterative",
-        statistic=statistic,
         scores=scores,
         elimination_order=elimination,
         levels=tuple(zip(level_sets, level_corrs)),
         selected=level_sets[best],
-        delta=float(delta),
     )
 
 

@@ -74,6 +74,38 @@ class TestScreen:
         assert code == 0
         assert "selected 0 vertices" in capsys.readouterr().out
 
+    def test_no_flags_use_the_library_defaults(self, small_dataset, tmp_path, capsys, monkeypatch):
+        from vertexscreen import screen
+
+        configs = []
+        real_run = screen.run
+
+        def recording_run(ds, config):
+            configs.append(config)
+            return real_run(ds, config)
+
+        monkeypatch.setattr(screen, "run", recording_run)
+        code = run(
+            ["screen", "--graphs", small_dataset / "graphs.csv",
+             "--labels", small_dataset / "labels.csv", "--n", 200, "--out", tmp_path]
+        )
+        assert code == 0
+        assert configs == [screen.ScreeningConfig()]
+        ds = graph.load_dataset(small_dataset / "graphs.csv", small_dataset / "labels.csv", n=200)
+        _, expected = real_run(ds, screen.ScreeningConfig())
+        printed = capsys.readouterr().out.splitlines()[0].partition(": ")[2]
+        assert printed == " ".join(str(v) for v in expected)
+
+    def test_out_of_range_flags_rejected(self, small_dataset, tmp_path, capsys):
+        for flag, value in (("--delta", 1.5), ("--threshold", -0.1)):
+            code = run(
+                ["screen", "--graphs", small_dataset / "graphs.csv",
+                 "--labels", small_dataset / "labels.csv", "--n", 200,
+                 flag, value, "--out", tmp_path]
+            )
+            assert code == 1
+            assert f"{flag[2:]} must lie in" in capsys.readouterr().err
+
     def test_cca_dispatch(self, small_dataset, tmp_path):
         code = run(
             ["screen", "--graphs", small_dataset / "graphs.csv",
@@ -138,6 +170,48 @@ class TestClassify:
         assert lines[0] == "fold,graph_id,label,prediction,unseen_class"
         assert len(lines) == 31
 
+    def test_no_flags_use_the_library_defaults(self, small_dataset, tmp_path, monkeypatch):
+        from vertexscreen import cli, evaluate
+
+        calls = []
+        real_cross_validate = evaluate.cross_validate
+
+        def recording_cross_validate(ds, pipeline, **options):
+            calls.append((pipeline, options))
+            return real_cross_validate(ds, pipeline, **options)
+
+        monkeypatch.setattr(cli.evaluate, "cross_validate", recording_cross_validate)
+        code = run(
+            ["classify", "--graphs", small_dataset / "graphs.csv",
+             "--labels", small_dataset / "labels.csv", "--n", 200, "--out", tmp_path]
+        )
+        assert code == 0
+        assert calls == [(evaluate.PipelineConfig(), {})]
+
+    def test_k_below_one_rejected(self, small_dataset, tmp_path, capsys):
+        code = run(
+            ["classify", "--graphs", small_dataset / "graphs.csv",
+             "--labels", small_dataset / "labels.csv", "--n", 200,
+             "--classifier", "knn", "--k", 0, "--out", tmp_path]
+        )
+        assert code == 1
+        assert "k must be at least 1" in capsys.readouterr().err
+
+    def test_float_labels_written_plainly(self, small_dataset, tmp_path):
+        labels = ["graph_id,label"] + [
+            f"{row.split(',')[0]},{float(row.split(',')[1])!r}"
+            for row in (small_dataset / "labels.csv").read_text().splitlines()[1:]
+        ]
+        (tmp_path / "labels.csv").write_text("\n".join(labels) + "\n")
+        code = run(
+            ["classify", "--graphs", small_dataset / "graphs.csv",
+             "--labels", tmp_path / "labels.csv", "--n", 200,
+             "--classifier", "bayes", "--experiment", "exp1", "--out", tmp_path]
+        )
+        assert code == 0
+        rows = [r.split(",") for r in (tmp_path / "loss.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 30 and all(r[2] in ("0.0", "1.0") for r in rows)
+
     def test_bayes_needs_experiment(self, small_dataset, tmp_path):
         code = run(
             ["classify", "--graphs", small_dataset / "graphs.csv",
@@ -195,6 +269,27 @@ class TestReplicate:
         assert code == 0
         assert (tmp_path / "summary.csv").read_text().splitlines()[1].endswith(",")
         assert "-" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    @pytest.mark.parametrize(
+        "experiment, options, named",
+        [
+            ("exp1", {"m-grid": "30"}, "--m-grid"),
+            ("exp1", {"test-draws": 7}, "--test-draws"),
+            ("exp2", {"m": 90, "m-grid": "30"}, "--m and --m-grid"),
+        ],
+    )
+    def test_ignored_flags_rejected(self, tmp_path, capsys, experiment, options, named, source):
+        argv = ["replicate", experiment, "--repeats", 1, "--out", tmp_path]
+        if source == "flags":
+            argv += [x for key, value in options.items() for x in (f"--{key}", value)]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text("".join(f"{key}={value}\n" for key, value in options.items()))
+            argv += ["--config", config]
+        assert run(argv) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "summary.csv").exists()
 
     def test_replicate_determinism(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -267,6 +267,17 @@ class TestRunExperiment:
             evaluate.run_experiment("exp1", repeats=1, m=30, methods=("itfoo-0.5",))
 
 
+def test_pipeline_config_rejects_k_below_one():
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        evaluate.PipelineConfig(k=0)
+
+
+def test_write_csv_numpy_floats_as_plain_repr(tmp_path):
+    path = tmp_path / "x.csv"
+    evaluate.write_csv(path, ["x", "y"], [[np.float64(0.5), 0.1 + 0.2], [None, np.int64(3)]])
+    assert path.read_bytes() == b"x,y\r\n0.5,0.30000000000000004\r\n,3\r\n"
+
+
 def test_parse_method():
     assert evaluate.parse_method("dcorr") == ("dcorr", False, None)
     assert evaluate.parse_method("itdcorr-0.5") == ("dcorr", True, 0.5)

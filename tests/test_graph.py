@@ -159,8 +159,11 @@ class TestDataset:
         labels = np.array([0, 1])
         with pytest.raises(ValueError):
             graph.LabeledGraphDataset(graphs, labels)
-        ds = graph.LabeledGraphDataset(graphs, labels, directed=True)
-        assert ds.directed
+
+    def test_directed_option_removed(self):
+        graphs = np.zeros((2, 3, 3))
+        with pytest.raises(TypeError):
+            graph.LabeledGraphDataset(graphs, np.array([0, 1]), directed=False)
 
     def test_rejects_self_loops(self):
         graphs = np.zeros((2, 3, 3))

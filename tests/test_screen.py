@@ -22,12 +22,10 @@ def one_shot_result(scores):
     scores = np.asarray(scores, dtype=float)
     return screen.ScreeningResult(
         method="once",
-        statistic="dcorr",
         scores=scores,
         elimination_order=np.full(scores.size, screen.SURVIVOR),
         levels=(),
         selected=np.flatnonzero(scores > 0.0),
-        threshold=0.0,
     )
 
 
@@ -48,17 +46,17 @@ class TestScoreVertices:
             assert abs(scores[pos] - expected) <= 1e-10
 
     def test_planted_deterministic_vertex_scores_highest(self):
-        # vertex 0's outgoing row follows the label exactly; every other row
-        # is independent noise (directed so rows stay independent)
+        # vertex 0's row follows the label exactly; every other row is
+        # independent noise apart from its mirrored entry in column 0
         rng = np.random.default_rng(3)
         m, n = 200, 12
         labels = rng.integers(0, 2, size=m)
-        graphs = rng.integers(0, 2, size=(m, n, n)).astype(float)
+        graphs = np.triu(rng.integers(0, 2, size=(m, n, n)), 1).astype(float)
+        graphs += graphs.transpose(0, 2, 1)
         pattern = np.array([0.0, 1, 0, 1, 1, 0, 1, 0, 1, 1, 0, 1])
         graphs[:, 0, :] = labels[:, None] * pattern[None, :]
-        for i in range(m):
-            np.fill_diagonal(graphs[i], 0.0)
-        ds = LabeledGraphDataset(graphs, labels, directed=True)
+        graphs[:, :, 0] = graphs[:, 0, :]
+        ds = LabeledGraphDataset(graphs, labels)
         scores = screen.score_vertices(ds, statistic="dcorr")
         assert np.argmax(scores) == 0
         assert scores[0] > np.max(scores[1:])
@@ -125,11 +123,6 @@ class TestScreenIterative:
         assert np.array_equal(a.scores, b.scores)
         assert np.array_equal(a.selected, b.selected)
         assert np.array_equal(a.elimination_order, b.elimination_order)
-
-    def test_min_size_stops_early(self):
-        result = screen.screen_iterative(random_dataset(seed=11), delta=0.5, min_size=4)
-        assert result.levels[-1][0].size <= 4
-        assert all(vs.size > 4 for vs, _ in result.levels[:-1])
 
     def test_invalid_delta(self):
         with pytest.raises(ValueError):
@@ -200,7 +193,6 @@ class TestRankingAndSelection:
         # cut the ranking, not re-sort the raw scores
         result = screen.ScreeningResult(
             method="iterative",
-            statistic="dcorr",
             scores=np.array([0.1, 0.9, 0.8, 0.3]),
             elimination_order=np.array([screen.SURVIVOR, 1.0, screen.SURVIVOR, 1.0]),
             levels=(),
@@ -219,6 +211,21 @@ class TestRankingAndSelection:
         assert np.array_equal(selected, screen.select_vertices(expected, "fixed", 3))
         once, none = screen.run(ds, screen.ScreeningConfig(iterative=False, threshold=1.0))
         assert once.method == "once" and none.size == 0
+
+    @pytest.mark.parametrize(
+        "key, value", [("delta", 0.0), ("delta", 1.5), ("threshold", -0.1), ("threshold", 1.01)]
+    )
+    def test_config_checks_ranges(self, key, value):
+        # checked whichever screening the config names
+        for iterative in (False, True):
+            with pytest.raises(ValueError, match=f"{key} must lie in"):
+                screen.ScreeningConfig(iterative=iterative, **{key: value})
+
+    def test_config_defaults_to_one_shot(self):
+        ds = random_dataset(seed=19)
+        result, selected = screen.run(ds, screen.ScreeningConfig())
+        assert result.method == "once"
+        assert np.array_equal(selected, screen.screen_once(ds, 0.0).selected)
 
     def test_fixed_size_override(self):
         result = screen.screen_once(random_dataset(seed=15), 0.0)
