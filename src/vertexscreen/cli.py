@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import classify, evaluate, screen
+from . import classify, corr, evaluate, screen
 from .graph import load_dataset, save_dataset
 
 
@@ -49,12 +49,12 @@ def build_parser():
         p.add_argument("--n", type=int, default=None)
 
     def add_screening(p):
-        p.add_argument("--stat", choices=("dcorr", "mgc", "rv", "cca"), default=None)
+        p.add_argument("--stat", choices=corr.STATISTICS, default=None)
         p.add_argument("--iterative", action="store_true", default=None)
         p.add_argument("--delta", type=float, default=None)
         p.add_argument("--threshold", type=float, default=None)
         p.add_argument("--size", type=int, default=None)
-        p.add_argument("--size-rule", choices=("maxcorr", "gap", "fixed"), default=None)
+        p.add_argument("--size-rule", choices=screen.SIZE_RULES, default=None)
 
     p = sub.add_parser("screen", help="score and select vertices")
     add_dataset(p)
@@ -64,7 +64,7 @@ def build_parser():
     p = sub.add_parser("classify", help="cross-validated screening + prediction")
     add_dataset(p)
     add_screening(p)
-    p.add_argument("--classifier", choices=("plugin", "knn", "bayes"), default=None)
+    p.add_argument("--classifier", choices=(*evaluate.CLASSIFIERS, "bayes"), default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--group", choices=("none", "subject"), default=None)
     p.add_argument("--experiment", choices=("exp1", "exp2"), default=None,
@@ -142,6 +142,14 @@ def _given(**values):
     return {key: value for key, value in values.items() if value is not None}
 
 
+def _refuse(args, flags, reason):
+    """Reject the set options among ``flags`` (without dashes) that the
+    command would otherwise ignore."""
+    for flag in flags:
+        if getattr(args, flag.replace("-", "_")) is not None:
+            raise CliError(f"--{flag} {reason}")
+
+
 def _require(value, name):
     if value is None:
         raise CliError(f"--{name} is required")
@@ -156,8 +164,6 @@ def _screening_options(args):
         if rule is not None and rule != "fixed":
             raise CliError("--size implies --size-rule fixed")
         rule = "fixed"
-    elif rule == "fixed":
-        raise CliError("--size-rule fixed needs --size")
     return _given(statistic=args.stat, iterative=args.iterative, delta=args.delta,
                   threshold=args.threshold, size_rule=rule, size=size)
 
@@ -211,6 +217,11 @@ def cmd_screen(args):
 
 
 def cmd_classify(args):
+    if args.classifier == "bayes":
+        _refuse(args, ("stat", "iterative", "delta", "threshold", "size", "size-rule", "k",
+                       "group"), "does not apply to --classifier bayes")
+    else:
+        _refuse(args, ("experiment",), "applies to --classifier bayes only")
     dataset = _load(args)
     out = _out_dir(args)
     path = os.path.join(out, "loss.csv")
@@ -248,9 +259,7 @@ def cmd_classify(args):
 
 def cmd_replicate(args):
     if args.experiment == "exp1":
-        for flag, value in (("m-grid", args.m_grid), ("test-draws", args.test_draws)):
-            if value is not None:
-                raise CliError(f"--{flag} applies to exp2 only")
+        _refuse(args, ("m-grid", "test-draws"), "applies to exp2 only")
     if args.m is not None and args.m_grid is not None:
         raise CliError("--m and --m-grid exclude each other")
     m_grid = None

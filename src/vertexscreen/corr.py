@@ -23,8 +23,14 @@ DEGENERATE_TOL = 1e-14
 MGC_REGION_FRACTION = 0.02
 
 
-# cells of one intermediate of a dcorr kernel chunk: blocks per chunk scale with 1/m^2
+# cells of one intermediate of a dependence kernel chunk: blocks per chunk scale with 1/m^2
 _CHUNK_CELLS = 2**23
+
+
+def check_statistic(statistic):
+    """Raise ValueError unless ``statistic`` is one of STATISTICS."""
+    if statistic not in STATISTICS:
+        raise ValueError(f"unknown statistic {statistic!r}; expected one of {STATISTICS}")
 
 
 def _as_sample_matrix(x, stack=False):
@@ -86,41 +92,58 @@ def double_center(d):
     return d - rows - cols + d.mean(axis=(-2, -1), keepdims=True)
 
 
-def _dcov_terms(blocks, y, y_metric):
-    """V-statistic terms ``(vxy, vx, vy)`` of every block of a (B, m, d)
-    stack against y: unclamped cross terms and own terms per block, and y's
-    own term. Each chunk of blocks is copied to one contiguous array."""
+def _distance_centre(x):
+    d = pairwise_distances(x)
+    del x  # release the chunk copy before the m x m centring
+    return double_center(d)
+
+
+def _gram_centre(x):
+    """Gram matrices XsXs' of column-standardised samples (last two axes);
+    centring the columns already double-centres them."""
+    x = _as_sample_matrix(x, stack=True)
+    x = x - x.mean(axis=-2, keepdims=True)
+    scale = x.std(axis=-2, keepdims=True)
+    x /= np.where(scale > 0.0, scale, 1.0)
+    return x @ np.swapaxes(x, -1, -2)
+
+
+def _dependence_terms(blocks, cy, centre):
+    """Cross terms mean(cx * cy) and clamped ratios mean(cx * cy) /
+    sqrt(mean(cx * cx) mean(cy * cy)) of every block of a (B, m, d) stack,
+    where cx = centre(block) and cy is y's centred m x m matrix. Each chunk
+    of blocks is copied to one contiguous array; a degenerate block or y
+    has ratio 0."""
     blocks = np.asarray(blocks, dtype=float)
     if blocks.ndim != 3:
         raise ValueError(f"expected a (B, m, d) stack of samples, got shape {blocks.shape}")
     n_blocks, m, _ = blocks.shape
-    cy = double_center(pairwise_distances(y, y_metric))
     if cy.shape != (m, m):
-        raise ValueError(f"y must be one sample of {m} observations, not distances {cy.shape}")
+        raise ValueError(f"y must be one sample of {m} observations, not {cy.shape}")
     vxy = np.empty(n_blocks)
     vx = np.empty(n_blocks)
     chunk = max(1, _CHUNK_CELLS // (m * m))
     for start in range(0, n_blocks, chunk):
         part = slice(start, start + chunk)
-        cx = double_center(pairwise_distances(np.ascontiguousarray(blocks[part])))
+        cx = centre(np.ascontiguousarray(blocks[part]))
         vxy[part] = np.mean(cx * cy, axis=(-2, -1))
         vx[part] = np.mean(cx * cx, axis=(-2, -1))
-    return vxy, vx, float(np.mean(cy * cy))
+    vy = float(np.mean(cy * cy))
+    ratios = np.zeros(n_blocks)
+    if vy > DEGENERATE_TOL:
+        ok = vx > DEGENERATE_TOL
+        ratios[ok] = np.clip(np.maximum(vxy[ok], 0.0) / np.sqrt(vx[ok] * vy), 0.0, 1.0)
+    return vxy, ratios
 
 
 def dcorr_many(blocks, y, y_metric="euclidean"):
     """Distance correlation of every block of a (B, m, d) stack with y.
 
-    The one dcorr kernel: ``dcorr`` is a batch of one. A degenerate
-    (constant) block or y scores 0.
+    ``dcorr`` is a batch of one. A degenerate (constant) block or y
+    scores 0.
     """
-    vxy, vx, vy = _dcov_terms(blocks, y, y_metric)
-    scores = np.zeros(vx.shape)
-    if vy <= DEGENERATE_TOL:
-        return scores
-    ok = vx > DEGENERATE_TOL
-    scores[ok] = np.clip(np.maximum(vxy[ok], 0.0) / np.sqrt(vx[ok] * vy), 0.0, 1.0)
-    return scores
+    cy = double_center(pairwise_distances(y, y_metric))
+    return _dependence_terms(blocks, cy, _distance_centre)[1]
 
 
 def dcov_sq(x, y, y_metric="euclidean"):
@@ -130,7 +153,8 @@ def dcov_sq(x, y, y_metric="euclidean"):
     (the plain V-statistic). Mathematically nonnegative; tiny negative
     roundoff is clamped to 0. Symmetric in its arguments.
     """
-    vxy, _, _ = _dcov_terms(_as_sample_matrix(x)[None], y, y_metric)
+    cy = double_center(pairwise_distances(y, y_metric))
+    vxy, _ = _dependence_terms(_as_sample_matrix(x)[None], cy, _distance_centre)
     return max(float(vxy[0]), 0.0)
 
 
@@ -206,33 +230,16 @@ def mgc(x, y, y_metric="euclidean"):
     return float(np.clip(value, 0.0, 1.0))
 
 
-def _standardize_columns(x):
-    xc = x - x.mean(axis=0)
-    scale = xc.std(axis=0)
-    return xc / np.where(scale > 0.0, scale, 1.0)
-
-
 def rv_coefficient(x, y):
     """RV coefficient between standardized sample matrices.
 
     trace(Sxy Syx) / sqrt(trace(Sxx^2) trace(Syy^2)) on column-centered,
     unit-variance columns (standardizing makes the coefficient invariant to
-    per-variable scale); 0 when either side is degenerate.
+    per-variable scale), computed as the same ratio of the m x m Grams
+    XX' and YY'; 0 when either side is degenerate.
     """
-    x = _as_sample_matrix(x)
-    y = _as_sample_matrix(y)
-    if x.shape[0] != y.shape[0]:
-        raise ValueError(f"sample counts differ: {x.shape[0]} vs {y.shape[0]}")
-    xc = _standardize_columns(x)
-    yc = _standardize_columns(y)
-    sxy = xc.T @ yc
-    sxx = xc.T @ xc
-    syy = yc.T @ yc
-    num = float(np.sum(sxy * sxy))
-    den = float(np.sqrt(np.sum(sxx * sxx) * np.sum(syy * syy)))
-    if den <= DEGENERATE_TOL:
-        return 0.0
-    return float(np.clip(num / den, 0.0, 1.0))
+    cy = _gram_centre(y)
+    return float(_dependence_terms(_as_sample_matrix(x)[None], cy, _gram_centre)[1][0])
 
 
 def _column_basis(xc):
@@ -283,17 +290,21 @@ def one_hot(labels):
 
 
 def feature_label_correlation(features, labels, statistic):
-    """Dependence between a numeric feature sample and a label vector.
+    """Dependence between numeric feature samples and a label vector.
 
-    dcorr and mgc use the 0/1 mismatch metric on the labels; rv and cca see
-    the labels as one-hot columns.
+    ``features`` is one (m, d) sample, which gives a float, or a (B, m, d)
+    stack, which gives B scores. dcorr and mgc use the 0/1 mismatch metric
+    on the labels; rv and cca see the labels as one-hot columns.
     """
+    check_statistic(statistic)
+    single = np.ndim(features) < 3
+    blocks = _as_sample_matrix(features)[None] if single else np.asarray(features, dtype=float)
     if statistic == "dcorr":
-        return dcorr(features, labels, y_metric="discrete")
-    if statistic == "mgc":
-        return mgc(features, labels, y_metric="discrete")
-    if statistic == "rv":
-        return rv_coefficient(features, one_hot(labels))
-    if statistic == "cca":
-        return cca_corr(features, one_hot(labels))
-    raise ValueError(f"unknown statistic {statistic!r}; expected one of {STATISTICS}")
+        scores = dcorr_many(blocks, labels, y_metric="discrete")
+    elif statistic == "rv":
+        scores = _dependence_terms(blocks, _gram_centre(one_hot(labels)), _gram_centre)[1]
+    elif statistic == "mgc":
+        scores = np.array([mgc(block, labels, y_metric="discrete") for block in blocks])
+    else:
+        scores = np.array([cca_corr(block, one_hot(labels)) for block in blocks])
+    return float(scores[0]) if single else scores

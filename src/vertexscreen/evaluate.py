@@ -32,6 +32,7 @@ DEFAULT_EXP1_M = 100
 DEFAULT_EXP2_M_GRID = (60, 150, 300, 600)
 DEFAULT_EXP1_METHODS = ("dcorr", "itdcorr-0.5", "rv", "cca")
 DEFAULT_EXP2_METHODS = ("bayes", "full", "true-signal", "dcorr", "itdcorr-0.5")
+CLASSIFIERS = ("plugin", "knn")
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,8 @@ class PipelineConfig(screen.ScreeningConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.classifier not in CLASSIFIERS:
+            raise ValueError(f"unknown classifier {self.classifier!r}; expected one of {CLASSIFIERS}")
         if self.k < 1:
             raise ValueError("k must be at least 1")
 
@@ -184,13 +187,11 @@ def cross_validate(dataset, pipeline, grouping="none"):
             predictions = classify.plugin_predict_many(
                 model, dataset.graphs[test_idx]
             ).tolist()
-        elif pipeline.classifier == "knn":
+        else:
             predictions = [
                 classify.knn_predict(train, dataset.graphs[i], pipeline.k, selected)
                 for i in test_idx
             ]
-        else:
-            raise ValueError(f"unknown classifier {pipeline.classifier!r}")
         truths = [dataset.labels[i].item() for i in test_idx]
         records.append(
             FoldRecord(

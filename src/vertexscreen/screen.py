@@ -20,6 +20,8 @@ from .graph import induced_subgraph, vertex_set
 # elimination_order entry for vertices that were never eliminated
 SURVIVOR = np.inf
 
+SIZE_RULES = ("maxcorr", "gap", "fixed")
+
 
 @dataclass(frozen=True)
 class ScreeningResult:
@@ -55,7 +57,8 @@ class ScreeningConfig:
     Iterative screening drops the ``delta`` tail per level; one-shot keeps
     scores above ``threshold``. ``size_rule`` is one of maxcorr (the
     screening's own selection), gap, or fixed (top ``size`` of the vertex
-    ranking). Both ranges are checked here, whichever screening runs.
+    ranking). Names, ranges and the fixed rule's size are checked here,
+    whichever screening runs.
     """
 
     statistic: str = "dcorr"
@@ -66,6 +69,11 @@ class ScreeningConfig:
     size: int | None = None
 
     def __post_init__(self):
+        corr.check_statistic(self.statistic)
+        if self.size_rule not in SIZE_RULES:
+            raise ValueError(f"unknown size rule {self.size_rule!r}; expected one of {SIZE_RULES}")
+        if self.size_rule == "fixed" and (self.size is None or self.size < 1):
+            raise ValueError("size rule fixed needs a size of at least 1")
         _check_delta(self.delta)
         _check_threshold(self.threshold)
 
@@ -81,17 +89,11 @@ def score_vertices(dataset, restrict=None, statistic="dcorr"):
     Features are rows of the induced subgraph on ``restrict`` (the full
     vertex set when omitted); scores align with the sorted restrict indices.
     """
-    if statistic not in corr.STATISTICS:
-        raise ValueError(f"unknown statistic {statistic!r}; expected one of {corr.STATISTICS}")
     if restrict is None:
         restrict = np.arange(dataset.n)
     restrict = vertex_set(restrict, dataset.n)
     features = _features_tensor(dataset, restrict)
-    if statistic == "dcorr":
-        return corr.dcorr_many(features, dataset.labels, y_metric="discrete")
-    return np.array(
-        [corr.feature_label_correlation(f, dataset.labels, statistic) for f in features]
-    )
+    return corr.feature_label_correlation(features, dataset.labels, statistic)
 
 
 def subgraph_correlation(dataset, vertices, statistic="dcorr"):

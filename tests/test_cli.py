@@ -122,6 +122,16 @@ class TestScreen:
         )
         assert code == 1
 
+    def test_fixed_rule_needs_size(self, small_dataset, tmp_path, capsys):
+        code = run(
+            ["screen", "--graphs", small_dataset / "graphs.csv",
+             "--labels", small_dataset / "labels.csv", "--n", 200,
+             "--size-rule", "fixed", "--out", tmp_path]
+        )
+        assert code == 1
+        assert "size rule fixed needs a size" in capsys.readouterr().err
+        assert not (tmp_path / "screening.csv").exists()
+
     def test_missing_file_is_io_error(self, tmp_path):
         code = run(
             ["screen", "--graphs", tmp_path / "nope.csv",
@@ -228,6 +238,35 @@ class TestClassify:
         )
         assert code == 0
         assert "classifier=bayes" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    @pytest.mark.parametrize(
+        "options, named",
+        [pytest.param({"classifier": "bayes", "experiment": "exp1", flag: value}, f"--{flag}",
+                      id=f"bayes-{flag}")
+         for flag, value in (("stat", "rv"), ("iterative", None), ("delta", 0.3),
+                             ("threshold", 0.1), ("size", 3), ("size-rule", "gap"),
+                             ("k", 3), ("group", "subject"))]
+        + [pytest.param({"experiment": "exp1"}, "--experiment", id="plugin-experiment"),
+           pytest.param({"classifier": "knn", "experiment": "exp2"}, "--experiment",
+                        id="knn-experiment")],
+    )
+    def test_ignored_flags_rejected(self, small_dataset, tmp_path, capsys, options, named,
+                                    source):
+        # value None is a switch: a bare flag, or true in a config file
+        argv = ["classify", "--graphs", small_dataset / "graphs.csv",
+                "--labels", small_dataset / "labels.csv", "--n", 200, "--out", tmp_path]
+        if source == "flags":
+            argv += [x for key, value in options.items()
+                     for x in (f"--{key}",) + (() if value is None else (value,))]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text("".join(f"{key}={'true' if value is None else value}\n"
+                                      for key, value in options.items()))
+            argv += ["--config", config]
+        assert run(argv) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "loss.csv").exists()
 
     def test_group_subject_without_ids(self, small_dataset, tmp_path):
         code = run(

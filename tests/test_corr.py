@@ -1,5 +1,7 @@
 """Tests for the dependence statistics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,19 +237,41 @@ class TestRv:
         assert corr.rv_coefficient(rng.normal(size=(10, 3)), np.ones((10, 1))) == 0.0
 
     def test_trace_formula_oracle(self):
-        x = np.array([[1.0, 0.0], [2.0, 1.0], [0.0, 3.0], [1.0, 2.0]])
-        y = np.array([[2.0], [0.0], [1.0], [1.0]])
-
         def std(a):
             c = a - a.mean(axis=0)
             s = c.std(axis=0)
             return c / np.where(s > 0, s, 1.0)
 
-        xs, ys = std(x), std(y)
-        sxy = xs.T @ ys
-        num = np.trace(sxy @ sxy.T)
-        den = np.sqrt(np.trace((xs.T @ xs) @ (xs.T @ xs)) * np.trace((ys.T @ ys) @ (ys.T @ ys)))
-        assert abs(corr.rv_coefficient(x, y) - num / den) <= 1e-10
+        def oracle(x, y):
+            # the d x d covariance form the m x m Gram form must equal
+            xs, ys = std(x), std(y)
+            sxy = xs.T @ ys
+            num = np.trace(sxy @ sxy.T)
+            den = np.sqrt(np.trace((xs.T @ xs) @ (xs.T @ xs)) * np.trace((ys.T @ ys) @ (ys.T @ ys)))
+            return num / den
+
+        x = np.array([[1.0, 0.0], [2.0, 1.0], [0.0, 3.0], [1.0, 2.0]])
+        y = np.array([[2.0], [0.0], [1.0], [1.0]])
+        assert abs(corr.rv_coefficient(x, y) - oracle(x, y)) <= 1e-10
+        rng = np.random.default_rng(26)
+        for m, d, k in [(5, 40, 1), (12, 3, 2), (9, 9, 4), (30, 200, 3), (50, 2, 60)]:
+            x = rng.normal(size=(m, d))
+            y = rng.normal(size=(m, k)) + x[:, :1]
+            assert abs(corr.rv_coefficient(x, y) - oracle(x, y)) <= 1e-10
+
+    def test_memory_stays_m_by_m_when_d_is_large(self):
+        # a d x d covariance at d = 4000 would take 122 MiB per matrix
+        rng = np.random.default_rng(27)
+        x = rng.normal(size=(30, 4000))
+        y = corr.one_hot(rng.integers(0, 2, size=30))
+        tracemalloc.start()
+        try:
+            value = corr.rv_coefficient(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 <= value <= 1.0
+        assert peak < 8 * 2**20
 
 
 class TestCca:
@@ -328,6 +352,24 @@ def test_one_hot_sorted_classes():
     enc = corr.one_hot(np.array([2, 0, 2, 1]))
     assert enc.shape == (4, 3)
     assert np.array_equal(enc.argmax(axis=1), [2, 0, 2, 1])
+
+
+@pytest.mark.parametrize("statistic", corr.STATISTICS)
+@pytest.mark.parametrize("chunk_cells", [None, 3 * 12 * 12])
+def test_feature_label_correlation_stack_equals_each_sample(monkeypatch, statistic, chunk_cells):
+    if chunk_cells is not None:  # 3 blocks per chunk: 7 blocks span 3 chunks
+        monkeypatch.setattr(corr, "_CHUNK_CELLS", chunk_cells)
+    rng = np.random.default_rng(28)
+    labels = rng.integers(0, 3, size=12)
+    blocks = rng.normal(size=(7, 12, 4)) + labels[None, :, None] * np.arange(7)[:, None, None]
+    blocks[3] = 1.5  # a constant block scores 0
+    # a transposed view, as screening passes its per-vertex features
+    stack = np.ascontiguousarray(blocks.transpose(1, 0, 2)).transpose(1, 0, 2)
+    scores = corr.feature_label_correlation(stack, labels, statistic)
+    single = [corr.feature_label_correlation(block, labels, statistic) for block in blocks]
+    assert scores.shape == (7,) and all(isinstance(value, float) for value in single)
+    assert np.array_equal(scores, single)
+    assert scores[3] == 0.0
 
 
 def test_feature_label_correlation_dispatch():

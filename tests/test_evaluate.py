@@ -272,6 +272,11 @@ def test_pipeline_config_rejects_k_below_one():
         evaluate.PipelineConfig(k=0)
 
 
+def test_pipeline_config_rejects_unknown_classifier():
+    with pytest.raises(ValueError, match="unknown classifier"):
+        evaluate.PipelineConfig(classifier="svm")
+
+
 def test_write_csv_numpy_floats_as_plain_repr(tmp_path):
     path = tmp_path / "x.csv"
     evaluate.write_csv(path, ["x", "y"], [[np.float64(0.5), 0.1 + 0.2], [None, np.int64(3)]])

@@ -221,6 +221,19 @@ class TestRankingAndSelection:
             with pytest.raises(ValueError, match=f"{key} must lie in"):
                 screen.ScreeningConfig(iterative=iterative, **{key: value})
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"statistic": "pearson"}, "unknown statistic"),
+            ({"size_rule": "banana"}, "unknown size rule"),
+            ({"size_rule": "fixed"}, "needs a size"),
+            ({"size_rule": "fixed", "size": 0}, "needs a size"),
+        ],
+    )
+    def test_config_checks_names_before_screening(self, options, message):
+        with pytest.raises(ValueError, match=message):
+            screen.ScreeningConfig(**options)
+
     def test_config_defaults_to_one_shot(self):
         ds = random_dataset(seed=19)
         result, selected = screen.run(ds, screen.ScreeningConfig())
@@ -248,6 +261,12 @@ class TestSubgraphCorrelation:
         feats = ds.graphs[np.ix_(range(ds.m), idx, idx)][:, iu[0], iu[1]]
         expected = corr.dcorr(feats, ds.labels, y_metric="discrete")
         assert screen.subgraph_correlation(ds, idx) == expected
+
+    def test_rv_over_every_vertex_of_a_large_graph(self):
+        # 19900 vertex pairs: a pair-by-pair covariance would take 3.2 GB
+        ds, _ = evaluate.sample_experiment("exp2", 60, 29)
+        value = screen.subgraph_correlation(ds, np.arange(ds.n), "rv")
+        assert 0.0 <= value <= 1.0
 
 
 def test_exp1_iterative_beats_one_shot_on_average():
