@@ -107,25 +107,21 @@ def _stack(graphs):
     return graphs
 
 
-def plugin_predict_many(model, graphs, restrict=None):
+def plugin_predict_many(model, graphs):
     """Most probable class for each adjacency of an (N, n, n) stack under the
-    fitted model; ``restrict``, when given, must be the model's vertex set.
+    fitted model, read on the model's vertex set.
 
     Exact ties resolve toward the smaller class label.
     """
     graphs = _stack(graphs)
     vertices = vertex_set(model.vertices, graphs.shape[1])
-    if restrict is not None and not np.array_equal(
-        vertex_set(restrict, graphs.shape[1]), vertices
-    ):
-        raise ValueError("model was fitted on a different vertex set")
     scores = _log_posteriors(model.priors, model.edge_probabilities, graphs, vertices)
     return _decide(model.class_labels, scores)
 
 
-def plugin_predict(model, a, restrict=None):
+def plugin_predict(model, a):
     """plugin_predict_many for one adjacency matrix."""
-    return plugin_predict_many(model, np.asarray(a)[None], restrict)[0]
+    return plugin_predict_many(model, np.asarray(a)[None])[0]
 
 
 def bayes_predict_many(priors, edge_probabilities, graphs, class_labels=None):

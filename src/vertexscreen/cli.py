@@ -35,12 +35,12 @@ def build_parser():
 
     def add_common(p):
         p.add_argument("--config", help="key=value file; explicit flags win")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
 
     p = sub.add_parser("simulate", help="write a generator draw as graphs.csv/labels.csv")
     p.add_argument("experiment", choices=("exp1", "exp2"))
     p.add_argument("--m", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
     add_common(p)
 
     def add_dataset(p):
@@ -78,6 +78,7 @@ def build_parser():
     p.add_argument("--m-grid", default=None, help="comma-separated training sizes (exp2)")
     p.add_argument("--test-draws", type=int, default=None)
     p.add_argument("--methods", default=None, help="comma-separated method names")
+    p.add_argument("--seed", type=int, default=None)
     add_common(p)
 
     return parser
@@ -157,15 +158,17 @@ def _require(value, name):
 
 
 def _screening_options(args):
-    """The screening flags the user set, as ScreeningConfig keywords."""
-    size = args.size
-    rule = args.size_rule
-    if size is not None:
-        if rule is not None and rule != "fixed":
-            raise CliError("--size implies --size-rule fixed")
-        rule = "fixed"
+    """The screening flags the user set, as ScreeningConfig keywords; --size
+    alone means the fixed rule. A flag the screening would ignore is refused."""
+    if args.iterative:
+        _refuse(args, ("threshold",), "does not apply to --iterative")
+    else:
+        _refuse(args, ("delta",), "applies to --iterative only")
+    rule = "fixed" if args.size_rule is None and args.size is not None else args.size_rule
+    if rule not in (None, "maxcorr"):
+        _refuse(args, ("threshold",), "applies to --size-rule maxcorr only")
     return _given(statistic=args.stat, iterative=args.iterative, delta=args.delta,
-                  threshold=args.threshold, size_rule=rule, size=size)
+                  threshold=args.threshold, size_rule=rule, size=args.size)
 
 
 def _load(args):
@@ -181,11 +184,8 @@ def _out_dir(args):
 
 
 def cmd_simulate(args):
-    m = _require(args.m, "m")
-    if m < 2:
-        raise CliError("--m must be at least 2")
     seed = _default(args.seed, 0)
-    dataset, _ = evaluate.sample_experiment(args.experiment, m, seed)
+    dataset, _ = evaluate.sample_experiment(args.experiment, _require(args.m, "m"), seed)
     out = _out_dir(args)
     graphs_path = os.path.join(out, "graphs.csv")
     labels_path = os.path.join(out, "labels.csv")
@@ -196,8 +196,9 @@ def cmd_simulate(args):
 
 
 def cmd_screen(args):
+    config = screen.ScreeningConfig(**_screening_options(args))
     dataset = _load(args)
-    result, selected = screen.run(dataset, screen.ScreeningConfig(**_screening_options(args)))
+    result, selected = screen.run(dataset, config)
     ranks = screen.rank_positions(result)
     chosen = np.isin(np.arange(dataset.n), selected)
     out = _out_dir(args)
@@ -220,15 +221,20 @@ def cmd_classify(args):
     if args.classifier == "bayes":
         _refuse(args, ("stat", "iterative", "delta", "threshold", "size", "size-rule", "k",
                        "group"), "does not apply to --classifier bayes")
+        if args.experiment is None:
+            raise CliError("--classifier bayes needs --experiment for the true parameters")
     else:
         _refuse(args, ("experiment",), "applies to --classifier bayes only")
+        if args.classifier != "knn":
+            _refuse(args, ("k",), "applies to --classifier knn only")
+        pipeline = evaluate.PipelineConfig(
+            **_screening_options(args), **_given(classifier=args.classifier, k=args.k)
+        )
     dataset = _load(args)
     out = _out_dir(args)
     path = os.path.join(out, "loss.csv")
 
     if args.classifier == "bayes":
-        if args.experiment is None:
-            raise CliError("--classifier bayes needs --experiment for the true parameters")
         params, priors, _ = evaluate.experiment_parameters(args.experiment)
         if params[0].shape[0] != dataset.n:
             raise CliError(
@@ -240,9 +246,6 @@ def cmd_classify(args):
         summary = (f"classifier=bayes error={loss.error:.4f} se={loss.standard_error:.4f} "
                    f"({loss.count} instances)")
     else:
-        pipeline = evaluate.PipelineConfig(
-            **_screening_options(args), **_given(classifier=args.classifier, k=args.k)
-        )
         report = evaluate.cross_validate(dataset, pipeline, **_given(grouping=args.group))
         rows = [
             [fold.fold, gid, truth, pred, int(fold.unseen_class)]
@@ -263,12 +266,12 @@ def cmd_replicate(args):
     if args.m is not None and args.m_grid is not None:
         raise CliError("--m and --m-grid exclude each other")
     m_grid = None
-    if args.m_grid:
+    if args.m_grid is not None:
         try:
             m_grid = tuple(int(x) for x in args.m_grid.split(","))
         except ValueError:
             raise CliError("--m-grid expects comma-separated integers") from None
-    methods = tuple(args.methods.split(",")) if args.methods else None
+    methods = None if args.methods is None else tuple(args.methods.split(","))
     report = evaluate.run_experiment(
         args.experiment,
         repeats=_default(args.repeats, 50),

@@ -157,6 +157,24 @@ def _folds(dataset, grouping):
     raise ValueError(f"unknown grouping {grouping!r}")
 
 
+def _fit_predict(train, graphs, pipeline):
+    """``(selected, predictions)``: vertices chosen on ``train`` as ``pipeline``
+    says (its ``fixed_vertices`` replace screening), then the pipeline's
+    classifier fitted there predicts each adjacency of the stack ``graphs``."""
+    if pipeline.fixed_vertices is not None:
+        selected = vertex_set(pipeline.fixed_vertices, train.n)
+    else:
+        _, selected = screen.run(train, pipeline)
+        if selected.size == 0:
+            raise ValueError("screening selected no vertices; lower the threshold")
+    if pipeline.classifier == "plugin":
+        model = classify.fit_plugin(train, restrict=selected)
+        return selected, classify.plugin_predict_many(model, graphs)
+    return selected, np.asarray(
+        [classify.knn_predict(train, a, pipeline.k, selected) for a in graphs]
+    )
+
+
 def cross_validate(dataset, pipeline, grouping="none"):
     """Leave-one-graph-out or leave-one-subject-out screening + prediction.
 
@@ -172,26 +190,12 @@ def cross_validate(dataset, pipeline, grouping="none"):
     for fold_id, test_idx in enumerate(folds):
         train_idx = np.setdiff1d(np.arange(dataset.m), test_idx)
         train = dataset.subset(train_idx)
-        if pipeline.fixed_vertices is not None:
-            selected = vertex_set(pipeline.fixed_vertices, dataset.n)
-        else:
-            _, selected = screen.run(train, pipeline)
-            if selected.size == 0:
-                raise ValueError("screening selected no vertices; lower the threshold")
+        selected, predictions = _fit_predict(train, dataset.graphs[test_idx], pipeline)
+        predictions = predictions.tolist()
         train_classes = set(np.unique(train.labels).tolist())
         unseen = any(
             dataset.labels[i].item() not in train_classes for i in test_idx
         )
-        if pipeline.classifier == "plugin":
-            model = classify.fit_plugin(train, restrict=selected)
-            predictions = classify.plugin_predict_many(
-                model, dataset.graphs[test_idx]
-            ).tolist()
-        else:
-            predictions = [
-                classify.knn_predict(train, dataset.graphs[i], pipeline.k, selected)
-                for i in test_idx
-            ]
         truths = [dataset.labels[i].item() for i in test_idx]
         records.append(
             FoldRecord(
@@ -251,10 +255,10 @@ def _repeat_seed(base, index):
 
 def _method_config(method):
     """A named method screens at threshold 0 (one-shot) or with its delta
-    (iterative), then keeps the planted number of vertices."""
+    (iterative), then fits the plug-in classifier on the planted number of vertices."""
     statistic, iterative, delta = parse_method(method)
     delta_arg = {} if delta is None else {"delta": delta}
-    return screen.ScreeningConfig(
+    return PipelineConfig(
         statistic=statistic, iterative=iterative, size_rule="fixed", size=SIGNAL_SIZE, **delta_arg
     )
 
@@ -283,7 +287,7 @@ def run_experiment(
     if name == "exp1":
         methods = tuple(methods) if methods else DEFAULT_EXP1_METHODS
         report = EvalReport(methods)
-        m = m or DEFAULT_EXP1_M
+        m = DEFAULT_EXP1_M if m is None else m
         for repeat in range(repeats):
             dataset, signal = sample_experiment("exp1", m, _repeat_seed(seed, repeat))
             for method in methods:
@@ -309,7 +313,7 @@ def run_experiment(
         return report
     if name == "exp2":
         methods = tuple(methods) if methods else DEFAULT_EXP2_METHODS
-        grid = tuple(m_grid) if m_grid else ((m,) if m else DEFAULT_EXP2_M_GRID)
+        grid = tuple(m_grid) if m_grid else ((m,) if m is not None else DEFAULT_EXP2_M_GRID)
         report = EvalReport(methods)
         params, priors, signal = experiment_parameters("exp2")
         for m_index, m_value in enumerate(grid):
@@ -337,16 +341,12 @@ def _exp2_method(method, train, test, params, priors, signal):
     """Predictions on the test stack plus the screening FPR when relevant."""
     if method == "bayes":
         return classify.bayes_predict_many(priors, params, test.graphs), None
-    if method == "full":
-        model = classify.fit_plugin(train)
-        return classify.plugin_predict_many(model, test.graphs), None
-    if method == "true-signal":
-        model = classify.fit_plugin(train, restrict=signal)
-        return classify.plugin_predict_many(model, test.graphs), None
-    _, selected = screen.run(train, _method_config(method))
-    model = classify.fit_plugin(train, restrict=selected)
-    fpr = fpr_at_size(selected, signal, train.n)
-    return classify.plugin_predict_many(model, test.graphs), fpr
+    if method in ("full", "true-signal"):
+        vertices = range(train.n) if method == "full" else signal.tolist()
+        pipeline = PipelineConfig(fixed_vertices=tuple(vertices))
+        return _fit_predict(train, test.graphs, pipeline)[1], None
+    selected, predictions = _fit_predict(train, test.graphs, _method_config(method))
+    return predictions, fpr_at_size(selected, signal, train.n)
 
 
 def _mean_se(values):

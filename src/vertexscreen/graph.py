@@ -76,7 +76,7 @@ class LabeledGraphDataset:
         if self.subject_ids is not None:
             subjects = tuple(self.subject_ids[i] for i in idx)
         return LabeledGraphDataset(
-            self.graphs[idx].copy(), self.labels[idx].copy(), subject_ids=subjects
+            self.graphs[idx], self.labels[idx], subject_ids=subjects
         )
 
 
@@ -111,6 +111,8 @@ def sample_ier(p, rng):
 def sample_ier_dataset(p_by_class, priors, m, rng):
     """m labeled draws: a class index from ``priors`` (the label), then one
     graph from its edge-probability matrix."""
+    if m < 2:
+        raise ValueError(f"a draw needs at least 2 graphs, not {m}")
     mats = [validate_probability_matrix(p) for p in p_by_class]
     if len({p.shape for p in mats}) != 1:
         raise ValueError("per-class matrices must share one vertex set")

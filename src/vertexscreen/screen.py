@@ -33,7 +33,6 @@ class ScreeningResult:
     with NaN correlation since no level comparison happens.
     """
 
-    method: str
     scores: np.ndarray
     elimination_order: np.ndarray
     levels: tuple
@@ -57,8 +56,8 @@ class ScreeningConfig:
     Iterative screening drops the ``delta`` tail per level; one-shot keeps
     scores above ``threshold``. ``size_rule`` is one of maxcorr (the
     screening's own selection), gap, or fixed (top ``size`` of the vertex
-    ranking). Names, ranges and the fixed rule's size are checked here,
-    whichever screening runs.
+    ranking); a size is refused with any other rule. Names, ranges and the
+    size are checked here, whichever screening runs.
     """
 
     statistic: str = "dcorr"
@@ -74,6 +73,8 @@ class ScreeningConfig:
             raise ValueError(f"unknown size rule {self.size_rule!r}; expected one of {SIZE_RULES}")
         if self.size_rule == "fixed" and (self.size is None or self.size < 1):
             raise ValueError("size rule fixed needs a size of at least 1")
+        if self.size_rule != "fixed" and self.size is not None:
+            raise ValueError(f"a size applies to size rule fixed only, not {self.size_rule}")
         _check_delta(self.delta)
         _check_threshold(self.threshold)
 
@@ -117,7 +118,6 @@ def screen_once(dataset, threshold, statistic="dcorr"):
     scores = score_vertices(dataset, None, statistic)
     selected = np.flatnonzero(scores > threshold)
     return ScreeningResult(
-        method="once",
         scores=scores,
         elimination_order=np.full(dataset.n, SURVIVOR),
         levels=((np.arange(dataset.n), float("nan")),),
@@ -163,7 +163,6 @@ def screen_iterative(dataset, delta, statistic="dcorr"):
     level_corrs = [subgraph_correlation(dataset, vs, statistic) for vs in level_sets]
     best = int(np.argmax(level_corrs))
     return ScreeningResult(
-        method="iterative",
         scores=scores,
         elimination_order=elimination,
         levels=tuple(zip(level_sets, level_corrs)),
@@ -175,10 +174,9 @@ def ranking_keys(result):
     """The sort keys of ``vertex_ranking``, primary key last (lexsort order).
 
     Vertices equal in every key are tied; the ranking breaks such ties by
-    index only because fixed-size selection needs a total order.
+    index only because fixed-size selection needs a total order. A one-shot
+    result's elimination order is all ``SURVIVOR``, so it ranks by score.
     """
-    if result.method == "once":
-        return (-result.scores,)
     return (-result.scores, -result.elimination_order)
 
 

@@ -123,12 +123,6 @@ class TestPluginPredict:
         m2 = classify.fit_plugin(shuffled)
         assert classify.plugin_predict(m1, a) == classify.plugin_predict(m2, a)
 
-    def test_restrict_mismatch_rejected(self):
-        ds = block_dataset(8, 5)
-        model = classify.fit_plugin(ds, restrict=[0, 1, 2])
-        with pytest.raises(ValueError):
-            classify.plugin_predict(model, ds.graphs[0], restrict=[0, 1])
-
     def test_log_domain_matches_linear_oracle(self):
         # on tiny graphs the product-form posterior is representable, so the
         # decisions must agree exactly

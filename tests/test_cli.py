@@ -97,14 +97,44 @@ class TestScreen:
         assert printed == " ".join(str(v) for v in expected)
 
     def test_out_of_range_flags_rejected(self, small_dataset, tmp_path, capsys):
-        for flag, value in (("--delta", 1.5), ("--threshold", -0.1)):
+        for flag, value, extra in (("--delta", 1.5, ["--iterative"]), ("--threshold", -0.1, [])):
             code = run(
                 ["screen", "--graphs", small_dataset / "graphs.csv",
                  "--labels", small_dataset / "labels.csv", "--n", 200,
-                 flag, value, "--out", tmp_path]
+                 flag, value, *extra, "--out", tmp_path]
             )
             assert code == 1
             assert f"{flag[2:]} must lie in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    @pytest.mark.parametrize(
+        "options, named",
+        [
+            pytest.param({"delta": 0.3}, "--delta", id="one-shot-delta"),
+            pytest.param({"iterative": None, "threshold": 0.9}, "--threshold",
+                         id="iterative-threshold"),
+            pytest.param({"size": 5, "threshold": 0.9}, "--threshold", id="size-threshold"),
+            pytest.param({"size-rule": "gap", "threshold": 0.9}, "--threshold",
+                         id="gap-threshold"),
+            pytest.param({"seed": 5}, "seed", id="seed"),
+        ],
+    )
+    def test_ignored_flags_rejected(self, small_dataset, tmp_path, capsys, options, named,
+                                    source):
+        # value None is a switch: a bare flag, or true in a config file
+        argv = ["screen", "--graphs", small_dataset / "graphs.csv",
+                "--labels", small_dataset / "labels.csv", "--n", 200, "--out", tmp_path]
+        if source == "flags":
+            argv += [x for key, value in options.items()
+                     for x in (f"--{key}",) + (() if value is None else (value,))]
+        else:
+            config = tmp_path / "run.cfg"
+            config.write_text("".join(f"{key}={'true' if value is None else value}\n"
+                                      for key, value in options.items()))
+            argv += ["--config", config]
+        assert run(argv) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "screening.csv").exists()
 
     def test_cca_dispatch(self, small_dataset, tmp_path):
         code = run(
@@ -249,7 +279,14 @@ class TestClassify:
                              ("k", 3), ("group", "subject"))]
         + [pytest.param({"experiment": "exp1"}, "--experiment", id="plugin-experiment"),
            pytest.param({"classifier": "knn", "experiment": "exp2"}, "--experiment",
-                        id="knn-experiment")],
+                        id="knn-experiment"),
+           pytest.param({"size": 10, "k": 3}, "--k", id="default-plugin-k"),
+           pytest.param({"classifier": "plugin", "k": 3}, "--k", id="plugin-k"),
+           pytest.param({"classifier": "knn", "delta": 0.3}, "--delta", id="one-shot-delta"),
+           pytest.param({"iterative": None, "threshold": 0.5}, "--threshold",
+                        id="iterative-threshold"),
+           pytest.param({"size": 10, "threshold": 0.5}, "--threshold", id="size-threshold"),
+           pytest.param({"seed": 5}, "seed", id="seed")],
     )
     def test_ignored_flags_rejected(self, small_dataset, tmp_path, capsys, options, named,
                                     source):
@@ -316,6 +353,10 @@ class TestReplicate:
             ("exp1", {"m-grid": "30"}, "--m-grid"),
             ("exp1", {"test-draws": 7}, "--test-draws"),
             ("exp2", {"m": 90, "m-grid": "30"}, "--m and --m-grid"),
+            # an empty value is an error, not the default
+            pytest.param("exp1", {"methods": ""}, "unknown screening method",
+                         id="empty-methods"),
+            pytest.param("exp2", {"m-grid": ""}, "--m-grid expects", id="empty-m-grid"),
         ],
     )
     def test_ignored_flags_rejected(self, tmp_path, capsys, experiment, options, named, source):

@@ -258,6 +258,31 @@ class TestRunExperiment:
         assert rows[0][2] is None
         assert "-" in evaluate.summary_text(report)
 
+    def test_exp2_fixed_vertex_methods_fit_the_plugin_on_their_vertices(self):
+        # full and true-signal skip screening; the repeat's draw is rebuilt
+        # from its seed stream and fitted by hand
+        report = evaluate.run_experiment(
+            "exp2", repeats=1, seed=3, m_grid=(30,), test_draws=40,
+            methods=("full", "true-signal"),
+        )
+        rng = np.random.default_rng(np.random.SeedSequence([3, 0]))
+        train, signal = evaluate.sample_experiment("exp2", 30, rng)
+        test, _ = evaluate.sample_experiment("exp2", 40, rng)
+        expected = [
+            ("full", 30, 0, float(np.mean(classify.plugin_predict_many(
+                classify.fit_plugin(train), test.graphs) != test.labels))),
+            ("true-signal", 30, 0, float(np.mean(classify.plugin_predict_many(
+                classify.fit_plugin(train, restrict=signal), test.graphs) != test.labels))),
+        ]
+        assert report.loss_records == expected
+        assert report.fpr_records == []
+
+    @pytest.mark.parametrize("name, message", [("exp1", "at least 2 graphs, not 0"),
+                                               ("exp2", "m too small")])
+    def test_m_zero_is_rejected_not_defaulted(self, name, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate.run_experiment(name, repeats=1, m=0, methods=("dcorr",))
+
     def test_rejects_bad_repeats(self):
         with pytest.raises(ValueError):
             evaluate.run_experiment("exp1", repeats=0)

@@ -257,6 +257,12 @@ def test_vertex_set_normalizes():
         graph.vertex_set([5], 5)
 
 
+@pytest.mark.parametrize("m", [-1, 0, 1])
+def test_sample_dataset_needs_two_graphs(m):
+    with pytest.raises(ValueError, match="a draw needs at least 2 graphs"):
+        graph.sample_ier_dataset([np.full((3, 3), 0.5)], [1.0], m, 0)
+
+
 def test_sample_dataset_prior_counts():
     mats = [np.full((6, 6), 0.2), np.full((6, 6), 0.8)]
     ds = graph.sample_ier_dataset(mats, [0.5, 0.5], 400, 4)

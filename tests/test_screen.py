@@ -21,7 +21,6 @@ def random_dataset(m=20, n=10, seed=0, classes=2):
 def one_shot_result(scores):
     scores = np.asarray(scores, dtype=float)
     return screen.ScreeningResult(
-        method="once",
         scores=scores,
         elimination_order=np.full(scores.size, screen.SURVIVOR),
         levels=(),
@@ -180,7 +179,8 @@ class TestRankingAndSelection:
     def test_every_rule_selects_a_ranking_prefix(self, seed, delta, rule, iterative):
         ds = random_dataset(m=14, n=9, seed=seed)
         config = screen.ScreeningConfig(
-            iterative=iterative, delta=delta, threshold=0.05, size_rule=rule, size=3
+            iterative=iterative, delta=delta, threshold=0.05, size_rule=rule,
+            size=3 if rule == "fixed" else None,
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an all-zero score sequence warns
@@ -192,7 +192,6 @@ class TestRankingAndSelection:
         # scores from different levels are not comparable: the gap rule must
         # cut the ranking, not re-sort the raw scores
         result = screen.ScreeningResult(
-            method="iterative",
             scores=np.array([0.1, 0.9, 0.8, 0.3]),
             elimination_order=np.array([screen.SURVIVOR, 1.0, screen.SURVIVOR, 1.0]),
             levels=(),
@@ -210,7 +209,7 @@ class TestRankingAndSelection:
         assert np.array_equal(result.scores, expected.scores)
         assert np.array_equal(selected, screen.select_vertices(expected, "fixed", 3))
         once, none = screen.run(ds, screen.ScreeningConfig(iterative=False, threshold=1.0))
-        assert once.method == "once" and none.size == 0
+        assert np.all(once.elimination_order == screen.SURVIVOR) and none.size == 0
 
     @pytest.mark.parametrize(
         "key, value", [("delta", 0.0), ("delta", 1.5), ("threshold", -0.1), ("threshold", 1.01)]
@@ -228,6 +227,8 @@ class TestRankingAndSelection:
             ({"size_rule": "banana"}, "unknown size rule"),
             ({"size_rule": "fixed"}, "needs a size"),
             ({"size_rule": "fixed", "size": 0}, "needs a size"),
+            ({"size_rule": "gap", "size": 5}, "size rule fixed only, not gap"),
+            ({"size": 5}, "size rule fixed only, not maxcorr"),
         ],
     )
     def test_config_checks_names_before_screening(self, options, message):
@@ -237,8 +238,26 @@ class TestRankingAndSelection:
     def test_config_defaults_to_one_shot(self):
         ds = random_dataset(seed=19)
         result, selected = screen.run(ds, screen.ScreeningConfig())
-        assert result.method == "once"
+        assert np.all(result.elimination_order == screen.SURVIVOR)
         assert np.array_equal(selected, screen.screen_once(ds, 0.0).selected)
+
+    @given(st.lists(st.sampled_from([0.0, 0.25, 0.5]), min_size=3, max_size=12), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_one_shot_ranks_by_score_alone(self, scores, data):
+        # a one-shot result's all-SURVIVOR elimination order adds no key, so
+        # ranking, tie runs and AUC are those of the scores
+        result = one_shot_result(scores)
+        n = len(scores)
+        signal = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1,
+                                    unique=True))
+        by_score = (-result.scores,)
+        ranking = screen.vertex_ranking(result)
+        assert np.array_equal(ranking, np.lexsort((np.arange(n), *by_score)))
+        curve, auc = evaluate.roc_auc(ranking, signal, n, keys=screen.ranking_keys(result))
+        expected_curve, expected_auc = evaluate.roc_auc(ranking, signal, n, keys=by_score)
+        assert auc == expected_auc
+        assert np.array_equal(curve.fpr, expected_curve.fpr)
+        assert np.array_equal(curve.tpr, expected_curve.tpr)
 
     def test_fixed_size_override(self):
         result = screen.screen_once(random_dataset(seed=15), 0.0)
