@@ -85,6 +85,8 @@ def build_parser():
 
 
 def _parse_switch(text):
+    if text.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"not a switch value: {text!r}")
     return text.lower() in ("1", "true", "yes")
 
 
@@ -110,6 +112,7 @@ def _apply_config(args, parser):
         return args
     converters = _config_keys(parser, args.command)
     values = {}
+    seen = {}
     with open(args.config) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -123,6 +126,11 @@ def _apply_config(args, parser):
                 raise CliError(
                     f"{args.config}:{line_no}: unknown option {key!r} for {args.command}"
                 )
+            if key in seen:
+                raise CliError(
+                    f"{args.config}:{line_no}: option {key!r} is already set on line {seen[key]}"
+                )
+            seen[key] = line_no
             try:
                 values[key] = converters[key](raw.strip())
             except ValueError:
@@ -159,14 +167,8 @@ def _require(value, name):
 
 def _screening_options(args):
     """The screening flags the user set, as ScreeningConfig keywords; --size
-    alone means the fixed rule. A flag the screening would ignore is refused."""
-    if args.iterative:
-        _refuse(args, ("threshold",), "does not apply to --iterative")
-    else:
-        _refuse(args, ("delta",), "applies to --iterative only")
+    alone means the fixed rule. The config refuses a flag the run would ignore."""
     rule = "fixed" if args.size_rule is None and args.size is not None else args.size_rule
-    if rule not in (None, "maxcorr"):
-        _refuse(args, ("threshold",), "applies to --size-rule maxcorr only")
     return _given(statistic=args.stat, iterative=args.iterative, delta=args.delta,
                   threshold=args.threshold, size_rule=rule, size=args.size)
 
@@ -225,8 +227,6 @@ def cmd_classify(args):
             raise CliError("--classifier bayes needs --experiment for the true parameters")
     else:
         _refuse(args, ("experiment",), "applies to --classifier bayes only")
-        if args.classifier != "knn":
-            _refuse(args, ("k",), "applies to --classifier knn only")
         pipeline = evaluate.PipelineConfig(
             **_screening_options(args), **_given(classifier=args.classifier, k=args.k)
         )
@@ -261,10 +261,6 @@ def cmd_classify(args):
 
 
 def cmd_replicate(args):
-    if args.experiment == "exp1":
-        _refuse(args, ("m-grid", "test-draws"), "applies to exp2 only")
-    if args.m is not None and args.m_grid is not None:
-        raise CliError("--m and --m-grid exclude each other")
     m_grid = None
     if args.m_grid is not None:
         try:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,6 +30,7 @@ EXPERIMENT_CLASS_P = {
 
 DEFAULT_EXP1_M = 100
 DEFAULT_EXP2_M_GRID = (60, 150, 300, 600)
+DEFAULT_EXP2_TEST_DRAWS = 500
 DEFAULT_EXP1_METHODS = ("dcorr", "itdcorr-0.5", "rv", "cca")
 DEFAULT_EXP2_METHODS = ("bayes", "full", "true-signal", "dcorr", "itdcorr-0.5")
 CLASSIFIERS = ("plugin", "knn")
@@ -47,20 +48,32 @@ class RocCurve:
 class PipelineConfig(screen.ScreeningConfig):
     """Screening + classifier configuration for cross-validated runs.
 
-    ``fixed_vertices`` bypasses screening entirely; ``k`` is the knn
-    neighbour count.
+    ``fixed_vertices`` bypasses screening entirely, so every screening field
+    must keep its default next to it; ``k`` is the knn neighbour count
+    (default 11), refused with any other classifier.
     """
 
     fixed_vertices: tuple | None = None
     classifier: str = "plugin"
-    k: int = 11
+    k: int | None = None
 
     def __post_init__(self):
+        if self.fixed_vertices is not None:
+            # before the screening defaults resolve, while unset fields read None
+            changed = [f.name for f in fields(screen.ScreeningConfig)
+                       if getattr(self, f.name) != f.default]
+            if changed:
+                raise ValueError(f"fixed_vertices replace screening; drop {', '.join(changed)}")
         super().__post_init__()
         if self.classifier not in CLASSIFIERS:
             raise ValueError(f"unknown classifier {self.classifier!r}; expected one of {CLASSIFIERS}")
-        if self.k < 1:
+        if self.k is not None and self.k < 1:
             raise ValueError("k must be at least 1")
+        if self.classifier != "knn":
+            if self.k is not None:
+                raise ValueError("k applies to classifier knn only")
+        elif self.k is None:
+            object.__setattr__(self, "k", 11)
 
 
 @dataclass(frozen=True)
@@ -257,9 +270,8 @@ def _method_config(method):
     """A named method screens at threshold 0 (one-shot) or with its delta
     (iterative), then fits the plug-in classifier on the planted number of vertices."""
     statistic, iterative, delta = parse_method(method)
-    delta_arg = {} if delta is None else {"delta": delta}
     return PipelineConfig(
-        statistic=statistic, iterative=iterative, size_rule="fixed", size=SIGNAL_SIZE, **delta_arg
+        statistic=statistic, iterative=iterative, delta=delta, size_rule="fixed", size=SIGNAL_SIZE
     )
 
 
@@ -270,22 +282,35 @@ def run_experiment(
     m=None,
     m_grid=None,
     methods=None,
-    test_draws=500,
+    test_draws=None,
 ):
     """Replicate a simulation experiment over seeded repeats.
 
     exp1 scores vertex rankings (AUC against the planted signal set) for
     each screening method at a single m. exp2 trains the classifiers at
     each m in the grid, records Monte-Carlo 0-1 losses on fresh test draws,
-    and the screening false positive rate at the planted size. The repeat
-    with index i draws from ``numpy.random.SeedSequence([seed, i])`` (i
-    counts repeats across the whole m grid), so reports are reproducible
-    and no two base seeds share a draw.
+    and the screening false positive rate at the planted size. exp2 trains
+    at ``m`` or at each m of ``m_grid`` (default 60, 150, 300 and 600) and
+    tests on ``test_draws`` graphs (default 500); exp1 refuses ``m_grid``
+    and ``test_draws``. The repeat with index i draws from
+    ``numpy.random.SeedSequence([seed, i])`` (i counts repeats across the
+    whole m grid), so reports are reproducible and no two base seeds share
+    a draw.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
+    if methods is not None and len(methods) == 0:
+        raise ValueError("methods must name at least one method")
+    if m_grid is not None:
+        if m is not None:
+            raise ValueError("m and m_grid exclude each other")
+        if len(m_grid) == 0:
+            raise ValueError("m_grid must hold at least one m")
     if name == "exp1":
-        methods = tuple(methods) if methods else DEFAULT_EXP1_METHODS
+        for key, value in (("m_grid", m_grid), ("test_draws", test_draws)):
+            if value is not None:
+                raise ValueError(f"{key} applies to exp2 only")
+        methods = DEFAULT_EXP1_METHODS if methods is None else tuple(methods)
         report = EvalReport(methods)
         m = DEFAULT_EXP1_M if m is None else m
         for repeat in range(repeats):
@@ -312,11 +337,13 @@ def run_experiment(
                         )
         return report
     if name == "exp2":
-        methods = tuple(methods) if methods else DEFAULT_EXP2_METHODS
-        grid = tuple(m_grid) if m_grid else ((m,) if m is not None else DEFAULT_EXP2_M_GRID)
+        methods = DEFAULT_EXP2_METHODS if methods is None else tuple(methods)
+        if m_grid is None:
+            m_grid = DEFAULT_EXP2_M_GRID if m is None else (m,)
+        test_draws = DEFAULT_EXP2_TEST_DRAWS if test_draws is None else test_draws
         report = EvalReport(methods)
         params, priors, signal = experiment_parameters("exp2")
-        for m_index, m_value in enumerate(grid):
+        for m_index, m_value in enumerate(m_grid):
             if m_value < len(params):
                 raise ValueError("m too small to cover every class")
             for repeat in range(repeats):

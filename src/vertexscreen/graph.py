@@ -9,6 +9,7 @@ format (graphs.csv / labels.csv).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,9 +191,9 @@ def load_dataset(graphs_path, labels_path, n=None):
 
     graphs.csv rows are ``graph_id,u,v,weight`` with undirected edges listed
     once (a pair repeated in either orientation is an error) and absent
-    pairs implicitly 0; labels.csv rows are
-    ``graph_id,label[,subject_id]``. Vertex count is ``n`` if given,
-    otherwise 1 + the largest vertex index seen.
+    pairs implicitly 0; labels.csv rows are ``graph_id,label[,subject_id]``
+    with a finite numeric label. Vertex count is ``n`` if given, otherwise
+    1 + the largest vertex index seen.
     """
     ids = []
     labels = []
@@ -213,6 +214,8 @@ def load_dataset(graphs_path, labels_path, n=None):
                     subjects.append(row[2])
             except (ValueError, IndexError):
                 raise ValueError(f"{labels_path}:{line_no}: malformed label row {row!r}") from None
+            if isinstance(labels[-1], float) and not math.isfinite(labels[-1]):
+                raise ValueError(f"{labels_path}:{line_no}: label {row[1]!r} is not finite")
     if len(ids) != len(set(ids)):
         raise ValueError(f"{labels_path}: duplicate graph ids")
     if not ids:

@@ -53,17 +53,21 @@ def _check_threshold(threshold):
 class ScreeningConfig:
     """How ``run`` screens a dataset and sizes the selection.
 
-    Iterative screening drops the ``delta`` tail per level; one-shot keeps
-    scores above ``threshold``. ``size_rule`` is one of maxcorr (the
-    screening's own selection), gap, or fixed (top ``size`` of the vertex
-    ranking); a size is refused with any other rule. Names, ranges and the
-    size are checked here, whichever screening runs.
+    Iterative screening drops the ``delta`` tail per level (default 0.5);
+    one-shot keeps scores above ``threshold`` (default 0). ``size_rule`` is
+    one of maxcorr (the screening's own selection), gap, or fixed (top
+    ``size`` of the vertex ranking). Names and ranges are checked here,
+    before any screening runs, and so is every setting the run would
+    ignore: a delta with one-shot screening, a threshold with iterative
+    screening or a rule other than maxcorr, a size with a rule other than
+    fixed. Then the mode's own setting, if unset, takes its default; the
+    other mode's stays None.
     """
 
     statistic: str = "dcorr"
     iterative: bool = False
-    delta: float = 0.5
-    threshold: float = 0.0
+    delta: float | None = None
+    threshold: float | None = None
     size_rule: str = "maxcorr"
     size: int | None = None
 
@@ -71,12 +75,28 @@ class ScreeningConfig:
         corr.check_statistic(self.statistic)
         if self.size_rule not in SIZE_RULES:
             raise ValueError(f"unknown size rule {self.size_rule!r}; expected one of {SIZE_RULES}")
+        if self.delta is not None:
+            _check_delta(self.delta)
+        if self.threshold is not None:
+            _check_threshold(self.threshold)
         if self.size_rule == "fixed" and (self.size is None or self.size < 1):
             raise ValueError("size rule fixed needs a size of at least 1")
         if self.size_rule != "fixed" and self.size is not None:
             raise ValueError(f"a size applies to size rule fixed only, not {self.size_rule}")
-        _check_delta(self.delta)
-        _check_threshold(self.threshold)
+        if self.iterative:
+            if self.threshold is not None:
+                raise ValueError("threshold applies to one-shot screening only")
+            if self.delta is None:
+                object.__setattr__(self, "delta", 0.5)
+        else:
+            if self.delta is not None:
+                raise ValueError("delta applies to iterative screening only")
+            if self.threshold is not None and self.size_rule != "maxcorr":
+                raise ValueError(
+                    f"threshold applies to size rule maxcorr only, not {self.size_rule}"
+                )
+            if self.threshold is None:
+                object.__setattr__(self, "threshold", 0.0)
 
 
 def _features_tensor(dataset, restrict):

@@ -110,11 +110,16 @@ class TestScreen:
     @pytest.mark.parametrize(
         "options, named",
         [
-            pytest.param({"delta": 0.3}, "--delta", id="one-shot-delta"),
-            pytest.param({"iterative": None, "threshold": 0.9}, "--threshold",
+            pytest.param({"delta": 0.3}, "delta applies to iterative screening only",
+                         id="one-shot-delta"),
+            pytest.param({"iterative": None, "threshold": 0.9},
+                         "threshold applies to one-shot screening only",
                          id="iterative-threshold"),
-            pytest.param({"size": 5, "threshold": 0.9}, "--threshold", id="size-threshold"),
-            pytest.param({"size-rule": "gap", "threshold": 0.9}, "--threshold",
+            pytest.param({"size": 5, "threshold": 0.9},
+                         "threshold applies to size rule maxcorr only, not fixed",
+                         id="size-threshold"),
+            pytest.param({"size-rule": "gap", "threshold": 0.9},
+                         "threshold applies to size rule maxcorr only, not gap",
                          id="gap-threshold"),
             pytest.param({"seed": 5}, "seed", id="seed"),
         ],
@@ -280,12 +285,18 @@ class TestClassify:
         + [pytest.param({"experiment": "exp1"}, "--experiment", id="plugin-experiment"),
            pytest.param({"classifier": "knn", "experiment": "exp2"}, "--experiment",
                         id="knn-experiment"),
-           pytest.param({"size": 10, "k": 3}, "--k", id="default-plugin-k"),
-           pytest.param({"classifier": "plugin", "k": 3}, "--k", id="plugin-k"),
-           pytest.param({"classifier": "knn", "delta": 0.3}, "--delta", id="one-shot-delta"),
-           pytest.param({"iterative": None, "threshold": 0.5}, "--threshold",
+           pytest.param({"size": 10, "k": 3}, "k applies to classifier knn only",
+                        id="default-plugin-k"),
+           pytest.param({"classifier": "plugin", "k": 3}, "k applies to classifier knn only",
+                        id="plugin-k"),
+           pytest.param({"classifier": "knn", "delta": 0.3},
+                        "delta applies to iterative screening only", id="one-shot-delta"),
+           pytest.param({"iterative": None, "threshold": 0.5},
+                        "threshold applies to one-shot screening only",
                         id="iterative-threshold"),
-           pytest.param({"size": 10, "threshold": 0.5}, "--threshold", id="size-threshold"),
+           pytest.param({"size": 10, "threshold": 0.5},
+                        "threshold applies to size rule maxcorr only, not fixed",
+                        id="size-threshold"),
            pytest.param({"seed": 5}, "seed", id="seed")],
     )
     def test_ignored_flags_rejected(self, small_dataset, tmp_path, capsys, options, named,
@@ -350,9 +361,12 @@ class TestReplicate:
     @pytest.mark.parametrize(
         "experiment, options, named",
         [
-            ("exp1", {"m-grid": "30"}, "--m-grid"),
-            ("exp1", {"test-draws": 7}, "--test-draws"),
-            ("exp2", {"m": 90, "m-grid": "30"}, "--m and --m-grid"),
+            pytest.param("exp1", {"m-grid": "30"}, "m_grid applies to exp2 only",
+                         id="exp1-options0---m-grid"),
+            pytest.param("exp1", {"test-draws": 7}, "test_draws applies to exp2 only",
+                         id="exp1-options1---test-draws"),
+            pytest.param("exp2", {"m": 90, "m-grid": "30"}, "m and m_grid exclude each other",
+                         id="exp2-options2---m and --m-grid"),
             # an empty value is an error, not the default
             pytest.param("exp1", {"methods": ""}, "unknown screening method",
                          id="empty-methods"),
@@ -428,6 +442,36 @@ class TestConfigFile:
         ) == 1
         err = capsys.readouterr().err
         assert f"{config}:3:" in err and "m-grid" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param("stat=rv\n\nstat=cca\n", ":3: option 'stat' is already set on line 1",
+                         id="repeated-key"),
+            pytest.param("# switch\niterative=banana\n", ":2: bad value for 'iterative'",
+                         id="bad-switch"),
+        ],
+    )
+    def test_malformed_config_rejected(self, small_dataset, tmp_path, capsys, text, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(text)
+        assert run(
+            ["screen", "--graphs", small_dataset / "graphs.csv",
+             "--labels", small_dataset / "labels.csv", "--n", 200,
+             "--config", config, "--out", tmp_path]
+        ) == 1
+        assert f"{config}{message}" in capsys.readouterr().err
+        assert not (tmp_path / "screening.csv").exists()
+
+    def test_switch_values(self):
+        from vertexscreen import cli
+
+        for text, value in (("1", True), ("TRUE", True), ("yes", True),
+                            ("0", False), ("False", False), ("NO", False)):
+            assert cli._parse_switch(text) is value
+        for text in ("banana", "", "2", "on"):
+            with pytest.raises(ValueError):
+                cli._parse_switch(text)
 
 
 def test_threads_flag_removed(tmp_path, capsys):

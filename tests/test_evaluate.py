@@ -283,6 +283,33 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=message):
             evaluate.run_experiment(name, repeats=1, m=0, methods=("dcorr",))
 
+    @pytest.mark.parametrize(
+        "name, options, message",
+        [
+            ("exp1", {"m_grid": (30,)}, "m_grid applies to exp2 only"),
+            ("exp1", {"test_draws": 7}, "test_draws applies to exp2 only"),
+            ("exp2", {"m": 90, "m_grid": (12,)}, "m and m_grid exclude each other"),
+            ("exp1", {"methods": ()}, "methods must name at least one method"),
+            ("exp2", {"methods": []}, "methods must name at least one method"),
+            ("exp2", {"m_grid": ()}, "m_grid must hold at least one m"),
+        ],
+    )
+    def test_refuses_settings_the_run_ignores(self, name, options, message):
+        with pytest.raises(ValueError, match=message):
+            evaluate.run_experiment(name, repeats=1, **options)
+
+    def test_exp2_tests_on_500_graphs_by_default(self, monkeypatch):
+        sizes = []
+        real_sample = evaluate.sample_experiment
+
+        def recording_sample(name, m, rng):
+            sizes.append(m)
+            return real_sample(name, m, rng)
+
+        monkeypatch.setattr(evaluate, "sample_experiment", recording_sample)
+        evaluate.run_experiment("exp2", repeats=1, m=12, methods=("bayes",))
+        assert sizes == [12, 500]
+
     def test_rejects_bad_repeats(self):
         with pytest.raises(ValueError):
             evaluate.run_experiment("exp1", repeats=0)
@@ -295,6 +322,26 @@ class TestRunExperiment:
 def test_pipeline_config_rejects_k_below_one():
     with pytest.raises(ValueError, match="k must be at least 1"):
         evaluate.PipelineConfig(k=0)
+
+
+def test_pipeline_config_refuses_k_without_knn():
+    with pytest.raises(ValueError, match="k applies to classifier knn only"):
+        evaluate.PipelineConfig(k=3)
+    assert evaluate.PipelineConfig().k is None
+    assert evaluate.PipelineConfig(classifier="knn").k == 11
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{"statistic": "rv"}, {"iterative": True}, {"delta": 0.3}, {"threshold": 0.0},
+     {"size_rule": "gap"}, {"size_rule": "fixed", "size": 5}],
+)
+def test_pipeline_config_refuses_screening_next_to_fixed_vertices(options):
+    # checked before the screening defaults resolve, so threshold 0.0 counts as set
+    with pytest.raises(ValueError, match=f"replace screening; drop {', '.join(options)}$"):
+        evaluate.PipelineConfig(fixed_vertices=(0, 1), **options)
+    # a field set to its default is not a change
+    evaluate.PipelineConfig(fixed_vertices=(0, 1), statistic="dcorr", iterative=False)
 
 
 def test_pipeline_config_rejects_unknown_classifier():

@@ -219,6 +219,14 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="graphs.csv:3"):
             graph.load_dataset(gp, lp, n=3)
 
+    @pytest.mark.parametrize("label", ["nan", "inf", "-Infinity"])
+    def test_non_finite_label_reports_line(self, tmp_path, label):
+        gp, lp = tmp_path / "graphs.csv", tmp_path / "labels.csv"
+        lp.write_text(f"graph_id,label\n0,0\n1,{label}\n2,1\n")
+        gp.write_text("graph_id,u,v,weight\n0,0,1,1\n")
+        with pytest.raises(ValueError, match=f"labels.csv:3: label '{label}' is not finite"):
+            graph.load_dataset(gp, lp, n=3)
+
     def test_unknown_graph_id(self, tmp_path):
         gp, lp = tmp_path / "graphs.csv", tmp_path / "labels.csv"
         lp.write_text("graph_id,label\n0,0\n1,1\n")

@@ -179,7 +179,8 @@ class TestRankingAndSelection:
     def test_every_rule_selects_a_ranking_prefix(self, seed, delta, rule, iterative):
         ds = random_dataset(m=14, n=9, seed=seed)
         config = screen.ScreeningConfig(
-            iterative=iterative, delta=delta, threshold=0.05, size_rule=rule,
+            iterative=iterative, delta=delta if iterative else None,
+            threshold=0.05 if not iterative and rule == "maxcorr" else None, size_rule=rule,
             size=3 if rule == "fixed" else None,
         )
         with warnings.catch_warnings():
@@ -234,6 +235,27 @@ class TestRankingAndSelection:
     def test_config_checks_names_before_screening(self, options, message):
         with pytest.raises(ValueError, match=message):
             screen.ScreeningConfig(**options)
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"delta": 0.3}, "delta applies to iterative screening only"),
+            ({"iterative": True, "threshold": 0.9}, "threshold applies to one-shot screening only"),
+            ({"size_rule": "gap", "threshold": 0.9}, "size rule maxcorr only, not gap"),
+            ({"size_rule": "fixed", "size": 5, "threshold": 0.0},
+             "size rule maxcorr only, not fixed"),
+        ],
+    )
+    def test_config_refuses_settings_the_run_ignores(self, options, message):
+        with pytest.raises(ValueError, match=message):
+            screen.ScreeningConfig(**options)
+
+    def test_config_resolves_the_setting_its_mode_reads(self):
+        one_shot, iterative = screen.ScreeningConfig(), screen.ScreeningConfig(iterative=True)
+        assert (one_shot.delta, one_shot.threshold) == (None, 0.0)
+        assert (iterative.delta, iterative.threshold) == (0.5, None)
+        assert one_shot == screen.ScreeningConfig(threshold=0.0)
+        assert iterative == screen.ScreeningConfig(iterative=True, delta=0.5)
 
     def test_config_defaults_to_one_shot(self):
         ds = random_dataset(seed=19)
