@@ -92,15 +92,8 @@ def double_center(d):
     return d - rows - cols + d.mean(axis=(-2, -1), keepdims=True)
 
 
-def _distance_centre(x):
-    d = pairwise_distances(x)
-    del x  # release the chunk copy before the m x m centring
-    return double_center(d)
-
-
-def _gram_centre(x):
-    """Gram matrices XsXs' of column-standardised samples (last two axes);
-    centring the columns already double-centres them."""
+def _gram(x):
+    """Gram matrices XsXs' of column-standardised samples (last two axes)."""
     x = _as_sample_matrix(x, stack=True)
     x = x - x.mean(axis=-2, keepdims=True)
     scale = x.std(axis=-2, keepdims=True)
@@ -108,27 +101,48 @@ def _gram_centre(x):
     return x @ np.swapaxes(x, -1, -2)
 
 
-def _dependence_terms(blocks, cy, centre):
-    """Cross terms mean(cx * cy) and clamped ratios mean(cx * cy) /
-    sqrt(mean(cx * cx) mean(cy * cy)) of every block of a (B, m, d) stack,
-    where cx = centre(block) and cy is y's centred m x m matrix. Each chunk
-    of blocks is copied to one contiguous array; a degenerate block or y
-    has ratio 0."""
+def _shift_to_zero_mean(a):
+    """Shift an m x m matrix in place to grand mean 0 (H(A - g)H = HAH, and
+    the smaller entries keep the inner products below accurate); return its
+    flat view and row means."""
+    a -= a.mean()
+    return a.ravel(), a.mean(axis=1)
+
+
+def _centred_inner(a, row_a, b, row_b):
+    """<HAH, HBH> / m^2 = (<A, B> - 2m <r_A, r_B>) / m^2 from flat matrices
+    and their row means r; H is the m x m centring matrix."""
+    m = row_a.shape[0]
+    return (np.dot(a, b) - 2.0 * m * np.dot(row_a, row_b)) / (m * m)
+
+
+def _dependence_terms(blocks, y_matrix, matrix):
+    """Cross terms mean(HAH * HBH) and clamped ratios mean(HAH * HBH) /
+    sqrt(mean(HAH * HAH) mean(HBH * HBH)) of every block of a (B, m, d)
+    stack, where A = matrix(block) and B is y's m x m matrix: pairwise
+    distances for dcorr, the standardised Gram for rv. No matrix is
+    double-centred; each term needs only the matrices and their row means.
+    Each chunk of blocks is copied to one contiguous array, and every
+    block's terms are reduced on its own; a degenerate block or y has
+    ratio 0."""
     blocks = np.asarray(blocks, dtype=float)
     if blocks.ndim != 3:
         raise ValueError(f"expected a (B, m, d) stack of samples, got shape {blocks.shape}")
     n_blocks, m, _ = blocks.shape
-    if cy.shape != (m, m):
-        raise ValueError(f"y must be one sample of {m} observations, not {cy.shape}")
+    if y_matrix.shape != (m, m):
+        raise ValueError(f"y must be one sample of {m} observations, not {y_matrix.shape}")
+    b, row_b = _shift_to_zero_mean(np.array(y_matrix, dtype=float))
     vxy = np.empty(n_blocks)
     vx = np.empty(n_blocks)
     chunk = max(1, _CHUNK_CELLS // (m * m))
     for start in range(0, n_blocks, chunk):
-        part = slice(start, start + chunk)
-        cx = centre(np.ascontiguousarray(blocks[part]))
-        vxy[part] = np.mean(cx * cy, axis=(-2, -1))
-        vx[part] = np.mean(cx * cx, axis=(-2, -1))
-    vy = float(np.mean(cy * cy))
+        mats = matrix(np.ascontiguousarray(blocks[start : start + chunk]))
+        for i, a in enumerate(mats, start):
+            a, row_a = _shift_to_zero_mean(a)
+            vxy[i] = _centred_inner(a, row_a, b, row_b)
+            vx[i] = _centred_inner(a, row_a, a, row_a)
+        del mats, a  # free this chunk's matrices before the next chunk's
+    vy = _centred_inner(b, row_b, b, row_b)
     ratios = np.zeros(n_blocks)
     if vy > DEGENERATE_TOL:
         ok = vx > DEGENERATE_TOL
@@ -142,8 +156,7 @@ def dcorr_many(blocks, y, y_metric="euclidean"):
     ``dcorr`` is a batch of one. A degenerate (constant) block or y
     scores 0.
     """
-    cy = double_center(pairwise_distances(y, y_metric))
-    return _dependence_terms(blocks, cy, _distance_centre)[1]
+    return _dependence_terms(blocks, pairwise_distances(y, y_metric), pairwise_distances)[1]
 
 
 def dcov_sq(x, y, y_metric="euclidean"):
@@ -153,8 +166,8 @@ def dcov_sq(x, y, y_metric="euclidean"):
     (the plain V-statistic). Mathematically nonnegative; tiny negative
     roundoff is clamped to 0. Symmetric in its arguments.
     """
-    cy = double_center(pairwise_distances(y, y_metric))
-    vxy, _ = _dependence_terms(_as_sample_matrix(x)[None], cy, _distance_centre)
+    dy = pairwise_distances(y, y_metric)
+    vxy, _ = _dependence_terms(_as_sample_matrix(x)[None], dy, pairwise_distances)
     return max(float(vxy[0]), 0.0)
 
 
@@ -238,8 +251,7 @@ def rv_coefficient(x, y):
     per-variable scale), computed as the same ratio of the m x m Grams
     XX' and YY'; 0 when either side is degenerate.
     """
-    cy = _gram_centre(y)
-    return float(_dependence_terms(_as_sample_matrix(x)[None], cy, _gram_centre)[1][0])
+    return float(_dependence_terms(_as_sample_matrix(x)[None], _gram(y), _gram)[1][0])
 
 
 def _column_basis(xc):
@@ -302,7 +314,7 @@ def feature_label_correlation(features, labels, statistic):
     if statistic == "dcorr":
         scores = dcorr_many(blocks, labels, y_metric="discrete")
     elif statistic == "rv":
-        scores = _dependence_terms(blocks, _gram_centre(one_hot(labels)), _gram_centre)[1]
+        scores = _dependence_terms(blocks, _gram(one_hot(labels)), _gram)[1]
     elif statistic == "mgc":
         scores = np.array([mgc(block, labels, y_metric="discrete") for block in blocks])
     else:

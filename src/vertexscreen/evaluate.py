@@ -75,6 +75,10 @@ class PipelineConfig(screen.ScreeningConfig):
         elif self.k is None:
             object.__setattr__(self, "k", 11)
 
+    def _resolve_defaults(self):
+        if self.fixed_vertices is None:  # fixed vertices skip screening and read none of it
+            super()._resolve_defaults()
+
 
 @dataclass(frozen=True)
 class FoldRecord:

@@ -122,7 +122,13 @@ def sample_ier_dataset(p_by_class, priors, m, rng):
         raise ValueError("priors must be a distribution over the classes")
     rng = np.random.default_rng(rng)
     which = rng.choice(len(mats), size=m, p=priors / priors.sum())
-    graphs = np.stack([sample_ier(mats[c], rng) for c in which])
+    # sample_ier's draws in the same rng order, checked and masked once
+    n = mats[0].shape[0]
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    graphs = np.empty((m, n, n))
+    for graph, c in zip(graphs, which):
+        edges = (rng.random((n, n)) < mats[c]) & upper
+        graph[...] = edges | edges.T
     return LabeledGraphDataset(graphs, which)
 
 

@@ -22,6 +22,9 @@ SURVIVOR = np.inf
 
 SIZE_RULES = ("maxcorr", "gap", "fixed")
 
+DEFAULT_DELTA = 0.5
+DEFAULT_THRESHOLD = 0.0
+
 
 @dataclass(frozen=True)
 class ScreeningResult:
@@ -60,8 +63,9 @@ class ScreeningConfig:
     before any screening runs, and so is every setting the run would
     ignore: a delta with one-shot screening, a threshold with iterative
     screening or a rule other than maxcorr, a size with a rule other than
-    fixed. Then the mode's own setting, if unset, takes its default; the
-    other mode's stays None.
+    fixed. Then the setting the run reads, if unset, takes its default:
+    delta when iterative, threshold when one-shot with maxcorr. Every other
+    stays None.
     """
 
     statistic: str = "dcorr"
@@ -86,8 +90,6 @@ class ScreeningConfig:
         if self.iterative:
             if self.threshold is not None:
                 raise ValueError("threshold applies to one-shot screening only")
-            if self.delta is None:
-                object.__setattr__(self, "delta", 0.5)
         else:
             if self.delta is not None:
                 raise ValueError("delta applies to iterative screening only")
@@ -95,13 +97,24 @@ class ScreeningConfig:
                 raise ValueError(
                     f"threshold applies to size rule maxcorr only, not {self.size_rule}"
                 )
-            if self.threshold is None:
-                object.__setattr__(self, "threshold", 0.0)
+        self._resolve_defaults()
+
+    def _resolve_defaults(self):
+        # only a setting the run reads takes its default, so dataclasses.replace
+        # never passes back a resolved value that the new config would refuse
+        if self.iterative and self.delta is None:
+            object.__setattr__(self, "delta", DEFAULT_DELTA)
+        if not self.iterative and self.size_rule == "maxcorr" and self.threshold is None:
+            object.__setattr__(self, "threshold", DEFAULT_THRESHOLD)
 
 
 def _features_tensor(dataset, restrict):
-    # feature of the i-th restricted vertex is row i of each induced adjacency
-    return induced_subgraph(dataset.graphs, restrict).transpose(1, 0, 2)
+    # feature of the i-th restricted vertex is row i of each induced adjacency;
+    # every vertex needs no copy: the kernels read the read-only stack's view
+    graphs = dataset.graphs
+    if restrict.size < dataset.n:
+        graphs = induced_subgraph(graphs, restrict)
+    return graphs.transpose(1, 0, 2)
 
 
 def score_vertices(dataset, restrict=None, statistic="dcorr"):
@@ -256,5 +269,7 @@ def run(dataset, config):
     if config.iterative:
         result = screen_iterative(dataset, config.delta, config.statistic)
     else:
-        result = screen_once(dataset, config.threshold, config.statistic)
+        # the rules other than maxcorr cut the ranking and read no threshold
+        threshold = DEFAULT_THRESHOLD if config.threshold is None else config.threshold
+        result = screen_once(dataset, threshold, config.statistic)
     return result, select_vertices(result, config.size_rule, config.size)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import subspace_angles
 
-from vertexscreen import corr
+from vertexscreen import corr, evaluate
 
 
 def triple_loop_dcov(x, y):
@@ -196,6 +196,37 @@ class TestStackedKernel:
             corr.dcorr_many(np.zeros((2, 5, 1)), np.arange(6.0))
         with pytest.raises(ValueError):
             corr.dcorr_many(np.zeros((5, 1)), np.arange(5.0))
+
+
+class TestLargeMAccuracy:
+    """The kernel never double-centres a block: it takes <HAH, HBH> from the
+    raw matrices, shifted to grand mean 0, and their row means. At m=600
+    that must still agree with the explicit double-centred products."""
+
+    @staticmethod
+    def ratio(cx, cy):
+        return np.mean(cx * cy) / np.sqrt(np.mean(cx * cx) * np.mean(cy * cy))
+
+    @staticmethod
+    def standardised_gram(x):
+        x = x - x.mean(axis=0)
+        scale = x.std(axis=0)
+        x = x / np.where(scale > 0.0, scale, 1.0)
+        return x @ x.T
+
+    def test_exp2_m600_blocks_match_the_double_centred_reference(self):
+        ds, signal = evaluate.sample_experiment("exp2", 600, np.random.default_rng(0))
+        noise = np.setdiff1d(np.arange(ds.n), signal)
+        blocks = ds.graphs[:, np.concatenate([signal[:3], noise[:3]])].transpose(1, 0, 2)
+        cy = corr.double_center(corr.pairwise_distances(ds.labels, "discrete"))
+        expected = [self.ratio(corr.double_center(corr.pairwise_distances(b)), cy)
+                    for b in blocks]
+        # without the grand-mean shift the scores here drift by about 5e-13
+        assert np.max(np.abs(corr.dcorr_many(blocks, ds.labels, "discrete") - expected)) <= 1e-13
+        gy = corr.double_center(self.standardised_gram(corr.one_hot(ds.labels)))
+        expected = [self.ratio(corr.double_center(self.standardised_gram(b)), gy) for b in blocks]
+        rv = corr.feature_label_correlation(blocks, ds.labels, "rv")
+        assert np.max(np.abs(rv - expected)) <= 1e-13
 
 
 class TestMgc:

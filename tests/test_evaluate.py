@@ -1,5 +1,7 @@
 """Tests for ROC/AUC, cross-validation, and the experiment harness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -342,6 +344,13 @@ def test_pipeline_config_refuses_screening_next_to_fixed_vertices(options):
         evaluate.PipelineConfig(fixed_vertices=(0, 1), **options)
     # a field set to its default is not a change
     evaluate.PipelineConfig(fixed_vertices=(0, 1), statistic="dcorr", iterative=False)
+
+
+def test_pipeline_config_replace_next_to_fixed_vertices():
+    # fixed vertices skip screening, so no screening default resolves to look set
+    config = replace(evaluate.PipelineConfig(fixed_vertices=(0, 1)), classifier="knn")
+    assert (config.threshold, config.delta, config.k) == (None, None, 11)
+    assert replace(config, fixed_vertices=(2, 3)).fixed_vertices == (2, 3)
 
 
 def test_pipeline_config_rejects_unknown_classifier():

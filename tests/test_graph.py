@@ -52,6 +52,19 @@ class TestSampleIer:
         with pytest.raises(ValueError):
             graph.sample_ier(np.array([[0.0, 0.2], [0.3, 0.0]]), 0)
 
+    def test_dataset_stack_equals_per_graph_draws(self):
+        # the dataset sampler fills one stack with sample_ier's draws, in rng order
+        rng = np.random.default_rng(4)
+        mats = [rng.random((6, 6)) for _ in range(3)]
+        mats = [(p + p.T) / 2 for p in mats]
+        priors = [0.2, 0.5, 0.3]
+        ds = graph.sample_ier_dataset(mats, priors, 9, np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        which = rng.choice(3, size=9, p=np.asarray(priors) / np.sum(priors))
+        expected = np.stack([graph.sample_ier(mats[c], rng) for c in which])
+        assert np.all(ds.labels == which)
+        assert ds.graphs.dtype == expected.dtype and np.all(ds.graphs == expected)
+
 
 class TestLogLikelihood:
     def test_degenerate_match_is_zero(self):

@@ -1,6 +1,7 @@
 """Tests for one-shot and iterative vertex screening."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vertexscreen import corr, evaluate, screen
-from vertexscreen.graph import LabeledGraphDataset, sample_ier, vertex_feature
+from vertexscreen.graph import LabeledGraphDataset, induced_subgraph, sample_ier, vertex_feature
 
 
 def random_dataset(m=20, n=10, seed=0, classes=2):
@@ -63,6 +64,16 @@ class TestScoreVertices:
     def test_unknown_statistic(self):
         with pytest.raises(ValueError):
             screen.score_vertices(random_dataset(), statistic="pearson")
+
+
+    @pytest.mark.parametrize("statistic", corr.STATISTICS)
+    def test_full_restriction_scores_equal_the_induced_copy(self, statistic):
+        # every vertex reads the stack's own view; a subset reads a copy
+        ds = random_dataset(m=16, n=7, seed=9, classes=3)
+        copied = induced_subgraph(ds.graphs, np.arange(ds.n)).transpose(1, 0, 2)
+        expected = corr.feature_label_correlation(copied, ds.labels, statistic)
+        assert np.array_equal(screen.score_vertices(ds, statistic=statistic), expected)
+        assert np.array_equal(screen.score_vertices(ds, np.arange(ds.n), statistic), expected)
 
 
 class TestScreenOnce:
@@ -256,6 +267,17 @@ class TestRankingAndSelection:
         assert (iterative.delta, iterative.threshold) == (0.5, None)
         assert one_shot == screen.ScreeningConfig(threshold=0.0)
         assert iterative == screen.ScreeningConfig(iterative=True, delta=0.5)
+
+    def test_replace_keeps_unread_settings_unset(self):
+        # a default resolves only where the run reads it, so replace() on a
+        # valid config passes back no value the new config would refuse
+        fixed = replace(screen.ScreeningConfig(size_rule="fixed", size=5), size=6)
+        assert (fixed.threshold, fixed.size) == (None, 6)
+        assert replace(screen.ScreeningConfig(size_rule="gap"), statistic="rv").threshold is None
+        ds = random_dataset(seed=21)
+        _, selected = screen.run(ds, fixed)
+        assert np.array_equal(selected, screen.select_vertices(screen.screen_once(ds, 0.0),
+                                                               "fixed", 6))
 
     def test_config_defaults_to_one_shot(self):
         ds = random_dataset(seed=19)
