@@ -10,6 +10,7 @@ import numpy as np
 from .graph import (
     LabeledGraphDataset,
     induced_subgraph,
+    upper_pairs,
     validate_probability_matrix,
     vertex_set,
 )
@@ -76,12 +77,11 @@ def _log_posteriors(priors, probabilities, graphs, vertices):
     a graph contradicting it (an edge where p = 0, a non-edge where p = 1)
     gets log posterior -inf for that class.
     """
-    iu = np.triu_indices(vertices.size, 1)
-    flat = graphs[:, vertices[iu[0]], vertices[iu[1]]]
+    flat = upper_pairs(graphs, vertices)
     # checked on the gathered pairs, so the (N, n, n) stack is never copied
     if np.count_nonzero(flat) != np.count_nonzero(flat == 1.0):
         raise ValueError("adjacency must be binary for likelihood operations")
-    p = np.stack([q[iu] for q in probabilities])
+    p = upper_pairs(np.stack(probabilities), np.arange(vertices.size))
     with np.errstate(divide="ignore"):
         log_prior, log_p, log_1p = np.log(priors), np.log(p), np.log1p(-p)
     scores = (

@@ -31,6 +31,7 @@ EXPERIMENT_CLASS_P = {
 DEFAULT_EXP1_M = 100
 DEFAULT_EXP2_M_GRID = (60, 150, 300, 600)
 DEFAULT_EXP2_TEST_DRAWS = 500
+DEFAULT_K = 11
 DEFAULT_EXP1_METHODS = ("dcorr", "itdcorr-0.5", "rv", "cca")
 DEFAULT_EXP2_METHODS = ("bayes", "full", "true-signal", "dcorr", "itdcorr-0.5")
 CLASSIFIERS = ("plugin", "knn")
@@ -50,7 +51,7 @@ class PipelineConfig(screen.ScreeningConfig):
 
     ``fixed_vertices`` bypasses screening entirely, so every screening field
     must keep its default next to it; ``k`` is the knn neighbour count
-    (default 11), refused with any other classifier.
+    (``DEFAULT_K`` when unset), refused with any other classifier.
     """
 
     fixed_vertices: tuple | None = None
@@ -59,7 +60,6 @@ class PipelineConfig(screen.ScreeningConfig):
 
     def __post_init__(self):
         if self.fixed_vertices is not None:
-            # before the screening defaults resolve, while unset fields read None
             changed = [f.name for f in fields(screen.ScreeningConfig)
                        if getattr(self, f.name) != f.default]
             if changed:
@@ -69,15 +69,8 @@ class PipelineConfig(screen.ScreeningConfig):
             raise ValueError(f"unknown classifier {self.classifier!r}; expected one of {CLASSIFIERS}")
         if self.k is not None and self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.classifier != "knn":
-            if self.k is not None:
-                raise ValueError("k applies to classifier knn only")
-        elif self.k is None:
-            object.__setattr__(self, "k", 11)
-
-    def _resolve_defaults(self):
-        if self.fixed_vertices is None:  # fixed vertices skip screening and read none of it
-            super()._resolve_defaults()
+        if self.classifier != "knn" and self.k is not None:
+            raise ValueError("k applies to classifier knn only")
 
 
 @dataclass(frozen=True)
@@ -187,9 +180,8 @@ def _fit_predict(train, graphs, pipeline):
     if pipeline.classifier == "plugin":
         model = classify.fit_plugin(train, restrict=selected)
         return selected, classify.plugin_predict_many(model, graphs)
-    return selected, np.asarray(
-        [classify.knn_predict(train, a, pipeline.k, selected) for a in graphs]
-    )
+    k = DEFAULT_K if pipeline.k is None else pipeline.k
+    return selected, np.asarray([classify.knn_predict(train, a, k, selected) for a in graphs])
 
 
 def cross_validate(dataset, pipeline, grouping="none"):
@@ -259,7 +251,10 @@ def parse_method(name):
     if name.startswith("it"):
         statistic, _, tail = name[2:].partition("-")
         iterative = True
-        delta = float(tail) if tail else 0.5
+        try:
+            delta = float(tail) if tail else screen.DEFAULT_DELTA
+        except ValueError:
+            raise ValueError(f"screening method {name!r} has a malformed delta {tail!r}") from None
     if statistic not in corr.STATISTICS:
         raise ValueError(f"unknown screening method {name!r}")
     return statistic, iterative, delta
@@ -299,26 +294,46 @@ def run_experiment(
     and ``test_draws``. The repeat with index i draws from
     ``numpy.random.SeedSequence([seed, i])`` (i counts repeats across the
     whole m grid), so reports are reproducible and no two base seeds share
-    a draw.
+    a draw. Every setting, the whole m grid and a repeated method name
+    included, is checked before the first draw.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
-    if methods is not None and len(methods) == 0:
-        raise ValueError("methods must name at least one method")
     if m_grid is not None:
         if m is not None:
             raise ValueError("m and m_grid exclude each other")
         if len(m_grid) == 0:
             raise ValueError("m_grid must hold at least one m")
+    m_key = "m_grid" if m is None else "m"
     if name == "exp1":
         for key, value in (("m_grid", m_grid), ("test_draws", test_draws)):
             if value is not None:
                 raise ValueError(f"{key} applies to exp2 only")
         methods = DEFAULT_EXP1_METHODS if methods is None else tuple(methods)
-        report = EvalReport(methods)
-        m = DEFAULT_EXP1_M if m is None else m
+        m_grid = (DEFAULT_EXP1_M if m is None else m,)
+    elif name == "exp2":
+        methods = DEFAULT_EXP2_METHODS if methods is None else tuple(methods)
+        if m_grid is None:
+            m_grid = DEFAULT_EXP2_M_GRID if m is None else (m,)
+        test_draws = DEFAULT_EXP2_TEST_DRAWS if test_draws is None else test_draws
+        if test_draws < 2:
+            raise ValueError(f"test_draws needs at least 2 graphs, not {test_draws}")
+    else:
+        raise ValueError(f"unknown experiment {name!r}")
+    if not methods:
+        raise ValueError("methods must name at least one method")
+    repeated = [method for i, method in enumerate(methods) if method in methods[:i]]
+    if repeated:
+        raise ValueError(f"method {repeated[0]!r} is named more than once")
+    classes = len(EXPERIMENT_CLASS_P[name])
+    for m_value in m_grid:
+        if m_value < classes:
+            raise ValueError(f"m too small to cover every class: {m_key} needs at least "
+                             f"{classes} graphs, not {m_value}")
+    report = EvalReport(methods)
+    if name == "exp1":
         for repeat in range(repeats):
-            dataset, signal = sample_experiment("exp1", m, _repeat_seed(seed, repeat))
+            dataset, signal = sample_experiment("exp1", m_grid[0], _repeat_seed(seed, repeat))
             for method in methods:
                 result, selected = screen.run(dataset, _method_config(method))
                 curve, auc = roc_auc(
@@ -340,32 +355,19 @@ def run_experiment(
                             for v in range(dataset.n)
                         )
         return report
-    if name == "exp2":
-        methods = DEFAULT_EXP2_METHODS if methods is None else tuple(methods)
-        if m_grid is None:
-            m_grid = DEFAULT_EXP2_M_GRID if m is None else (m,)
-        test_draws = DEFAULT_EXP2_TEST_DRAWS if test_draws is None else test_draws
-        report = EvalReport(methods)
-        params, priors, signal = experiment_parameters("exp2")
-        for m_index, m_value in enumerate(m_grid):
-            if m_value < len(params):
-                raise ValueError("m too small to cover every class")
-            for repeat in range(repeats):
-                rng = np.random.default_rng(
-                    _repeat_seed(seed, m_index * repeats + repeat)
-                )
-                train, _ = sample_experiment("exp2", m_value, rng)
-                test, _ = sample_experiment("exp2", test_draws, rng)
-                for method in methods:
-                    predictions, fpr = _exp2_method(
-                        method, train, test, params, priors, signal
-                    )
-                    error = float(np.mean(predictions != test.labels))
-                    report.loss_records.append((method, m_value, repeat, error))
-                    if fpr is not None:
-                        report.fpr_records.append((method, m_value, repeat, fpr))
-        return report
-    raise ValueError(f"unknown experiment {name!r}")
+    params, priors, signal = experiment_parameters("exp2")
+    for m_index, m_value in enumerate(m_grid):
+        for repeat in range(repeats):
+            rng = np.random.default_rng(_repeat_seed(seed, m_index * repeats + repeat))
+            train, _ = sample_experiment("exp2", m_value, rng)
+            test, _ = sample_experiment("exp2", test_draws, rng)
+            for method in methods:
+                predictions, fpr = _exp2_method(method, train, test, params, priors, signal)
+                error = float(np.mean(predictions != test.labels))
+                report.loss_records.append((method, m_value, repeat, error))
+                if fpr is not None:
+                    report.fpr_records.append((method, m_value, repeat, fpr))
+    return report
 
 
 def _exp2_method(method, train, test, params, priors, signal):

@@ -171,6 +171,16 @@ def induced_subgraph(a, vertices):
     return a[np.ix_(*map(np.arange, a.shape[:-2]), idx, idx)]
 
 
+def upper_pairs(graphs, vertices):
+    """(N, k(k-1)/2) entries u < v of an (N, n, n) stack on the k sorted
+    ``vertices``, pairs in ``np.triu_indices`` order."""
+    n = graphs.shape[-1]
+    iu = np.triu_indices(vertices.size, 1)
+    # take on the (N, n*n) view returns the pairs C-ordered, as the kernels need
+    pairs = vertices[iu[0]] * n + vertices[iu[1]]
+    return np.take(graphs.reshape(graphs.shape[0], n * n), pairs, axis=1)
+
+
 def vertex_feature(a, u, restrict):
     """Row of the restricted adjacency for vertex u (sorted restrict order).
 

@@ -2,9 +2,9 @@
 
 Each vertex is scored by the dependence between its adjacency-row feature
 (within the current induced subgraph) and the labels. One-shot screening
-thresholds the scores once; iterative screening repeatedly drops the
-delta-quantile tail and keeps the level whose whole-subgraph statistic with
-the labels is largest.
+thresholds the scores once; iterative screening repeatedly keeps the top
+(1 - delta) share of the current vertices and keeps the level whose
+whole-subgraph statistic with the labels is largest.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import corr
-from .graph import induced_subgraph, vertex_set
+from .graph import induced_subgraph, upper_pairs, vertex_set
 
 # elimination_order entry for vertices that were never eliminated
 SURVIVOR = np.inf
@@ -56,16 +56,16 @@ def _check_threshold(threshold):
 class ScreeningConfig:
     """How ``run`` screens a dataset and sizes the selection.
 
-    Iterative screening drops the ``delta`` tail per level (default 0.5);
+    Iterative screening drops a ``delta`` share of each level (default 0.5);
     one-shot keeps scores above ``threshold`` (default 0). ``size_rule`` is
     one of maxcorr (the screening's own selection), gap, or fixed (top
     ``size`` of the vertex ranking). Names and ranges are checked here,
     before any screening runs, and so is every setting the run would
     ignore: a delta with one-shot screening, a threshold with iterative
     screening or a rule other than maxcorr, a size with a rule other than
-    fixed. Then the setting the run reads, if unset, takes its default:
-    delta when iterative, threshold when one-shot with maxcorr. Every other
-    stays None.
+    fixed. The fields keep what the caller set, so ``dataclasses.replace``
+    works across modes; ``run`` reads the default of an unset delta or
+    threshold.
     """
 
     statistic: str = "dcorr"
@@ -97,15 +97,6 @@ class ScreeningConfig:
                 raise ValueError(
                     f"threshold applies to size rule maxcorr only, not {self.size_rule}"
                 )
-        self._resolve_defaults()
-
-    def _resolve_defaults(self):
-        # only a setting the run reads takes its default, so dataclasses.replace
-        # never passes back a resolved value that the new config would refuse
-        if self.iterative and self.delta is None:
-            object.__setattr__(self, "delta", DEFAULT_DELTA)
-        if not self.iterative and self.size_rule == "maxcorr" and self.threshold is None:
-            object.__setattr__(self, "threshold", DEFAULT_THRESHOLD)
 
 
 def _features_tensor(dataset, restrict):
@@ -135,13 +126,9 @@ def subgraph_correlation(dataset, vertices, statistic="dcorr"):
 
     This is the whole-subgraph signal used to pick the best iterative level.
     """
-    idx = vertex_set(vertices, dataset.n)
-    iu = np.triu_indices(idx.size, 1)
-    if iu[0].size == 0:
+    features = upper_pairs(dataset.graphs, vertex_set(vertices, dataset.n))
+    if features.shape[1] == 0:
         return 0.0
-    # take on the (m, n*n) view returns the pairs C-ordered, as the kernel needs
-    pairs = idx[iu[0]] * dataset.n + idx[iu[1]]
-    features = np.take(dataset.graphs.reshape(dataset.m, -1), pairs, axis=1)
     return corr.feature_label_correlation(features, dataset.labels, statistic)
 
 
@@ -161,13 +148,10 @@ def screen_once(dataset, threshold, statistic="dcorr"):
 def screen_iterative(dataset, delta, statistic="dcorr"):
     """Iterative screening on shrinking induced subgraphs.
 
-    At each level the delta-quantile of the scores is the cut: vertices
-    scoring strictly above it survive. When ties or quantile rounding would
-    keep everything, nothing, or fewer than ceil((1-delta) * size) vertices,
-    the level instead keeps that many top scorers (ties toward the smaller
-    vertex index), which guarantees strictly nested levels. The selected set
-    is the level with the largest whole-subgraph correlation (ties go to the
-    larger subgraph).
+    A level of k vertices keeps its top min(ceil((1-delta) * k), k - 1)
+    scorers, ties toward the smaller vertex index, so levels are strictly
+    nested. The selected set is the level with the largest whole-subgraph
+    correlation (ties go to the larger subgraph).
     """
     _check_delta(delta)
     n = dataset.n
@@ -179,16 +163,10 @@ def screen_iterative(dataset, delta, statistic="dcorr"):
     while current.size > 1:
         level_scores = score_vertices(dataset, current, statistic)
         scores[current] = level_scores
-        cut = float(np.quantile(level_scores, delta))
-        keep = level_scores > cut
-        kept = int(keep.sum())
         target = min(int(np.ceil((1.0 - delta) * current.size)), current.size - 1)
-        if kept == 0 or kept >= current.size or kept < target:
-            order = np.lexsort((current, -level_scores))
-            keep = np.zeros(current.size, dtype=bool)
-            keep[order[:target]] = True
-        elimination[current[~keep]] = iteration
-        current = current[keep]
+        order = np.lexsort((current, -level_scores))
+        elimination[current[order[target:]]] = iteration
+        current = np.sort(current[order[:target]])
         level_sets.append(current)
         iteration += 1
     if len(level_sets) == 1:
@@ -267,9 +245,9 @@ def run(dataset, config):
     clears selects nothing.
     """
     if config.iterative:
-        result = screen_iterative(dataset, config.delta, config.statistic)
+        delta = DEFAULT_DELTA if config.delta is None else config.delta
+        result = screen_iterative(dataset, delta, config.statistic)
     else:
-        # the rules other than maxcorr cut the ranking and read no threshold
         threshold = DEFAULT_THRESHOLD if config.threshold is None else config.threshold
         result = screen_once(dataset, threshold, config.statistic)
     return result, select_vertices(result, config.size_rule, config.size)

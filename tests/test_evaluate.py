@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vertexscreen import classify, evaluate
+from vertexscreen import classify, evaluate, screen
 from vertexscreen.graph import LabeledGraphDataset, sample_ier_dataset
 
 
@@ -312,6 +312,24 @@ class TestRunExperiment:
         evaluate.run_experiment("exp2", repeats=1, m=12, methods=("bayes",))
         assert sizes == [12, 500]
 
+    @pytest.mark.parametrize(
+        "name, options, message",
+        [
+            ("exp2", {"m_grid": (150, 2)}, "m_grid needs at least 3 graphs, not 2$"),
+            ("exp2", {"m": 2}, "m needs at least 3 graphs, not 2$"),
+            ("exp1", {"m": 1}, "m needs at least 2 graphs, not 1$"),
+            ("exp2", {"m": 12, "test_draws": 1}, "test_draws needs at least 2 graphs, not 1$"),
+            ("exp1", {"methods": ("dcorr", "rv", "dcorr")}, "'dcorr' is named more than once"),
+            ("exp2", {"m": 12, "methods": ("bayes", "bayes")}, "'bayes' is named more than once"),
+        ],
+    )
+    def test_checks_every_setting_before_drawing(self, monkeypatch, name, options, message):
+        draws = []
+        monkeypatch.setattr(evaluate, "sample_experiment", lambda *args: draws.append(args))
+        with pytest.raises(ValueError, match=message):
+            evaluate.run_experiment(name, repeats=2, **options)
+        assert draws == []
+
     def test_rejects_bad_repeats(self):
         with pytest.raises(ValueError):
             evaluate.run_experiment("exp1", repeats=0)
@@ -329,8 +347,11 @@ def test_pipeline_config_rejects_k_below_one():
 def test_pipeline_config_refuses_k_without_knn():
     with pytest.raises(ValueError, match="k applies to classifier knn only"):
         evaluate.PipelineConfig(k=3)
-    assert evaluate.PipelineConfig().k is None
-    assert evaluate.PipelineConfig(classifier="knn").k == 11
+    # an unset k votes among the 11 nearest graphs
+    ds = two_block_dataset(24, 4)
+    unset = evaluate.cross_validate(ds, evaluate.PipelineConfig(classifier="knn"))
+    assert unset == evaluate.cross_validate(ds, evaluate.PipelineConfig(classifier="knn", k=11))
+    assert unset != evaluate.cross_validate(ds, evaluate.PipelineConfig(classifier="knn", k=1))
 
 
 @pytest.mark.parametrize(
@@ -339,7 +360,7 @@ def test_pipeline_config_refuses_k_without_knn():
      {"size_rule": "gap"}, {"size_rule": "fixed", "size": 5}],
 )
 def test_pipeline_config_refuses_screening_next_to_fixed_vertices(options):
-    # checked before the screening defaults resolve, so threshold 0.0 counts as set
+    # a field holds what the caller set, so threshold 0.0 counts as set
     with pytest.raises(ValueError, match=f"replace screening; drop {', '.join(options)}$"):
         evaluate.PipelineConfig(fixed_vertices=(0, 1), **options)
     # a field set to its default is not a change
@@ -347,10 +368,59 @@ def test_pipeline_config_refuses_screening_next_to_fixed_vertices(options):
 
 
 def test_pipeline_config_replace_next_to_fixed_vertices():
-    # fixed vertices skip screening, so no screening default resolves to look set
+    # fixed vertices skip screening, so replace() passes back no screening setting
     config = replace(evaluate.PipelineConfig(fixed_vertices=(0, 1)), classifier="knn")
-    assert (config.threshold, config.delta, config.k) == (None, None, 11)
-    assert replace(config, fixed_vertices=(2, 3)).fixed_vertices == (2, 3)
+    ds = two_block_dataset(16, 5)
+    assert evaluate.cross_validate(ds, config) == evaluate.cross_validate(
+        ds, evaluate.PipelineConfig(fixed_vertices=(0, 1), classifier="knn", k=11))
+    moved = evaluate.cross_validate(ds, replace(config, fixed_vertices=(2, 3)))
+    assert all(fold.selected == (2, 3) for fold in moved.folds)
+
+
+# modes a replace() may switch between; each option dict builds a valid config
+SCREENING_MODES = [{}, {"threshold": 0.0}, {"iterative": True}, {"iterative": True, "delta": 0.3}]
+SIZE_MODES = [{}, {"size_rule": "gap"}, {"size_rule": "fixed", "size": 3}]
+CLASSIFIER_MODES = [{}, {"classifier": "knn"}, {"classifier": "knn", "k": 3}]
+
+
+def _pipeline_options(draw):
+    options = {}
+    for modes in (SCREENING_MODES, SIZE_MODES, CLASSIFIER_MODES):
+        options.update(draw(st.sampled_from(modes)))
+    if options.get("threshold") is not None and options.get("size_rule", "maxcorr") != "maxcorr":
+        del options["threshold"]
+    return options
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_replace_switches_modes_like_a_fresh_config(data):
+    # replace() names only the fields the two configs set; the rest keep
+    # their unset defaults, so no resolved value comes back to be refused
+    start, target = _pipeline_options(data.draw), _pipeline_options(data.draw)
+    defaults = evaluate.PipelineConfig()
+    changes = {key: target.get(key, getattr(defaults, key)) for key in {*start, *target}}
+    switched = replace(evaluate.PipelineConfig(**start), **changes)
+    fresh = evaluate.PipelineConfig(**target)
+    assert switched == fresh
+    ds = two_block_dataset(12, 6, n=8)
+    (result, selected), (want, want_selected) = screen.run(ds, switched), screen.run(ds, fresh)
+    assert np.array_equal(result.scores, want.scores)
+    assert np.array_equal(result.elimination_order, want.elimination_order)
+    assert np.array_equal(selected, want_selected)
+    assert evaluate.cross_validate(ds, switched) == evaluate.cross_validate(ds, fresh)
+
+
+@pytest.mark.parametrize(
+    "config, changes",
+    [
+        (screen.ScreeningConfig(iterative=True), {"iterative": False}),
+        (screen.ScreeningConfig(), {"size_rule": "fixed", "size": 3}),
+        (evaluate.PipelineConfig(classifier="knn"), {"classifier": "plugin"}),
+    ],
+)
+def test_replace_switches_the_mode_of_a_default_config(config, changes):
+    assert replace(config, **changes) == type(config)(**changes)
 
 
 def test_pipeline_config_rejects_unknown_classifier():
@@ -371,6 +441,8 @@ def test_parse_method():
     assert evaluate.parse_method("itrv") == ("rv", True, 0.5)
     with pytest.raises(ValueError):
         evaluate.parse_method("pearson")
+    with pytest.raises(ValueError, match="method 'itdcorr-abc' has a malformed delta 'abc'"):
+        evaluate.parse_method("itdcorr-abc")
 
 
 def test_loso_pipeline_smoke():

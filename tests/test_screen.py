@@ -29,6 +29,16 @@ def one_shot_result(scores):
     )
 
 
+def assert_same_screening(a, b):
+    assert np.array_equal(a.scores, b.scores)
+    assert np.array_equal(a.elimination_order, b.elimination_order)
+    assert np.array_equal(a.selected, b.selected)
+    assert len(a.levels) == len(b.levels)
+    for (vs_a, corr_a), (vs_b, corr_b) in zip(a.levels, b.levels):
+        assert np.array_equal(vs_a, vs_b)
+        assert np.array_equal(corr_a, corr_b, equal_nan=True)
+
+
 class TestScoreVertices:
     def test_constant_labels_score_zero(self):
         ds = random_dataset(seed=1)
@@ -110,15 +120,18 @@ class TestScreenIterative:
         sizes = [vs.size for vs, _ in result.levels]
         assert sizes == [2, 1]
 
-    def test_levels_strictly_nested_with_quantile_floor(self):
+    def test_each_level_keeps_the_top_ceil_share(self):
+        # a level of k vertices keeps exactly its top min(ceil((1-delta) k), k-1)
+        # in (score desc, index asc) order
         ds = random_dataset(m=16, n=13, seed=8)
         delta = 0.4
         result = screen.screen_iterative(ds, delta=delta)
         for (outer, _), (inner, _) in zip(result.levels, result.levels[1:]):
-            assert inner.size < outer.size
-            assert set(inner).issubset(set(outer))
-            floor = min(int(np.ceil((1 - delta) * outer.size)), outer.size - 1)
-            assert inner.size >= floor
+            target = min(int(np.ceil((1 - delta) * outer.size)), outer.size - 1)
+            assert inner.size == target
+            level_scores = screen.score_vertices(ds, outer)
+            top = outer[np.lexsort((outer, -level_scores))[:target]]
+            assert np.array_equal(inner, np.sort(top))
 
     def test_selected_is_a_level(self):
         result = screen.screen_iterative(random_dataset(seed=9), delta=0.5)
@@ -138,9 +151,9 @@ class TestScreenIterative:
         with pytest.raises(ValueError):
             screen.screen_iterative(random_dataset(), delta=1.0)
 
-    def test_tied_scores_fall_back_to_rank_rule(self):
-        # constant labels give all-zero scores; the rank fallback must still
-        # shrink each level by the delta fraction with index tie-breaking
+    def test_tied_scores_keep_the_smaller_indices(self):
+        # constant labels give all-zero scores; each level still shrinks by
+        # the delta fraction, ties broken toward the smaller index
         ds = random_dataset(m=10, n=8, seed=12)
         ds = LabeledGraphDataset(ds.graphs, np.ones(ds.m))
         result = screen.screen_iterative(ds, delta=0.5)
@@ -262,11 +275,14 @@ class TestRankingAndSelection:
             screen.ScreeningConfig(**options)
 
     def test_config_resolves_the_setting_its_mode_reads(self):
-        one_shot, iterative = screen.ScreeningConfig(), screen.ScreeningConfig(iterative=True)
-        assert (one_shot.delta, one_shot.threshold) == (None, 0.0)
-        assert (iterative.delta, iterative.threshold) == (0.5, None)
-        assert one_shot == screen.ScreeningConfig(threshold=0.0)
-        assert iterative == screen.ScreeningConfig(iterative=True, delta=0.5)
+        # an unset threshold or delta screens as threshold 0 or delta 0.5
+        ds = random_dataset(seed=22)
+        result, selected = screen.run(ds, screen.ScreeningConfig())
+        assert_same_screening(result, screen.screen_once(ds, 0.0))
+        assert np.array_equal(selected, result.selected)
+        result, selected = screen.run(ds, screen.ScreeningConfig(iterative=True))
+        assert_same_screening(result, screen.screen_iterative(ds, 0.5))
+        assert np.array_equal(selected, result.selected)
 
     def test_replace_keeps_unread_settings_unset(self):
         # a default resolves only where the run reads it, so replace() on a
