@@ -35,12 +35,12 @@ class LossEstimate:
     standard_error: float
 
 
-def fit_plugin(dataset, restrict=None, clamp=None):
+def fit_plugin(dataset, restrict=None):
     """Maximum-likelihood priors and per-class edge means, one class per
     distinct label.
 
-    Off-diagonal probability estimates are clamped into [clamp, 1 - clamp]
-    (default clamp 1/(2m)) so later log-likelihoods stay finite; the
+    Off-diagonal probability estimates are clamped into [1/(2m), 1 - 1/(2m)]
+    for m training graphs, so later log-likelihoods stay finite; the
     diagonal stays 0.
     """
     if np.any((dataset.graphs != 0.0) & (dataset.graphs != 1.0)):
@@ -49,8 +49,7 @@ def fit_plugin(dataset, restrict=None, clamp=None):
         restrict if restrict is not None else np.arange(dataset.n), dataset.n
     )
     class_labels = tuple(np.unique(dataset.labels).tolist())
-    if clamp is None:
-        clamp = 1.0 / (2.0 * dataset.m)
+    clamp = 1.0 / (2.0 * dataset.m)
     sub = induced_subgraph(dataset.graphs, vertices)
     priors = np.empty(len(class_labels))
     edge_probabilities = []
@@ -124,11 +123,13 @@ def plugin_predict(model, a):
     return plugin_predict_many(model, np.asarray(a)[None])[0]
 
 
-def bayes_predict_many(priors, edge_probabilities, graphs, class_labels=None):
+def bayes_predict_many(priors, edge_probabilities, graphs):
     """Bayes rule with the true generating parameters (simulation only) over
     an (N, n, n) stack; probabilities may sit exactly at 0 or 1.
 
-    Only the pairs u < v enter the likelihood, so only they must be binary.
+    Class c is the c-th prior and matrix, the label ``sample_ier_dataset``
+    draws; exact ties resolve toward the smaller class. Only the pairs u < v
+    enter the likelihood, so only they must be binary.
     """
     graphs = _stack(graphs)
     priors = np.asarray(priors, dtype=float)
@@ -137,15 +138,13 @@ def bayes_predict_many(priors, edge_probabilities, graphs, class_labels=None):
         raise ValueError("need one prior per class")
     if any(p.shape != graphs.shape[1:] for p in mats):
         raise ValueError("probability matrices must match the adjacency shape")
-    if class_labels is None:
-        class_labels = tuple(range(len(mats)))
     scores = _log_posteriors(priors, mats, graphs, np.arange(graphs.shape[1]))
-    return _decide(tuple(class_labels), scores)
+    return _decide(range(len(mats)), scores)
 
 
-def bayes_predict(priors, edge_probabilities, a, class_labels=None):
+def bayes_predict(priors, edge_probabilities, a):
     """bayes_predict_many for one adjacency matrix."""
-    return bayes_predict_many(priors, edge_probabilities, np.asarray(a)[None], class_labels)[0]
+    return bayes_predict_many(priors, edge_probabilities, np.asarray(a)[None])[0]
 
 
 def knn_predict(train, a, k, restrict=None):

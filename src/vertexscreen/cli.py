@@ -242,15 +242,16 @@ def cmd_classify(args):
             )
         predictions = classify.bayes_predict_many(priors, params, dataset.graphs)
         loss = classify.loss_from_predictions(predictions, dataset.labels)
-        rows = [[i, i, dataset.labels[i], predictions[i], 0] for i in range(dataset.m)]
+        rows = [[i, gid, dataset.labels[i], predictions[i], 0]
+                for i, gid in enumerate(dataset.graph_ids)]
         summary = (f"classifier=bayes error={loss.error:.4f} se={loss.standard_error:.4f} "
                    f"({loss.count} instances)")
     else:
         report = evaluate.cross_validate(dataset, pipeline, **_given(grouping=args.group))
         rows = [
-            [fold.fold, gid, truth, pred, int(fold.unseen_class)]
+            [fold.fold, dataset.graph_ids[i], truth, pred, int(fold.unseen_class)]
             for fold in report.folds
-            for gid, truth, pred in zip(fold.test_indices, fold.truths, fold.predictions)
+            for i, truth, pred in zip(fold.test_indices, fold.truths, fold.predictions)
         ]
         summary = (f"classifier={pipeline.classifier} folds={len(report.folds)} "
                    f"error={report.loss.error:.4f} se={report.loss.standard_error:.4f}")

@@ -34,6 +34,9 @@ DEFAULT_EXP2_TEST_DRAWS = 500
 DEFAULT_K = 11
 DEFAULT_EXP1_METHODS = ("dcorr", "itdcorr-0.5", "rv", "cca")
 DEFAULT_EXP2_METHODS = ("bayes", "full", "true-signal", "dcorr", "itdcorr-0.5")
+# exp2 methods that screen nothing: the true-parameter Bayes rule and the
+# plug-in classifier on all vertices or on the planted signal set
+_EXP2_REFERENCES = ("bayes", "full", "true-signal")
 CLASSIFIERS = ("plugin", "knn")
 
 
@@ -294,7 +297,7 @@ def run_experiment(
     and ``test_draws``. The repeat with index i draws from
     ``numpy.random.SeedSequence([seed, i])`` (i counts repeats across the
     whole m grid), so reports are reproducible and no two base seeds share
-    a draw. Every setting, the whole m grid and a repeated method name
+    a draw. Every setting, the whole m grid and every method name
     included, is checked before the first draw.
     """
     if repeats < 1:
@@ -330,12 +333,14 @@ def run_experiment(
         if m_value < classes:
             raise ValueError(f"m too small to cover every class: {m_key} needs at least "
                              f"{classes} graphs, not {m_value}")
+    configs = {method: _method_config(method) for method in methods
+               if name == "exp1" or method not in _EXP2_REFERENCES}
     report = EvalReport(methods)
     if name == "exp1":
         for repeat in range(repeats):
             dataset, signal = sample_experiment("exp1", m_grid[0], _repeat_seed(seed, repeat))
             for method in methods:
-                result, selected = screen.run(dataset, _method_config(method))
+                result, selected = screen.run(dataset, configs[method])
                 curve, auc = roc_auc(
                     screen.vertex_ranking(result),
                     signal,
@@ -362,7 +367,9 @@ def run_experiment(
             train, _ = sample_experiment("exp2", m_value, rng)
             test, _ = sample_experiment("exp2", test_draws, rng)
             for method in methods:
-                predictions, fpr = _exp2_method(method, train, test, params, priors, signal)
+                predictions, fpr = _exp2_method(
+                    method, configs.get(method), train, test, params, priors, signal
+                )
                 error = float(np.mean(predictions != test.labels))
                 report.loss_records.append((method, m_value, repeat, error))
                 if fpr is not None:
@@ -370,15 +377,16 @@ def run_experiment(
     return report
 
 
-def _exp2_method(method, train, test, params, priors, signal):
-    """Predictions on the test stack plus the screening FPR when relevant."""
+def _exp2_method(method, config, train, test, params, priors, signal):
+    """Predictions on the test stack plus the screening FPR when relevant;
+    ``config`` is the screening method's pipeline, None for the references."""
     if method == "bayes":
         return classify.bayes_predict_many(priors, params, test.graphs), None
     if method in ("full", "true-signal"):
         vertices = range(train.n) if method == "full" else signal.tolist()
         pipeline = PipelineConfig(fixed_vertices=tuple(vertices))
         return _fit_predict(train, test.graphs, pipeline)[1], None
-    selected, predictions = _fit_predict(train, test.graphs, _method_config(method))
+    selected, predictions = _fit_predict(train, test.graphs, config)
     return predictions, fpr_at_size(selected, signal, train.n)
 
 

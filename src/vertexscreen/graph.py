@@ -1,9 +1,9 @@
 """Graph data model and generative machinery.
 
 Labeled populations of adjacency matrices on a shared vertex set,
-independent-edge (inhomogeneous Erdos-Renyi) sampling and likelihoods,
-induced subgraphs and adjacency-row features, and the on-disk CSV dataset
-format (graphs.csv / labels.csv).
+independent-edge (inhomogeneous Erdos-Renyi) sampling, induced subgraphs
+and their vertex pairs, and the on-disk CSV dataset format (graphs.csv /
+labels.csv).
 """
 
 from __future__ import annotations
@@ -31,11 +31,14 @@ class LabeledGraphDataset:
 
     Graphs are undirected: hollow (no self-loops) and symmetric. Arrays are
     frozen after construction so datasets can be shared safely.
+    ``graph_ids`` are the ids a file gave the graphs, one distinct id per
+    graph; None means the dataset positions.
     """
 
     graphs: np.ndarray
     labels: np.ndarray
     subject_ids: tuple | None = None
+    graph_ids: tuple | None = None
 
     def __post_init__(self):
         graphs = np.asarray(self.graphs, dtype=float)
@@ -57,6 +60,11 @@ class LabeledGraphDataset:
             if len(subject_ids) != graphs.shape[0]:
                 raise ValueError("need one subject id per graph")
             object.__setattr__(self, "subject_ids", subject_ids)
+        if self.graph_ids is not None:
+            graph_ids = tuple(int(g) for g in self.graph_ids)
+            if len(graph_ids) != graphs.shape[0] or len(set(graph_ids)) != len(graph_ids):
+                raise ValueError("need one distinct graph id per graph")
+            object.__setattr__(self, "graph_ids", graph_ids)
         graphs.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "graphs", graphs)
@@ -73,11 +81,13 @@ class LabeledGraphDataset:
     def subset(self, graph_indices) -> "LabeledGraphDataset":
         """Dataset restricted to the given graph positions (order kept)."""
         idx = np.asarray(graph_indices, dtype=int)
-        subjects = None
-        if self.subject_ids is not None:
-            subjects = tuple(self.subject_ids[i] for i in idx)
+
+        def pick(ids):
+            return None if ids is None else tuple(ids[i] for i in idx)
+
         return LabeledGraphDataset(
-            self.graphs[idx], self.labels[idx], subject_ids=subjects
+            self.graphs[idx], self.labels[idx],
+            subject_ids=pick(self.subject_ids), graph_ids=pick(self.graph_ids),
         )
 
 
@@ -95,20 +105,6 @@ def validate_probability_matrix(p):
     return p
 
 
-def sample_ier(p, rng):
-    """One undirected independent-edge draw.
-
-    Entries above the diagonal are independent Bernoulli(p[u, v]), mirrored
-    below; the diagonal stays 0. ``rng`` is a seed or a Generator, so the
-    draw is reproducible.
-    """
-    p = validate_probability_matrix(p)
-    rng = np.random.default_rng(rng)
-    u = rng.random(p.shape)
-    upper = np.triu((u < p).astype(float), 1)
-    return upper + upper.T
-
-
 def sample_ier_dataset(p_by_class, priors, m, rng):
     """m labeled draws: a class index from ``priors`` (the label), then one
     graph from its edge-probability matrix."""
@@ -122,7 +118,7 @@ def sample_ier_dataset(p_by_class, priors, m, rng):
         raise ValueError("priors must be a distribution over the classes")
     rng = np.random.default_rng(rng)
     which = rng.choice(len(mats), size=m, p=priors / priors.sum())
-    # sample_ier's draws in the same rng order, checked and masked once
+    # per graph, one (n, n) uniform block; the pairs u < v below p are edges
     n = mats[0].shape[0]
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     graphs = np.empty((m, n, n))
@@ -130,31 +126,6 @@ def sample_ier_dataset(p_by_class, priors, m, rng):
         edges = (rng.random((n, n)) < mats[c]) & upper
         graph[...] = edges | edges.T
     return LabeledGraphDataset(graphs, which)
-
-
-def _check_binary(a):
-    if not np.all((a == 0.0) | (a == 1.0)):
-        raise ValueError("adjacency must be binary for likelihood operations")
-
-
-def ier_log_likelihood(a, p):
-    """Log-likelihood of a binary undirected adjacency, summed over pairs u < v.
-
-    Entries where p is exactly 0 or 1 contribute -inf only when the
-    observation contradicts them; callers normally clamp p away from the
-    boundary first (see classify.fit_plugin).
-    """
-    a = np.asarray(a, dtype=float)
-    p = validate_probability_matrix(p)
-    if a.shape != p.shape:
-        raise ValueError(f"shape mismatch: adjacency {a.shape} vs probabilities {p.shape}")
-    _check_binary(a)
-    iu = np.triu_indices(a.shape[0], 1)
-    au = a[iu]
-    pu = p[iu]
-    with np.errstate(divide="ignore"):
-        terms = np.where(au == 1.0, np.log(pu), np.log1p(-pu))
-    return float(terms.sum())
 
 
 def induced_subgraph(a, vertices):
@@ -179,20 +150,6 @@ def upper_pairs(graphs, vertices):
     # take on the (N, n*n) view returns the pairs C-ordered, as the kernels need
     pairs = vertices[iu[0]] * n + vertices[iu[1]]
     return np.take(graphs.reshape(graphs.shape[0], n * n), pairs, axis=1)
-
-
-def vertex_feature(a, u, restrict):
-    """Row of the restricted adjacency for vertex u (sorted restrict order).
-
-    The structural-zero self entry is kept, so the feature length is always
-    the size of the restriction.
-    """
-    a = np.asarray(a)
-    idx = vertex_set(restrict, a.shape[0])
-    pos = np.searchsorted(idx, u)
-    if pos >= idx.size or idx[pos] != u:
-        raise ValueError(f"vertex {u} is not in the restriction")
-    return a[u, idx]
 
 
 def _parse_label(text):
@@ -292,33 +249,36 @@ def load_dataset(graphs_path, labels_path, n=None):
 
     labels_arr = np.asarray([labels[i] for i in order])
     subject_ids = tuple(subjects[i] for i in order) if subjects else None
-    return LabeledGraphDataset(graphs, labels_arr, subject_ids=subject_ids)
+    return LabeledGraphDataset(
+        graphs, labels_arr, subject_ids=subject_ids, graph_ids=sorted(ids)
+    )
 
 
 def save_dataset(dataset, graphs_path, labels_path):
     """Write the CSV pair read back by load_dataset.
 
-    Graph ids are the dataset positions; only nonzero upper-triangle entries
-    are listed.
+    Graph ids are ``dataset.graph_ids``, or the dataset positions when it
+    has none; only nonzero upper-triangle entries are listed.
     """
+    ids = range(dataset.m) if dataset.graph_ids is None else dataset.graph_ids
     iu = np.triu_indices(dataset.n, 1)
     with open(graphs_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["graph_id", "u", "v", "weight"])
-        for gid in range(dataset.m):
-            weights = dataset.graphs[gid][iu]
+        for gid, a in zip(ids, dataset.graphs):
+            weights = a[iu]
             for u, v, w in zip(iu[0][weights != 0], iu[1][weights != 0], weights[weights != 0]):
                 writer.writerow([gid, int(u), int(v), _format_number(w)])
     with open(labels_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         if dataset.subject_ids is not None:
             writer.writerow(["graph_id", "label", "subject_id"])
-            for gid in range(dataset.m):
-                writer.writerow([gid, _format_number(dataset.labels[gid]), dataset.subject_ids[gid]])
+            for gid, label, subject in zip(ids, dataset.labels, dataset.subject_ids):
+                writer.writerow([gid, _format_number(label), subject])
         else:
             writer.writerow(["graph_id", "label"])
-            for gid in range(dataset.m):
-                writer.writerow([gid, _format_number(dataset.labels[gid])])
+            for gid, label in zip(ids, dataset.labels):
+                writer.writerow([gid, _format_number(label)])
 
 
 def _format_number(value):

@@ -242,8 +242,11 @@ def run(dataset, config):
     """Screen a dataset as ``config`` says and apply its size rule.
 
     Returns ``(result, selected)``; a one-shot threshold that no score
-    clears selects nothing.
+    clears selects nothing. A fixed size above the vertex count is refused
+    before any screening runs.
     """
+    if config.size_rule == "fixed" and config.size > dataset.n:
+        raise ValueError(f"size {config.size} exceeds the {dataset.n} vertices of the dataset")
     if config.iterative:
         delta = DEFAULT_DELTA if config.delta is None else config.delta
         result = screen_iterative(dataset, delta, config.statistic)

@@ -1,0 +1,123 @@
+"""Reference implementations the tests hold the library to.
+
+Each oracle computes one concept the slow, literal way: a per-graph
+independent-edge draw, a per-pair log-likelihood, a per-vertex feature row,
+the triple-loop distance covariance, the pairwise Mann-Whitney AUC, the
+per-graph likelihood argmax and the unclamped class means. The library has
+one batched implementation of each; nothing under ``src`` imports this
+module.
+"""
+
+import numpy as np
+
+from vertexscreen import corr
+from vertexscreen.graph import induced_subgraph, validate_probability_matrix, vertex_set
+
+
+def sample_ier(p, rng):
+    """One undirected independent-edge draw.
+
+    Entries above the diagonal are independent Bernoulli(p[u, v]), mirrored
+    below; the diagonal stays 0. ``rng`` is a seed or a Generator, so the
+    draw is reproducible. ``graph.sample_ier_dataset`` draws each graph of
+    its stack in this rng order.
+    """
+    p = validate_probability_matrix(p)
+    rng = np.random.default_rng(rng)
+    u = rng.random(p.shape)
+    upper = np.triu((u < p).astype(float), 1)
+    return upper + upper.T
+
+
+def _check_binary(a):
+    if not np.all((a == 0.0) | (a == 1.0)):
+        raise ValueError("adjacency must be binary for likelihood operations")
+
+
+def ier_log_likelihood(a, p):
+    """Log-likelihood of a binary undirected adjacency, summed over pairs u < v.
+
+    Entries where p is exactly 0 or 1 contribute -inf only when the
+    observation contradicts them.
+    """
+    a = np.asarray(a, dtype=float)
+    p = validate_probability_matrix(p)
+    if a.shape != p.shape:
+        raise ValueError(f"shape mismatch: adjacency {a.shape} vs probabilities {p.shape}")
+    _check_binary(a)
+    iu = np.triu_indices(a.shape[0], 1)
+    au = a[iu]
+    pu = p[iu]
+    with np.errstate(divide="ignore"):
+        terms = np.where(au == 1.0, np.log(pu), np.log1p(-pu))
+    return float(terms.sum())
+
+
+def vertex_feature(a, u, restrict):
+    """Row of the restricted adjacency for vertex u (sorted restrict order).
+
+    The structural-zero self entry is kept, so the feature length is always
+    the size of the restriction.
+    """
+    a = np.asarray(a)
+    idx = vertex_set(restrict, a.shape[0])
+    pos = np.searchsorted(idx, u)
+    if pos >= idx.size or idx[pos] != u:
+        raise ValueError(f"vertex {u} is not in the restriction")
+    return a[u, idx]
+
+
+def triple_loop_dcov(x, y):
+    """The three-expectation form of the squared-scale distance covariance
+    evaluated literally over all index triples."""
+    dx = corr.pairwise_distances(x)
+    dy = corr.pairwise_distances(y)
+    m = dx.shape[0]
+    s1 = float(np.mean(dx * dy))
+    s2 = float(dx.mean()) * float(dy.mean())
+    s3 = 0.0
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                s3 += dx[i, j] * dy[i, k]
+    s3 /= m**3
+    return s1 + s2 - 2.0 * s3
+
+
+def mann_whitney_auc(ranking, true_set, n, keys=None):
+    """Pairwise-comparison AUC: fraction of (signal, noise) pairs where
+    the signal vertex is ranked strictly better, a pair tied in every key
+    counting one half."""
+    rank_of = {v: i for i, v in enumerate(ranking)}
+    key_of = (
+        {v: v for v in range(n)}
+        if keys is None
+        else {v: tuple(np.atleast_2d(keys)[:, v]) for v in range(n)}
+    )
+    signal = set(int(v) for v in true_set)
+    noise = [v for v in range(n) if v not in signal]
+    wins = sum(
+        0.5 if key_of[s] == key_of[u] else float(rank_of[s] < rank_of[u])
+        for s in signal
+        for u in noise
+    )
+    return wins / (len(signal) * len(noise))
+
+
+def likelihood_oracle(priors, mats, graphs, class_labels):
+    """Per graph, the argmax of log prior + ier_log_likelihood."""
+    with np.errstate(divide="ignore"):
+        log_priors = np.log(np.asarray(priors, dtype=float))
+    picks = [
+        np.argmax([lp + ier_log_likelihood(a, p) for lp, p in zip(log_priors, mats)])
+        for a in graphs
+    ]
+    return [class_labels[int(i)] for i in picks]
+
+
+def class_means(dataset, vertices=None):
+    """Unclamped per-class mean adjacency on ``vertices`` (all when omitted),
+    classes in sorted label order as ``classify.fit_plugin`` orders them."""
+    vertices = np.arange(dataset.n) if vertices is None else vertex_set(vertices, dataset.n)
+    sub = induced_subgraph(dataset.graphs, vertices)
+    return tuple(sub[dataset.labels == label].mean(axis=0) for label in np.unique(dataset.labels))

@@ -14,8 +14,7 @@ from vertexscreen import classify, corr, evaluate, screen
 from vertexscreen.cli import main as cli_main
 from vertexscreen.graph import LabeledGraphDataset
 
-from test_corr import triple_loop_dcov
-from test_evaluate import mann_whitney_auc
+from oracles import mann_whitney_auc, triple_loop_dcov
 
 
 ACCEPTANCE_LINES = []

@@ -1,15 +1,13 @@
 """Tests for the plug-in, Bayes, and nearest-neighbor classifiers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from oracles import class_means, likelihood_oracle, sample_ier
 from vertexscreen import classify, evaluate
-from vertexscreen.graph import (
-    LabeledGraphDataset,
-    ier_log_likelihood,
-    sample_ier,
-    sample_ier_dataset,
-)
+from vertexscreen.graph import LabeledGraphDataset, sample_ier_dataset
 
 
 def block_parameters(n=12, signal=4, p=(0.2, 0.7)):
@@ -26,17 +24,6 @@ def block_parameters(n=12, signal=4, p=(0.2, 0.7)):
 def block_dataset(m, seed, n=12, signal=4, p=(0.2, 0.7)):
     mats = block_parameters(n, signal, p)
     return sample_ier_dataset(mats, [0.5, 0.5], m, seed)
-
-
-def likelihood_oracle(priors, mats, graphs, class_labels):
-    """Per graph, the argmax of log prior + graph.ier_log_likelihood."""
-    with np.errstate(divide="ignore"):
-        log_priors = np.log(np.asarray(priors, dtype=float))
-    picks = [
-        np.argmax([lp + ier_log_likelihood(a, p) for lp, p in zip(log_priors, mats)])
-        for a in graphs
-    ]
-    return [class_labels[int(i)] for i in picks]
 
 
 def saturated_parameters(rng, n=6, classes=3):
@@ -63,7 +50,8 @@ class TestFitPlugin:
         graphs = np.zeros((2, 3, 3))
         graphs[0, 0, 1] = graphs[0, 1, 0] = 1.0
         ds = LabeledGraphDataset(graphs, np.array([0, 0]))
-        model = classify.fit_plugin(ds, clamp=0.0)
+        # the mean 0.5 lies inside the clamp [1/4, 3/4] of m = 2
+        model = classify.fit_plugin(ds)
         assert model.edge_probabilities[0][0, 1] == 0.5
 
     def test_clamp_bounds(self):
@@ -74,6 +62,15 @@ class TestFitPlugin:
             off = p_hat[~np.eye(p_hat.shape[0], dtype=bool)]
             assert np.all(off >= eps) and np.all(off <= 1 - eps)
             assert np.all(np.diag(p_hat) == 0.0)
+
+    def test_clamp_value(self):
+        # class 0 has edge (0, 1) in every graph, class 1 in none; m = 6
+        graphs = np.zeros((6, 3, 3))
+        graphs[:3, 0, 1] = graphs[:3, 1, 0] = 1.0
+        ds = LabeledGraphDataset(graphs, np.array([0, 0, 0, 1, 1, 1]))
+        model = classify.fit_plugin(ds)
+        assert model.edge_probabilities[0][0, 1] == 1 - 1 / (2 * 6)
+        assert model.edge_probabilities[1][0, 1] == 1 / (2 * 6)
 
     def test_rejects_weighted_graphs(self):
         graphs = np.zeros((2, 3, 3))
@@ -88,7 +85,10 @@ class TestFitPlugin:
         # off-diagonal entries of all classes at the 5% level
         mats, priors, _ = evaluate.experiment_parameters("exp2")
         ds = sample_ier_dataset(mats, priors, 500, 99)
-        model = classify.fit_plugin(ds, clamp=0.0)
+        model = classify.fit_plugin(ds)
+        # the clamp binds nowhere, so these are the raw class means
+        means = class_means(ds)
+        assert all(np.array_equal(p, q) for p, q in zip(model.edge_probabilities, means))
         from scipy.stats import norm
 
         entries = 3 * 199 * 200 / 2
@@ -155,9 +155,10 @@ class TestPluginPredict:
         assert list(batched) == oracle
 
     def test_unclamped_saturated_model_matches_oracle(self):
-        # with clamp 0 a small training set leaves estimates at exactly 0 and 1
+        # unclamped, a small training set leaves estimates at exactly 0 and 1
         ds = block_dataset(6, 30, n=8, signal=3)
-        model = classify.fit_plugin(ds, restrict=[0, 1, 2, 5], clamp=0.0)
+        model = classify.fit_plugin(ds, restrict=[0, 1, 2, 5])
+        model = replace(model, edge_probabilities=class_means(ds, model.vertices))
         off = ~np.eye(4, dtype=bool)
         assert any(np.any((p[off] == 0) | (p[off] == 1)) for p in model.edge_probabilities)
         test = block_dataset(40, 31, n=8, signal=3)
@@ -216,8 +217,8 @@ class TestBayesPredict:
             priors = [0.0, 0.4, 0.6] if trial % 2 else [0.5, 0.0, 0.5]
             # draws from each class, so every class explains some graphs
             graphs = np.stack([sample_ier(mats[i % 3], rng) for i in range(12)])
-            batched = classify.bayes_predict_many(priors, mats, graphs, ("a", "b", "c"))
-            oracle = likelihood_oracle(priors, mats, graphs, ("a", "b", "c"))
+            batched = classify.bayes_predict_many(priors, mats, graphs)
+            oracle = likelihood_oracle(priors, mats, graphs, (0, 1, 2))
             assert list(batched) == oracle
 
     def test_rejects_wrong_prior_count(self):
@@ -324,7 +325,7 @@ def test_clamp_neutrality_at_moderate_m():
     mats, priors, _ = evaluate.experiment_parameters("exp2")
     train = sample_ier_dataset(mats, priors, 300, 23)
     clamped = classify.fit_plugin(train)
-    raw = classify.fit_plugin(train, clamp=0.0)
+    raw = replace(clamped, edge_probabilities=class_means(train))
     saturated = any(
         np.any((p[~np.eye(200, dtype=bool)] == 0) | (p[~np.eye(200, dtype=bool)] == 1))
         for p in raw.edge_probabilities

@@ -215,6 +215,31 @@ class TestClassify:
         assert lines[0] == "fold,graph_id,label,prediction,unseen_class"
         assert len(lines) == 31
 
+    @pytest.mark.parametrize("classifier", [["--size", 3], ["--classifier", "bayes",
+                                                           "--experiment", "exp1"]],
+                             ids=["plugin", "bayes"])
+    def test_loss_csv_writes_the_file_graph_ids(self, small_dataset, tmp_path, classifier):
+        # six graphs of the small draw under non-contiguous ids, out of order
+        ids = [30, 10, 20, 40, 50, 60]
+        edges = (small_dataset / "graphs.csv").read_text().splitlines()
+        rows = [r.split(",") for r in edges[1:]]
+        (tmp_path / "graphs.csv").write_text("\n".join(
+            [edges[0]] + [",".join([str(ids[int(r[0])])] + r[1:]) for r in rows if int(r[0]) < 6]
+        ) + "\n")
+        labels = (small_dataset / "labels.csv").read_text().splitlines()
+        (tmp_path / "labels.csv").write_text("\n".join(
+            [labels[0]] + [f"{gid},{row.split(',')[1]}" for gid, row in zip(ids, labels[1:7])]
+        ) + "\n")
+        code = run(
+            ["classify", "--graphs", tmp_path / "graphs.csv", "--labels", tmp_path / "labels.csv",
+             "--n", 200, *classifier, "--out", tmp_path]
+        )
+        assert code == 0
+        loss = [r.split(",") for r in (tmp_path / "loss.csv").read_text().splitlines()[1:]]
+        assert [r[1] for r in loss] == ["10", "20", "30", "40", "50", "60"]
+        by_id = {gid: row.split(",")[1] for gid, row in zip(ids, labels[1:7])}
+        assert [r[2] for r in loss] == [by_id[int(r[1])] for r in loss]
+
     def test_no_flags_use_the_library_defaults(self, small_dataset, tmp_path, monkeypatch):
         from vertexscreen import cli, evaluate
 

@@ -9,24 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import subspace_angles
 
+from oracles import triple_loop_dcov
 from vertexscreen import corr, evaluate
-
-
-def triple_loop_dcov(x, y):
-    """Independent oracle: the three-expectation form of the squared-scale
-    distance covariance evaluated literally over all index triples."""
-    dx = corr.pairwise_distances(x)
-    dy = corr.pairwise_distances(y)
-    m = dx.shape[0]
-    s1 = float(np.mean(dx * dy))
-    s2 = float(dx.mean()) * float(dy.mean())
-    s3 = 0.0
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                s3 += dx[i, j] * dy[i, k]
-    s3 /= m**3
-    return s1 + s2 - 2.0 * s3
 
 
 finite_matrix = arrays(

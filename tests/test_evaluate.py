@@ -7,28 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import mann_whitney_auc
 from vertexscreen import classify, evaluate, screen
 from vertexscreen.graph import LabeledGraphDataset, sample_ier_dataset
-
-
-def mann_whitney_auc(ranking, true_set, n, keys=None):
-    """Pairwise-comparison oracle: fraction of (signal, noise) pairs where
-    the signal vertex is ranked strictly better, a pair tied in every key
-    counting one half."""
-    rank_of = {v: i for i, v in enumerate(ranking)}
-    key_of = (
-        {v: v for v in range(n)}
-        if keys is None
-        else {v: tuple(np.atleast_2d(keys)[:, v]) for v in range(n)}
-    )
-    signal = set(int(v) for v in true_set)
-    noise = [v for v in range(n) if v not in signal]
-    wins = sum(
-        0.5 if key_of[s] == key_of[u] else float(rank_of[s] < rank_of[u])
-        for s in signal
-        for u in noise
-    )
-    return wins / (len(signal) * len(noise))
 
 
 class TestRocAuc:
@@ -328,6 +309,25 @@ class TestRunExperiment:
         monkeypatch.setattr(evaluate, "sample_experiment", lambda *args: draws.append(args))
         with pytest.raises(ValueError, match=message):
             evaluate.run_experiment(name, repeats=2, **options)
+        assert draws == []
+
+    @pytest.mark.parametrize(
+        "name, options",
+        [("exp1", {"m": 30, "methods": ("dcorr", "itfoo-0.5")}),
+         ("exp2", {"m": 12, "methods": ("bayes", "itfoo")})],
+    )
+    def test_parses_every_method_before_drawing(self, monkeypatch, name, options):
+        draws = []
+        real_sample = evaluate.sample_experiment
+
+        def counting_sample(*args):
+            draws.append(args)
+            return real_sample(*args)
+
+        monkeypatch.setattr(evaluate, "sample_experiment", counting_sample)
+        unknown = options["methods"][1]
+        with pytest.raises(ValueError, match=f"unknown screening method '{unknown}'"):
+            evaluate.run_experiment(name, repeats=3, **options)
         assert draws == []
 
     def test_rejects_bad_repeats(self):

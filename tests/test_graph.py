@@ -1,59 +1,62 @@
-"""Tests for the graph data model, IER sampling, and CSV I/O."""
+"""Tests for the graph data model, IER sampling, and CSV I/O, and for the
+sampling, likelihood and feature-row oracles."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from vertexscreen import graph
 
 
 def make_dataset(m=4, n=5, seed=0, subject_ids=None):
     rng = np.random.default_rng(seed)
-    graphs = np.stack([graph.sample_ier(np.full((n, n), 0.5), rng) for _ in range(m)])
+    graphs = np.stack([oracles.sample_ier(np.full((n, n), 0.5), rng) for _ in range(m)])
     labels = rng.integers(0, 2, size=m)
     return graph.LabeledGraphDataset(graphs, labels, subject_ids=subject_ids)
 
 
 class TestSampleIer:
     def test_zero_matrix(self):
-        assert np.array_equal(graph.sample_ier(np.zeros((4, 4)), 0), np.zeros((4, 4)))
+        ds = graph.sample_ier_dataset([np.zeros((4, 4))], [1.0], 3, 0)
+        assert np.array_equal(ds.graphs, np.zeros((3, 4, 4)))
 
     def test_all_ones(self):
-        a = graph.sample_ier(np.ones((4, 4)), 0)
+        ds = graph.sample_ier_dataset([np.ones((4, 4))], [1.0], 3, 0)
         expected = np.ones((4, 4)) - np.eye(4)
-        assert np.array_equal(a, expected)
+        assert all(np.array_equal(a, expected) for a in ds.graphs)
 
     def test_edge_frequency_concentration(self):
         # 100 draws at p=0.3 on 200 vertices: the pooled edge frequency
         # stays within 4 binomial standard deviations of p
         n, draws, p = 200, 100, 0.3
-        rng = np.random.default_rng(1)
-        pmat = np.full((n, n), p)
-        total_edges = sum(
-            graph.sample_ier(pmat, rng)[np.triu_indices(n, 1)].sum() for _ in range(draws)
-        )
+        ds = graph.sample_ier_dataset([np.full((n, n), p)], [1.0], draws, 1)
+        total_edges = ds.graphs[:, np.triu(np.ones((n, n), dtype=bool), 1)].sum()
         trials = draws * n * (n - 1) / 2
         sigma = np.sqrt(p * (1 - p) / trials)
         assert abs(total_edges / trials - p) <= 4 * sigma
 
     def test_seed_reproducibility(self):
-        p = np.full((10, 10), 0.4)
-        assert np.array_equal(graph.sample_ier(p, 123), graph.sample_ier(p, 123))
+        mats = [np.full((10, 10), 0.4), np.full((10, 10), 0.6)]
+        a = graph.sample_ier_dataset(mats, [0.5, 0.5], 4, 123)
+        b = graph.sample_ier_dataset(mats, [0.5, 0.5], 4, 123)
+        assert np.array_equal(a.graphs, b.graphs) and np.array_equal(a.labels, b.labels)
 
     def test_symmetric_and_hollow(self):
-        a = graph.sample_ier(np.full((8, 8), 0.5), 3)
-        assert np.array_equal(a, a.T)
-        assert np.all(np.diag(a) == 0)
+        ds = graph.sample_ier_dataset([np.full((8, 8), 0.5)], [1.0], 3, 3)
+        for a in ds.graphs:
+            assert np.array_equal(a, a.T)
+            assert np.all(np.diag(a) == 0)
 
     def test_rejects_bad_probabilities(self):
         with pytest.raises(ValueError):
-            graph.sample_ier(np.full((3, 3), 1.5), 0)
+            graph.sample_ier_dataset([np.full((3, 3), 1.5)], [1.0], 2, 0)
         with pytest.raises(ValueError):
-            graph.sample_ier(np.array([[0.0, 0.2], [0.3, 0.0]]), 0)
+            graph.sample_ier_dataset([np.array([[0.0, 0.2], [0.3, 0.0]])], [1.0], 2, 0)
 
     def test_dataset_stack_equals_per_graph_draws(self):
-        # the dataset sampler fills one stack with sample_ier's draws, in rng order
+        # the dataset sampler fills one stack with the oracle's draws, in rng order
         rng = np.random.default_rng(4)
         mats = [rng.random((6, 6)) for _ in range(3)]
         mats = [(p + p.T) / 2 for p in mats]
@@ -61,7 +64,7 @@ class TestSampleIer:
         ds = graph.sample_ier_dataset(mats, priors, 9, np.random.default_rng(11))
         rng = np.random.default_rng(11)
         which = rng.choice(3, size=9, p=np.asarray(priors) / np.sum(priors))
-        expected = np.stack([graph.sample_ier(mats[c], rng) for c in which])
+        expected = np.stack([oracles.sample_ier(mats[c], rng) for c in which])
         assert np.all(ds.labels == which)
         assert ds.graphs.dtype == expected.dtype and np.all(ds.graphs == expected)
 
@@ -69,51 +72,51 @@ class TestSampleIer:
 class TestLogLikelihood:
     def test_degenerate_match_is_zero(self):
         p = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-        a = graph.sample_ier(p, 0)
-        assert graph.ier_log_likelihood(a, p) == 0.0
+        a = oracles.sample_ier(p, 0)
+        assert oracles.ier_log_likelihood(a, p) == 0.0
 
     def test_closed_form_half(self):
         p = np.full((3, 3), 0.5)
         np.fill_diagonal(p, 0.0)
         a = np.array([[0.0, 1, 0], [1, 0, 1], [0, 1, 0]])
-        assert np.isclose(graph.ier_log_likelihood(a, p), 3 * np.log(0.5))
+        assert np.isclose(oracles.ier_log_likelihood(a, p), 3 * np.log(0.5))
 
     def test_matches_linear_domain_oracle(self):
         rng = np.random.default_rng(2)
         p = rng.uniform(0.1, 0.9, size=(4, 4))
         p = (p + p.T) / 2
         np.fill_diagonal(p, 0.0)
-        a = graph.sample_ier(p, 5)
+        a = oracles.sample_ier(p, 5)
         product = 1.0
         for u in range(4):
             for v in range(u + 1, 4):
                 product *= p[u, v] if a[u, v] else 1 - p[u, v]
-        assert abs(graph.ier_log_likelihood(a, p) - np.log(product)) <= 1e-12
+        assert abs(oracles.ier_log_likelihood(a, p) - np.log(product)) <= 1e-12
 
     def test_contradiction_is_minus_inf(self):
         p = np.zeros((3, 3))
         a = np.zeros((3, 3))
         a[0, 1] = a[1, 0] = 1.0
-        assert graph.ier_log_likelihood(a, p) == -np.inf
+        assert oracles.ier_log_likelihood(a, p) == -np.inf
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            graph.ier_log_likelihood(np.zeros((3, 3)), np.zeros((4, 4)))
+            oracles.ier_log_likelihood(np.zeros((3, 3)), np.zeros((4, 4)))
 
     def test_rejects_weighted(self):
         a = np.zeros((3, 3))
         a[0, 1] = a[1, 0] = 0.5
         with pytest.raises(ValueError):
-            graph.ier_log_likelihood(a, np.full((3, 3), 0.5) - 0.5 * np.eye(3))
+            oracles.ier_log_likelihood(a, np.full((3, 3), 0.5) - 0.5 * np.eye(3))
 
 
 class TestInducedSubgraph:
     def test_full_set_identity(self):
-        a = graph.sample_ier(np.full((5, 5), 0.5), 7)
+        a = oracles.sample_ier(np.full((5, 5), 0.5), 7)
         assert np.array_equal(graph.induced_subgraph(a, range(5)), a)
 
     def test_singleton(self):
-        a = graph.sample_ier(np.full((5, 5), 0.5), 8)
+        a = oracles.sample_ier(np.full((5, 5), 0.5), 8)
         assert np.array_equal(graph.induced_subgraph(a, [2]), [[0.0]])
 
     def test_hand_selection(self):
@@ -137,7 +140,7 @@ class TestInducedSubgraph:
     @given(st.sets(st.integers(0, 7), min_size=2, max_size=8).map(sorted))
     @settings(max_examples=30, deadline=None)
     def test_nested_composition(self, outer):
-        a = graph.sample_ier(np.full((8, 8), 0.5), 9)
+        a = oracles.sample_ier(np.full((8, 8), 0.5), 9)
         outer = np.asarray(outer)
         inner_positions = np.arange(0, outer.size, 2)
         once = graph.induced_subgraph(graph.induced_subgraph(a, outer), inner_positions)
@@ -147,22 +150,22 @@ class TestInducedSubgraph:
 
 class TestVertexFeature:
     def test_full_restriction_is_row(self):
-        a = graph.sample_ier(np.full((5, 5), 0.5), 10)
-        assert np.array_equal(graph.vertex_feature(a, 3, range(5)), a[3])
+        a = oracles.sample_ier(np.full((5, 5), 0.5), 10)
+        assert np.array_equal(oracles.vertex_feature(a, 3, range(5)), a[3])
 
     def test_singleton_is_zero(self):
-        a = graph.sample_ier(np.full((5, 5), 0.5), 11)
-        assert np.array_equal(graph.vertex_feature(a, 2, [2]), [0.0])
+        a = oracles.sample_ier(np.full((5, 5), 0.5), 11)
+        assert np.array_equal(oracles.vertex_feature(a, 2, [2]), [0.0])
 
     def test_restricted_entries(self):
-        a = graph.sample_ier(np.full((5, 5), 0.5), 12)
-        feat = graph.vertex_feature(a, 3, [1, 3, 4])
+        a = oracles.sample_ier(np.full((5, 5), 0.5), 12)
+        feat = oracles.vertex_feature(a, 3, [1, 3, 4])
         assert np.array_equal(feat, [a[3, 1], 0.0, a[3, 4]])
 
     def test_vertex_outside_restriction(self):
-        a = graph.sample_ier(np.full((5, 5), 0.5), 13)
+        a = oracles.sample_ier(np.full((5, 5), 0.5), 13)
         with pytest.raises(ValueError):
-            graph.vertex_feature(a, 0, [1, 2])
+            oracles.vertex_feature(a, 0, [1, 2])
 
 
 class TestDataset:
@@ -199,6 +202,18 @@ class TestDataset:
         assert sub.subject_ids == ("a", "b")
         assert sub.m == 2
 
+    def test_subset_keeps_graph_ids(self):
+        ds = make_dataset(m=4)
+        ds = graph.LabeledGraphDataset(ds.graphs, ds.labels, graph_ids=[30, 10, 20, 40])
+        assert ds.subset([3, 1]).graph_ids == (40, 10)
+        assert make_dataset(m=4).subset([3, 1]).graph_ids is None
+
+    @pytest.mark.parametrize("ids", [[1, 2, 3], [1, 2, 3, 3]], ids=["short", "repeated"])
+    def test_rejects_graph_ids_not_one_per_graph(self, ids):
+        ds = make_dataset(m=4)
+        with pytest.raises(ValueError, match="one distinct graph id per graph"):
+            graph.LabeledGraphDataset(ds.graphs, ds.labels, graph_ids=ids)
+
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
@@ -215,6 +230,27 @@ class TestCsvRoundTrip:
         graph.save_dataset(ds, gp, lp)
         loaded = graph.load_dataset(gp, lp, n=ds.n)
         assert loaded.subject_ids == ds.subject_ids
+
+    def test_round_trip_keeps_graph_ids(self, tmp_path):
+        gp, lp = tmp_path / "graphs.csv", tmp_path / "labels.csv"
+        lp.write_text("graph_id,label\n30,1\n10,0\n20,1\n")
+        gp.write_text("graph_id,u,v,weight\n10,0,1,1\n30,1,2,1\n")
+        loaded = graph.load_dataset(gp, lp, n=3)
+        assert loaded.graph_ids == (10, 20, 30)
+        assert loaded.labels.tolist() == [0, 1, 1]
+        graph.save_dataset(loaded, gp, lp)
+        assert lp.read_text().splitlines()[1:] == ["10,0", "20,1", "30,1"]
+        again = graph.load_dataset(gp, lp, n=3)
+        assert again.graph_ids == loaded.graph_ids
+        assert np.array_equal(again.graphs, loaded.graphs)
+        assert np.array_equal(again.labels, loaded.labels)
+
+    def test_positions_written_without_graph_ids(self, tmp_path):
+        ds = make_dataset(m=3)
+        gp, lp = tmp_path / "graphs.csv", tmp_path / "labels.csv"
+        graph.save_dataset(ds, gp, lp)
+        assert [row.split(",")[0] for row in lp.read_text().splitlines()[1:]] == ["0", "1", "2"]
+        assert graph.load_dataset(gp, lp, n=ds.n).graph_ids == (0, 1, 2)
 
     def test_vertex_count_inferred(self, tmp_path):
         ds = make_dataset(m=4, n=7, seed=8)

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import sample_ier, vertex_feature
 from vertexscreen import corr, evaluate, screen
-from vertexscreen.graph import LabeledGraphDataset, induced_subgraph, sample_ier, vertex_feature
+from vertexscreen.graph import LabeledGraphDataset, induced_subgraph
 
 
 def random_dataset(m=20, n=10, seed=0, classes=2):
@@ -273,6 +274,24 @@ class TestRankingAndSelection:
     def test_config_refuses_settings_the_run_ignores(self, options, message):
         with pytest.raises(ValueError, match=message):
             screen.ScreeningConfig(**options)
+
+    @pytest.mark.parametrize("iterative", [False, True])
+    def test_run_refuses_a_size_above_n_before_screening(self, monkeypatch, iterative):
+        calls = []
+        real_score = screen.score_vertices
+
+        def counting_score(*args, **kwargs):
+            calls.append(args)
+            return real_score(*args, **kwargs)
+
+        monkeypatch.setattr(screen, "score_vertices", counting_score)
+        ds = random_dataset(seed=23)
+        config = screen.ScreeningConfig(iterative=iterative, size_rule="fixed", size=ds.n + 1)
+        with pytest.raises(ValueError, match=f"size {ds.n + 1} exceeds the {ds.n} vertices"):
+            screen.run(ds, config)
+        assert calls == []
+        screen.run(ds, replace(config, size=ds.n))
+        assert calls
 
     def test_config_resolves_the_setting_its_mode_reads(self):
         # an unset threshold or delta screens as threshold 0 or delta 0.5
