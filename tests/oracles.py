@@ -2,10 +2,10 @@
 
 Each oracle computes one concept the slow, literal way: a per-graph
 independent-edge draw, a per-pair log-likelihood, a per-vertex feature row,
-the triple-loop distance covariance, the pairwise Mann-Whitney AUC, the
-per-graph likelihood argmax and the unclamped class means. The library has
-one batched implementation of each; nothing under ``src`` imports this
-module.
+the symmetrised pairwise distances, the triple-loop distance covariance, the
+pairwise Mann-Whitney AUC, the per-graph likelihood argmax and the unclamped
+class means. The library has one batched implementation of each; nothing
+under ``src`` imports this module.
 """
 
 import numpy as np
@@ -65,6 +65,20 @@ def vertex_feature(a, u, restrict):
     if pos >= idx.size or idx[pos] != u:
         raise ValueError(f"vertex {u} is not in the restriction")
     return a[u, idx]
+
+
+def pairwise_distances_oracle(x):
+    """Euclidean distances between the rows of each (m, d) sample of a stack:
+    d^2 = sq_i + sq_j - 2G from separate temporaries, symmetrised as
+    (d^2 + d^2') / 2, clamped at 0, square-rooted, with a zero diagonal."""
+    x = np.asarray(x, dtype=float)
+    sq = np.einsum("...ij,...ij->...i", x, x)
+    d2 = sq[..., :, None] + sq[..., None, :] - 2.0 * (x @ np.swapaxes(x, -1, -2))
+    d2 = 0.5 * (d2 + np.swapaxes(d2, -1, -2))
+    d = np.sqrt(np.maximum(d2, 0.0))
+    diag = np.arange(d.shape[-1])
+    d[..., diag, diag] = 0.0
+    return d
 
 
 def triple_loop_dcov(x, y):

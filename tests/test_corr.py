@@ -1,6 +1,7 @@
 """Tests for the dependence statistics."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import subspace_angles
 
-from oracles import triple_loop_dcov
+from oracles import pairwise_distances_oracle, triple_loop_dcov
 from vertexscreen import corr, evaluate
 
 
@@ -18,6 +19,10 @@ finite_matrix = arrays(
     st.tuples(st.integers(3, 8), st.integers(1, 3)),
     elements=st.floats(-50, 50, allow_nan=False),
 )
+
+stack_shapes = st.tuples(st.integers(1, 4), st.integers(2, 12), st.integers(1, 8))
+real_stacks = arrays(np.float64, stack_shapes, elements=st.floats(-1e3, 1e3, allow_nan=False))
+binary_stacks = arrays(np.float64, stack_shapes, elements=st.sampled_from([0.0, 1.0]))
 
 
 class TestPairwiseDistances:
@@ -38,6 +43,29 @@ class TestPairwiseDistances:
             for j in range(5):
                 naive[i, j] = np.sqrt(np.sum((x[i] - x[j]) ** 2))
         assert np.max(np.abs(d - naive)) <= 1e-12
+
+    @given(real_stacks, binary_stacks)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_symmetrised_oracle(self, real, binary):
+        # built in the Gram's buffer with no symmetrising pass, the distances
+        # still equal the symmetrised formula bit for bit and are symmetric
+        for x in (real, binary):
+            assert np.array_equal(corr.pairwise_distances(x), pairwise_distances_oracle(x))
+        d = corr.pairwise_distances(real)
+        assert np.array_equal(d, d.swapaxes(-1, -2))
+
+    def test_near_duplicate_rows_clamped_before_sqrt(self):
+        # each row beside itself plus 1e-9, scaled by 1e6: some d^2 cancel to
+        # small negatives, which must be clamped to 0 before the sqrt
+        rng = np.random.default_rng(0)
+        r = rng.normal(size=(4, 6))
+        x = np.concatenate([r, r + 1e-9]) * 1e6
+        sq = np.einsum("ij,ij->i", x, x)
+        assert np.any(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T) < 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            d = corr.pairwise_distances(np.stack([x, x[::-1]]))
+        assert np.all(np.isfinite(d)) and np.all(d >= 0.0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -161,9 +189,10 @@ class TestStackedKernel:
             assert np.array_equal(c[b], corr.double_center(d[b]))
 
     @pytest.mark.parametrize("y_metric", ["euclidean", "discrete"])
-    @pytest.mark.parametrize("chunk_cells", [None, 3 * 12 * 12])
+    @pytest.mark.parametrize("chunk_cells", [None, 3 * 12 * 12, 1])
     def test_many_equals_per_block_dcorr(self, monkeypatch, y_metric, chunk_cells):
-        if chunk_cells is not None:  # 3 blocks per chunk: 7 blocks span 3 chunks
+        # 3 * 12 * 12: 7 blocks span 3 chunks of 3; 1: every block is its own chunk
+        if chunk_cells is not None:
             monkeypatch.setattr(corr, "_CHUNK_CELLS", chunk_cells)
         rng = np.random.default_rng(20)
         labels = rng.integers(0, 3, size=12)
@@ -370,9 +399,10 @@ def test_one_hot_sorted_classes():
 
 
 @pytest.mark.parametrize("statistic", corr.STATISTICS)
-@pytest.mark.parametrize("chunk_cells", [None, 3 * 12 * 12])
+@pytest.mark.parametrize("chunk_cells", [None, 3 * 12 * 12, 1])
 def test_feature_label_correlation_stack_equals_each_sample(monkeypatch, statistic, chunk_cells):
-    if chunk_cells is not None:  # 3 blocks per chunk: 7 blocks span 3 chunks
+    # 3 * 12 * 12: 7 blocks span 3 chunks of 3; 1: every block is its own chunk
+    if chunk_cells is not None:
         monkeypatch.setattr(corr, "_CHUNK_CELLS", chunk_cells)
     rng = np.random.default_rng(28)
     labels = rng.integers(0, 3, size=12)
