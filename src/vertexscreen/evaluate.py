@@ -34,9 +34,6 @@ DEFAULT_EXP2_TEST_DRAWS = 500
 DEFAULT_K = 11
 DEFAULT_EXP1_METHODS = ("dcorr", "itdcorr-0.5", "rv", "cca")
 DEFAULT_EXP2_METHODS = ("bayes", "full", "true-signal", "dcorr", "itdcorr-0.5")
-# exp2 methods that screen nothing: the true-parameter Bayes rule and the
-# plug-in classifier on all vertices or on the planted signal set
-_EXP2_REFERENCES = ("bayes", "full", "true-signal")
 CLASSIFIERS = ("plugin", "knn")
 
 
@@ -124,9 +121,7 @@ def roc_auc(ranking, true_set, n, keys=None):
     ranking = np.asarray(ranking, dtype=int)
     if ranking.shape != (n,) or not np.array_equal(np.sort(ranking), np.arange(n)):
         raise ValueError("ranking must be a permutation of range(n)")
-    true = vertex_set(true_set, n)
-    if true.size >= n:
-        raise ValueError("true signal set must be a proper subset of the vertices")
+    true = _signal_set(true_set, n)
     member = np.zeros(n, dtype=bool)
     member[true] = True
     hits = member[ranking]
@@ -146,15 +141,20 @@ def roc_auc(ranking, true_set, n, keys=None):
 
 def fpr_at_size(selected, true_set, n):
     """Fraction of non-signal vertices inside a selected set."""
-    true = vertex_set(true_set, n)
-    if true.size >= n:
-        raise ValueError("true signal set must be a proper subset of the vertices")
+    true = _signal_set(true_set, n)
     selected = np.asarray(selected, dtype=int)
     if selected.size == 0:
         return 0.0
     selected = vertex_set(selected, n)
     false_positives = np.setdiff1d(selected, true).size
     return false_positives / (n - true.size)
+
+
+def _signal_set(true_set, n):
+    true = vertex_set(true_set, n)
+    if true.size >= n:
+        raise ValueError("true signal set must be a proper subset of the vertices")
+    return true
 
 
 def _folds(dataset, grouping):
@@ -174,6 +174,9 @@ def _fit_predict(train, graphs, pipeline):
     """``(selected, predictions)``: vertices chosen on ``train`` as ``pipeline``
     says (its ``fixed_vertices`` replace screening), then the pipeline's
     classifier fitted there predicts each adjacency of the stack ``graphs``."""
+    k = DEFAULT_K if pipeline.k is None else pipeline.k
+    if pipeline.classifier == "knn" and k > train.m:
+        raise ValueError(f"k must lie in [1, {train.m}]")
     if pipeline.fixed_vertices is not None:
         selected = vertex_set(pipeline.fixed_vertices, train.n)
     else:
@@ -183,7 +186,6 @@ def _fit_predict(train, graphs, pipeline):
     if pipeline.classifier == "plugin":
         model = classify.fit_plugin(train, restrict=selected)
         return selected, classify.plugin_predict_many(model, graphs)
-    k = DEFAULT_K if pipeline.k is None else pipeline.k
     return selected, np.asarray([classify.knn_predict(train, a, k, selected) for a in graphs])
 
 
@@ -268,24 +270,22 @@ def _repeat_seed(base, index):
     return np.random.SeedSequence([int(base), int(index)])
 
 
-def _method_config(method):
-    """A named method screens at threshold 0 (one-shot) or with its delta
-    (iterative), then fits the plug-in classifier on the planted number of vertices."""
+def _method_pipeline(name, method, signal):
+    """The pipeline a named method runs: for exp2's ``bayes`` (the true-parameter
+    Bayes rule) None, for ``full``/``true-signal`` the plug-in on all vertices or
+    the planted ``signal``; otherwise screening at threshold 0 (one-shot) or its
+    delta (iterative) down to the planted size, then the plug-in there."""
+    if name == "exp2" and method == "bayes":
+        return None
+    if name == "exp2" and method in ("full", "true-signal"):
+        vertices = range(GRAPH_SIZE) if method == "full" else signal.tolist()
+        return PipelineConfig(fixed_vertices=tuple(vertices))
     statistic, iterative, delta = parse_method(method)
-    return PipelineConfig(
-        statistic=statistic, iterative=iterative, delta=delta, size_rule="fixed", size=SIGNAL_SIZE
-    )
+    return PipelineConfig(statistic=statistic, iterative=iterative, delta=delta,
+                          size_rule="fixed", size=SIGNAL_SIZE)
 
 
-def run_experiment(
-    name,
-    repeats,
-    seed=0,
-    m=None,
-    m_grid=None,
-    methods=None,
-    test_draws=None,
-):
+def run_experiment(name, repeats, seed=0, m=None, m_grid=None, methods=None, test_draws=None):
     """Replicate a simulation experiment over seeded repeats.
 
     exp1 scores vertex rankings (AUC against the planted signal set) for
@@ -294,7 +294,8 @@ def run_experiment(
     and the screening false positive rate at the planted size. exp2 trains
     at ``m`` or at each m of ``m_grid`` (default 60, 150, 300 and 600) and
     tests on ``test_draws`` graphs (default 500); exp1 refuses ``m_grid``
-    and ``test_draws``. The repeat with index i draws from
+    and ``test_draws``. The repeat with index i draws (for exp2 the training
+    graphs, then the test graphs) from one generator seeded with
     ``numpy.random.SeedSequence([seed, i])`` (i counts repeats across the
     whole m grid), so reports are reproducible and no two base seeds share
     a draw. Every setting, the whole m grid and every method name
@@ -325,69 +326,54 @@ def run_experiment(
         raise ValueError(f"unknown experiment {name!r}")
     if not methods:
         raise ValueError("methods must name at least one method")
-    repeated = [method for i, method in enumerate(methods) if method in methods[:i]]
-    if repeated:
-        raise ValueError(f"method {repeated[0]!r} is named more than once")
-    classes = len(EXPERIMENT_CLASS_P[name])
+    for what, values in (("method", methods), ("m", m_grid)):
+        repeated = [value for i, value in enumerate(values) if value in values[:i]]
+        if repeated:
+            raise ValueError(f"{what} {repeated[0]!r} is named more than once")
+    params, priors, signal = experiment_parameters(name)
     for m_value in m_grid:
-        if m_value < classes:
+        if m_value < len(priors):
             raise ValueError(f"m too small to cover every class: {m_key} needs at least "
-                             f"{classes} graphs, not {m_value}")
-    configs = {method: _method_config(method) for method in methods
-               if name == "exp1" or method not in _EXP2_REFERENCES}
+                             f"{len(priors)} graphs, not {m_value}")
+    pipelines = {method: _method_pipeline(name, method, signal) for method in methods}
     report = EvalReport(methods)
-    if name == "exp1":
-        for repeat in range(repeats):
-            dataset, signal = sample_experiment("exp1", m_grid[0], _repeat_seed(seed, repeat))
-            for method in methods:
-                result, selected = screen.run(dataset, configs[method])
-                curve, auc = roc_auc(
-                    screen.vertex_ranking(result),
-                    signal,
-                    dataset.n,
-                    keys=screen.ranking_keys(result),
-                )
-                report.auc_records.append((method, repeat, auc))
-                if repeat == 0:
-                    report.roc_points.extend(
-                        (method, float(f), float(t)) for f, t in zip(curve.fpr, curve.tpr)
-                    )
-                    if method == methods[0]:
-                        ranks = screen.rank_positions(result)
-                        chosen = np.isin(np.arange(dataset.n), selected)
-                        report.screening_rows.extend(
-                            (v, float(result.scores[v]), int(ranks[v]), int(chosen[v]))
-                            for v in range(dataset.n)
-                        )
-        return report
-    params, priors, signal = experiment_parameters("exp2")
     for m_index, m_value in enumerate(m_grid):
         for repeat in range(repeats):
             rng = np.random.default_rng(_repeat_seed(seed, m_index * repeats + repeat))
-            train, _ = sample_experiment("exp2", m_value, rng)
-            test, _ = sample_experiment("exp2", test_draws, rng)
-            for method in methods:
-                predictions, fpr = _exp2_method(
-                    method, configs.get(method), train, test, params, priors, signal
-                )
-                error = float(np.mean(predictions != test.labels))
+            train, _ = sample_experiment(name, m_value, rng)
+            if name == "exp1":
+                for method, pipeline in pipelines.items():
+                    _record_ranking(report, method, repeat, train, pipeline, signal)
+                continue
+            test, _ = sample_experiment(name, test_draws, rng)
+            for method, pipeline in pipelines.items():
+                if pipeline is None:
+                    predictions = classify.bayes_predict_many(priors, params, test.graphs)
+                else:
+                    selected, predictions = _fit_predict(train, test.graphs, pipeline)
+                    if pipeline.fixed_vertices is None:
+                        fpr = fpr_at_size(selected, signal, train.n)
+                        report.fpr_records.append((method, m_value, repeat, fpr))
+                error = classify.loss_from_predictions(predictions, test.labels).error
                 report.loss_records.append((method, m_value, repeat, error))
-                if fpr is not None:
-                    report.fpr_records.append((method, m_value, repeat, fpr))
     return report
 
 
-def _exp2_method(method, config, train, test, params, priors, signal):
-    """Predictions on the test stack plus the screening FPR when relevant;
-    ``config`` is the screening method's pipeline, None for the references."""
-    if method == "bayes":
-        return classify.bayes_predict_many(priors, params, test.graphs), None
-    if method in ("full", "true-signal"):
-        vertices = range(train.n) if method == "full" else signal.tolist()
-        pipeline = PipelineConfig(fixed_vertices=tuple(vertices))
-        return _fit_predict(train, test.graphs, pipeline)[1], None
-    selected, predictions = _fit_predict(train, test.graphs, config)
-    return predictions, fpr_at_size(selected, signal, train.n)
+def _record_ranking(report, method, repeat, dataset, pipeline, signal):
+    """exp1: the AUC of the pipeline's vertex ranking; the first repeat also
+    keeps its ROC curve, and the first method's screening table."""
+    result, selected = screen.run(dataset, pipeline)
+    ranking, keys = screen.vertex_ranking(result), screen.ranking_keys(result)
+    curve, auc = roc_auc(ranking, signal, dataset.n, keys=keys)
+    report.auc_records.append((method, repeat, auc))
+    if repeat == 0:
+        report.roc_points.extend((method, float(f), float(t)) for f, t in zip(curve.fpr, curve.tpr))
+    if repeat == 0 and method == report.methods[0]:
+        ranks = screen.rank_positions(result)
+        chosen = np.isin(np.arange(dataset.n), selected)
+        report.screening_rows.extend(
+            (v, float(result.scores[v]), int(ranks[v]), int(chosen[v])) for v in range(dataset.n)
+        )
 
 
 def _mean_se(values):
@@ -456,22 +442,20 @@ def write_report(report, out_dir):
 
 
 def summary_text(report):
-    """Aligned text summary, one row per method (and per m for exp2)."""
-    lines = []
-    if report.auc_records:
-        lines.append(f"{'method':<16}{'mean AUC':>12}{'se':>12}")
-        for method, mean, se in summarize(report.methods, report.auc_records):
-            lines.append(f"{method:<16}{mean:>12.4f}{_fmt_se(se):>12}")
-    if report.loss_records:
-        lines.append(f"{'method':<16}{'m':>6}{'mean error':>12}{'se':>12}")
-        for method, m, mean, se in summarize(report.methods, report.loss_records):
-            lines.append(f"{method:<16}{m:>6}{mean:>12.4f}{_fmt_se(se):>12}")
-    if report.fpr_records:
-        lines.append("")
-        lines.append(f"{'method':<16}{'m':>6}{'mean FPR':>12}{'se':>12}")
-        for method, m, mean, se in summarize(report.methods, report.fpr_records):
-            lines.append(f"{method:<16}{m:>6}{mean:>12.4f}{_fmt_se(se):>12}")
-    return "\n".join(lines)
+    """Aligned text summary, one row per method (and per m for exp2); a blank
+    line separates the record kinds."""
+    blocks = []
+    for title, records in (("mean AUC", report.auc_records), ("mean error", report.loss_records),
+                           ("mean FPR", report.fpr_records)):
+        rows = summarize(report.methods, records)
+        if rows:
+            m_column = f"{'m':>6}" if len(rows[0]) == 4 else ""
+            lines = [f"{'method':<16}{m_column}{title:>12}{'se':>12}"]
+            for method, *group, mean, se in rows:
+                m_cell = "".join(f"{m:>6}" for m in group)
+                lines.append(f"{method:<16}{m_cell}{mean:>12.4f}{_fmt_se(se):>12}")
+            blocks.append("\n".join(lines))
+    return "\n\n".join(blocks)
 
 
 def _fmt_se(se):

@@ -9,6 +9,7 @@ labels.csv).
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -265,24 +266,25 @@ def save_dataset(dataset, graphs_path, labels_path):
     with open(graphs_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["graph_id", "u", "v", "weight"])
+        # one graph's edge rows at a time, so memory stays bounded by one graph
         for gid, a in zip(ids, dataset.graphs):
             weights = a[iu]
-            for u, v, w in zip(iu[0][weights != 0], iu[1][weights != 0], weights[weights != 0]):
-                writer.writerow([gid, int(u), int(v), _format_number(w)])
+            edges = np.flatnonzero(weights)
+            us, vs = iu[0][edges].tolist(), iu[1][edges].tolist()
+            cells = map(_format_number, weights[edges].tolist())
+            writer.writerows(zip(itertools.repeat(gid), us, vs, cells))
     with open(labels_path, "w", newline="") as fh:
         writer = csv.writer(fh)
+        labels = map(_format_number, dataset.labels.tolist())
         if dataset.subject_ids is not None:
             writer.writerow(["graph_id", "label", "subject_id"])
-            for gid, label, subject in zip(ids, dataset.labels, dataset.subject_ids):
-                writer.writerow([gid, _format_number(label), subject])
+            writer.writerows(zip(ids, labels, dataset.subject_ids))
         else:
             writer.writerow(["graph_id", "label"])
-            for gid, label in zip(ids, dataset.labels):
-                writer.writerow([gid, _format_number(label)])
+            writer.writerows(zip(ids, labels))
 
 
 def _format_number(value):
-    value = value.item() if hasattr(value, "item") else value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return value
+    # a whole float is written as an int (1.0 as 1); numpy scalars arrive as
+    # Python numbers through tolist()
+    return int(value) if isinstance(value, float) and value.is_integer() else value

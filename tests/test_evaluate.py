@@ -155,6 +155,23 @@ class TestCrossValidate:
         assert r1.folds[fold].selected == r2.folds[fold].selected
         assert r1.folds[fold].predictions == r2.folds[fold].predictions
 
+    @pytest.mark.parametrize("m, k", [(12, 12), (8, None)])
+    def test_knn_k_above_training_size_refused_before_screening(self, monkeypatch, m, k):
+        calls = []
+        real_run = screen.run
+
+        def recording_run(*args):
+            calls.append(args)
+            return real_run(*args)
+
+        monkeypatch.setattr(screen, "run", recording_run)
+        pipeline = evaluate.PipelineConfig(
+            iterative=True, size_rule="fixed", size=5, classifier="knn", k=k
+        )
+        with pytest.raises(ValueError, match=rf"k must lie in \[1, {m - 1}\]"):
+            evaluate.cross_validate(two_block_dataset(m, 6), pipeline)
+        assert calls == []
+
     def test_unseen_class_flagged_and_counted_as_error(self):
         graphs = two_block_dataset(6, 5).graphs
         labels = np.array([9, 0, 0, 1, 1, 0])  # label 9 appears once
@@ -260,6 +277,24 @@ class TestRunExperiment:
         assert report.loss_records == expected
         assert report.fpr_records == []
 
+    def test_exp1_repeats_draw_from_their_seed_sequences(self):
+        # each repeat's dataset is rebuilt from SeedSequence([seed, repeat])
+        # passed straight to the sampler, and screened by hand
+        methods = ("dcorr", "itdcorr-0.5")
+        report = evaluate.run_experiment("exp1", repeats=2, seed=4, m=30, methods=methods)
+        expected = []
+        for repeat in range(2):
+            dataset, signal = evaluate.sample_experiment(
+                "exp1", 30, np.random.SeedSequence([4, repeat]))
+            for method, iterative, delta in (("dcorr", False, None), ("itdcorr-0.5", True, 0.5)):
+                config = screen.ScreeningConfig(iterative=iterative, delta=delta,
+                                                size_rule="fixed", size=evaluate.SIGNAL_SIZE)
+                result, _ = screen.run(dataset, config)
+                _, auc = evaluate.roc_auc(screen.vertex_ranking(result), signal, dataset.n,
+                                          keys=screen.ranking_keys(result))
+                expected.append((method, repeat, auc))
+        assert report.auc_records == expected
+
     @pytest.mark.parametrize("name, message", [("exp1", "at least 2 graphs, not 0"),
                                                ("exp2", "m too small")])
     def test_m_zero_is_rejected_not_defaulted(self, name, message):
@@ -302,6 +337,8 @@ class TestRunExperiment:
             ("exp2", {"m": 12, "test_draws": 1}, "test_draws needs at least 2 graphs, not 1$"),
             ("exp1", {"methods": ("dcorr", "rv", "dcorr")}, "'dcorr' is named more than once"),
             ("exp2", {"m": 12, "methods": ("bayes", "bayes")}, "'bayes' is named more than once"),
+            ("exp2", {"m_grid": (12, 12), "test_draws": 10, "methods": ("bayes", "full")},
+             "m 12 is named more than once"),
         ],
     )
     def test_checks_every_setting_before_drawing(self, monkeypatch, name, options, message):
@@ -432,6 +469,33 @@ def test_write_csv_numpy_floats_as_plain_repr(tmp_path):
     path = tmp_path / "x.csv"
     evaluate.write_csv(path, ["x", "y"], [[np.float64(0.5), 0.1 + 0.2], [None, np.int64(3)]])
     assert path.read_bytes() == b"x,y\r\n0.5,0.30000000000000004\r\n,3\r\n"
+
+
+def test_summary_text_layout():
+    exp2 = evaluate.EvalReport(
+        ("bayes", "dcorr"),
+        loss_records=[("bayes", 60, 0, 0.25), ("bayes", 60, 1, 0.75), ("dcorr", 60, 0, 0.5),
+                      ("dcorr", 150, 0, 0.375)],
+        fpr_records=[("dcorr", 60, 0, 0.125), ("dcorr", 150, 0, 0.0625)],
+    )
+    assert evaluate.summary_text(exp2).split("\n") == [
+        "method               m  mean error          se",
+        "bayes               60      0.5000      0.2500",
+        "dcorr               60      0.5000           -",
+        "dcorr              150      0.3750           -",
+        "",
+        "method               m    mean FPR          se",
+        "dcorr               60      0.1250           -",
+        "dcorr              150      0.0625           -",
+    ]
+    exp1 = evaluate.EvalReport(
+        ("dcorr", "rv"), auc_records=[("dcorr", 0, 0.9), ("dcorr", 1, 0.8), ("rv", 0, 0.5)]
+    )
+    assert evaluate.summary_text(exp1).split("\n") == [
+        "method              mean AUC          se",
+        "dcorr                 0.8500      0.0500",
+        "rv                    0.5000           -",
+    ]
 
 
 def test_parse_method():

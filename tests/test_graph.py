@@ -245,6 +245,18 @@ class TestCsvRoundTrip:
         assert np.array_equal(again.graphs, loaded.graphs)
         assert np.array_equal(again.labels, loaded.labels)
 
+    def test_weighted_dataset_bytes(self, tmp_path):
+        a = np.zeros((2, 3, 3))
+        for g, u, v, w in ((0, 0, 1, 1.0), (0, 1, 2, 0.25), (1, 0, 2, 2.0), (1, 1, 2, 0.1)):
+            a[g, u, v] = a[g, v, u] = w
+        ds = graph.LabeledGraphDataset(a, np.array([0.0, 1.5]), graph_ids=(10, 20))
+        gp, lp = tmp_path / "graphs.csv", tmp_path / "labels.csv"
+        graph.save_dataset(ds, gp, lp)
+        assert gp.read_bytes() == (
+            b"graph_id,u,v,weight\r\n10,0,1,1\r\n10,1,2,0.25\r\n20,0,2,2\r\n20,1,2,0.1\r\n"
+        )
+        assert lp.read_bytes() == b"graph_id,label\r\n10,0\r\n20,1.5\r\n"
+
     def test_positions_written_without_graph_ids(self, tmp_path):
         ds = make_dataset(m=3)
         gp, lp = tmp_path / "graphs.csv", tmp_path / "labels.csv"
