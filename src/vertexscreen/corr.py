@@ -328,5 +328,6 @@ def feature_label_correlation(features, labels, statistic):
     elif statistic == "mgc":
         scores = np.array([mgc(block, labels, y_metric="discrete") for block in blocks])
     else:
-        scores = np.array([cca_corr(block, one_hot(labels)) for block in blocks])
+        y = one_hot(labels)
+        scores = np.array([cca_corr(block, y) for block in blocks])
     return float(scores[0]) if single else scores

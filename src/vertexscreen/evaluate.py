@@ -170,23 +170,28 @@ def _folds(dataset, grouping):
     raise ValueError(f"unknown grouping {grouping!r}")
 
 
-def _fit_predict(train, graphs, pipeline):
-    """``(selected, predictions)``: vertices chosen on ``train`` as ``pipeline``
-    says (its ``fixed_vertices`` replace screening), then the pipeline's
-    classifier fitted there predicts each adjacency of the stack ``graphs``."""
-    k = DEFAULT_K if pipeline.k is None else pipeline.k
-    if pipeline.classifier == "knn" and k > train.m:
-        raise ValueError(f"k must lie in [1, {train.m}]")
+def _neighbours(pipeline):
+    return DEFAULT_K if pipeline.k is None else pipeline.k
+
+
+def _selection(train, pipeline):
+    """The vertices ``pipeline`` keeps on ``train``: its ``fixed_vertices``, else
+    the selection of its screening run."""
     if pipeline.fixed_vertices is not None:
-        selected = vertex_set(pipeline.fixed_vertices, train.n)
-    else:
-        _, selected = screen.run(train, pipeline)
-        if selected.size == 0:
-            raise ValueError("screening selected no vertices; lower the threshold")
+        return vertex_set(pipeline.fixed_vertices, train.n)
+    return screen.run(train, pipeline)[1]
+
+
+def _fit_predict(train, graphs, pipeline, selected):
+    """The pipeline's classifier, fitted on ``train`` restricted to the
+    ``selected`` vertices, predicts each adjacency of the stack ``graphs``."""
+    if selected.size == 0:
+        raise ValueError("screening selected no vertices; lower the threshold")
     if pipeline.classifier == "plugin":
         model = classify.fit_plugin(train, restrict=selected)
-        return selected, classify.plugin_predict_many(model, graphs)
-    return selected, np.asarray([classify.knn_predict(train, a, k, selected) for a in graphs])
+        return classify.plugin_predict_many(model, graphs)
+    k = _neighbours(pipeline)
+    return np.asarray([classify.knn_predict(train, a, k, selected) for a in graphs])
 
 
 def cross_validate(dataset, pipeline, grouping="none"):
@@ -195,17 +200,22 @@ def cross_validate(dataset, pipeline, grouping="none"):
     Screening and fitting see only the training remainder of each fold, so
     held-out labels can never leak into vertex selection. Folds whose true
     class is absent from training are flagged; their predictions count as
-    errors by construction.
+    errors by construction. A knn k above the smallest training remainder
+    is refused before the first fold is screened.
     """
     folds = _folds(dataset, grouping)
+    # folds are disjoint: the largest leaves the smallest training remainder
+    smallest = dataset.m - max(test_idx.size for test_idx in folds)
+    if pipeline.classifier == "knn" and _neighbours(pipeline) > smallest:
+        raise ValueError(f"k must lie in [1, {smallest}]")
     records = []
     all_predictions = []
     all_truths = []
     for fold_id, test_idx in enumerate(folds):
         train_idx = np.setdiff1d(np.arange(dataset.m), test_idx)
         train = dataset.subset(train_idx)
-        selected, predictions = _fit_predict(train, dataset.graphs[test_idx], pipeline)
-        predictions = predictions.tolist()
+        selected = _selection(train, pipeline)
+        predictions = _fit_predict(train, dataset.graphs[test_idx], pipeline, selected).tolist()
         train_classes = set(np.unique(train.labels).tolist())
         unseen = any(
             dataset.labels[i].item() not in train_classes for i in test_idx
@@ -336,43 +346,51 @@ def run_experiment(name, repeats, seed=0, m=None, m_grid=None, methods=None, tes
             raise ValueError(f"m too small to cover every class: {m_key} needs at least "
                              f"{len(priors)} graphs, not {m_value}")
     pipelines = {method: _method_pipeline(name, method, signal) for method in methods}
+    screened = [method for method, pipeline in pipelines.items()
+                if pipeline is not None and pipeline.fixed_vertices is None]
     report = EvalReport(methods)
     for m_index, m_value in enumerate(m_grid):
         for repeat in range(repeats):
             rng = np.random.default_rng(_repeat_seed(seed, m_index * repeats + repeat))
             train, _ = sample_experiment(name, m_value, rng)
+            # one batch per draw: each statistic scores every vertex once
+            runs = screen.run_many(train, [pipelines[method] for method in screened])
+            screenings = dict(zip(screened, runs))
             if name == "exp1":
-                for method, pipeline in pipelines.items():
-                    _record_ranking(report, method, repeat, train, pipeline, signal)
+                for method, (result, selected) in screenings.items():
+                    _record_ranking(report, method, repeat, result, selected, signal)
                 continue
             test, _ = sample_experiment(name, test_draws, rng)
             for method, pipeline in pipelines.items():
                 if pipeline is None:
                     predictions = classify.bayes_predict_many(priors, params, test.graphs)
                 else:
-                    selected, predictions = _fit_predict(train, test.graphs, pipeline)
-                    if pipeline.fixed_vertices is None:
+                    if method in screenings:
+                        selected = screenings[method][1]
                         fpr = fpr_at_size(selected, signal, train.n)
                         report.fpr_records.append((method, m_value, repeat, fpr))
+                    else:
+                        selected = _selection(train, pipeline)
+                    predictions = _fit_predict(train, test.graphs, pipeline, selected)
                 error = classify.loss_from_predictions(predictions, test.labels).error
                 report.loss_records.append((method, m_value, repeat, error))
     return report
 
 
-def _record_ranking(report, method, repeat, dataset, pipeline, signal):
-    """exp1: the AUC of the pipeline's vertex ranking; the first repeat also
-    keeps its ROC curve, and the first method's screening table."""
-    result, selected = screen.run(dataset, pipeline)
+def _record_ranking(report, method, repeat, result, selected, signal):
+    """exp1: the AUC of a screening run's vertex ranking; the first repeat
+    also keeps its ROC curve, and the first method's screening table."""
+    n = result.scores.size
     ranking, keys = screen.vertex_ranking(result), screen.ranking_keys(result)
-    curve, auc = roc_auc(ranking, signal, dataset.n, keys=keys)
+    curve, auc = roc_auc(ranking, signal, n, keys=keys)
     report.auc_records.append((method, repeat, auc))
     if repeat == 0:
         report.roc_points.extend((method, float(f), float(t)) for f, t in zip(curve.fpr, curve.tpr))
     if repeat == 0 and method == report.methods[0]:
         ranks = screen.rank_positions(result)
-        chosen = np.isin(np.arange(dataset.n), selected)
+        chosen = np.isin(np.arange(n), selected)
         report.screening_rows.extend(
-            (v, float(result.scores[v]), int(ranks[v]), int(chosen[v])) for v in range(dataset.n)
+            (v, float(result.scores[v]), int(ranks[v]), int(chosen[v])) for v in range(n)
         )
 
 

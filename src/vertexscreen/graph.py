@@ -133,12 +133,15 @@ def induced_subgraph(a, vertices):
     """Adjacency of the induced subgraph, rows/cols in sorted vertex order.
 
     ``a`` is one (n, n) adjacency or a (..., n, n) stack; every matrix of a
-    stack is restricted to the same vertices.
+    stack is restricted to the same vertices. Every vertex returns ``a``
+    itself, not a copy, so callers must not write into the result.
     """
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("adjacency matrix must be square")
     idx = vertex_set(vertices, a.shape[-1])
+    if idx.size == a.shape[-1]:
+        return a
     # np.ix_ over every axis keeps the copy C-ordered
     return a[np.ix_(*map(np.arange, a.shape[:-2]), idx, idx)]
 

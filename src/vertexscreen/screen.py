@@ -4,7 +4,9 @@ Each vertex is scored by the dependence between its adjacency-row feature
 (within the current induced subgraph) and the labels. One-shot screening
 thresholds the scores once; iterative screening repeatedly keeps the top
 (1 - delta) share of the current vertices and keeps the level whose
-whole-subgraph statistic with the labels is largest.
+whole-subgraph statistic with the labels is largest. Its first level is
+the one-shot scoring of every vertex, which ``run_many`` shares between
+the screens of one dataset.
 """
 
 from __future__ import annotations
@@ -99,15 +101,6 @@ class ScreeningConfig:
                 )
 
 
-def _features_tensor(dataset, restrict):
-    # feature of the i-th restricted vertex is row i of each induced adjacency;
-    # every vertex needs no copy: the kernels read the read-only stack's view
-    graphs = dataset.graphs
-    if restrict.size < dataset.n:
-        graphs = induced_subgraph(graphs, restrict)
-    return graphs.transpose(1, 0, 2)
-
-
 def score_vertices(dataset, restrict=None, statistic="dcorr"):
     """Per-vertex statistic between adjacency-row features and the labels.
 
@@ -116,8 +109,8 @@ def score_vertices(dataset, restrict=None, statistic="dcorr"):
     """
     if restrict is None:
         restrict = np.arange(dataset.n)
-    restrict = vertex_set(restrict, dataset.n)
-    features = _features_tensor(dataset, restrict)
+    # feature of the i-th restricted vertex is row i of each induced adjacency
+    features = induced_subgraph(dataset.graphs, restrict).transpose(1, 0, 2)
     return corr.feature_label_correlation(features, dataset.labels, statistic)
 
 
@@ -132,10 +125,25 @@ def subgraph_correlation(dataset, vertices, statistic="dcorr"):
     return corr.feature_label_correlation(features, dataset.labels, statistic)
 
 
-def screen_once(dataset, threshold, statistic="dcorr"):
-    """Keep the vertices whose score strictly exceeds the threshold."""
+def _every_vertex_scores(dataset, statistic, scores):
+    """The statistic's scores of every vertex: ``scores`` when the caller
+    has them, else ``score_vertices`` on the full vertex set."""
+    if scores is None:
+        return score_vertices(dataset, None, statistic)
+    scores = np.asarray(scores, dtype=float)
+    if scores.shape != (dataset.n,):
+        raise ValueError(f"scores must hold one value per vertex, {dataset.n} in all")
+    return scores
+
+
+def screen_once(dataset, threshold, statistic="dcorr", *, scores=None):
+    """Keep the vertices whose score strictly exceeds the threshold.
+
+    ``scores``, when given, are the statistic's scores of every vertex, as
+    ``score_vertices`` returns them; ``run_many`` shares one such array.
+    """
     _check_threshold(threshold)
-    scores = score_vertices(dataset, None, statistic)
+    scores = _every_vertex_scores(dataset, statistic, scores)
     selected = np.flatnonzero(scores > threshold)
     return ScreeningResult(
         scores=scores,
@@ -145,32 +153,35 @@ def screen_once(dataset, threshold, statistic="dcorr"):
     )
 
 
-def screen_iterative(dataset, delta, statistic="dcorr"):
+def screen_iterative(dataset, delta, statistic="dcorr", *, scores=None):
     """Iterative screening on shrinking induced subgraphs.
 
     A level of k vertices keeps its top min(ceil((1-delta) * k), k - 1)
     scorers, ties toward the smaller vertex index, so levels are strictly
     nested. The selected set is the level with the largest whole-subgraph
-    correlation (ties go to the larger subgraph).
+    correlation (ties go to the larger subgraph). The first level scores
+    every vertex, as the one-shot screen does; ``scores``, when given, are
+    those scores, and only the later levels are scored here.
     """
     _check_delta(delta)
     n = dataset.n
-    scores = np.zeros(n)
+    level_scores = _every_vertex_scores(dataset, statistic, scores)
+    # this result's own copy: each later level overwrites its vertices' scores
+    scores = np.array(level_scores)
     elimination = np.full(n, SURVIVOR)
     current = np.arange(n)
     level_sets = [current]
     iteration = 1
     while current.size > 1:
-        level_scores = score_vertices(dataset, current, statistic)
-        scores[current] = level_scores
+        if current.size < n:
+            level_scores = score_vertices(dataset, current, statistic)
+            scores[current] = level_scores
         target = min(int(np.ceil((1.0 - delta) * current.size)), current.size - 1)
         order = np.lexsort((current, -level_scores))
         elimination[current[order[target:]]] = iteration
         current = np.sort(current[order[:target]])
         level_sets.append(current)
         iteration += 1
-    if len(level_sets) == 1:
-        scores[current] = score_vertices(dataset, current, statistic)
     level_corrs = [subgraph_correlation(dataset, vs, statistic) for vs in level_sets]
     best = int(np.argmax(level_corrs))
     return ScreeningResult(
@@ -238,19 +249,38 @@ def select_vertices(result, rule="maxcorr", size=None):
     raise ValueError(f"unknown size rule {rule!r}")
 
 
-def run(dataset, config):
-    """Screen a dataset as ``config`` says and apply its size rule.
+def run_many(dataset, configs):
+    """Screen one dataset as each config says and apply its size rule.
 
-    Returns ``(result, selected)``; a one-shot threshold that no score
-    clears selects nothing. A fixed size above the vertex count is refused
-    before any screening runs.
+    Returns one ``(result, selected)`` pair per config, in config order; a
+    one-shot threshold that no score clears selects nothing. Every vertex
+    is scored once per distinct statistic, and each one-shot screen and
+    the first level of each iterative screen read those scores (shared
+    between results, so read-only). A fixed size above the vertex count,
+    in any config, is refused before any scoring.
     """
-    if config.size_rule == "fixed" and config.size > dataset.n:
-        raise ValueError(f"size {config.size} exceeds the {dataset.n} vertices of the dataset")
-    if config.iterative:
-        delta = DEFAULT_DELTA if config.delta is None else config.delta
-        result = screen_iterative(dataset, delta, config.statistic)
-    else:
-        threshold = DEFAULT_THRESHOLD if config.threshold is None else config.threshold
-        result = screen_once(dataset, threshold, config.statistic)
-    return result, select_vertices(result, config.size_rule, config.size)
+    configs = tuple(configs)
+    for config in configs:
+        if config.size_rule == "fixed" and config.size > dataset.n:
+            raise ValueError(f"size {config.size} exceeds the {dataset.n} vertices of the dataset")
+    every_vertex = {}
+    pairs = []
+    for config in configs:
+        if config.statistic not in every_vertex:
+            scores = score_vertices(dataset, None, config.statistic)
+            scores.setflags(write=False)
+            every_vertex[config.statistic] = scores
+        scores = every_vertex[config.statistic]
+        if config.iterative:
+            delta = DEFAULT_DELTA if config.delta is None else config.delta
+            result = screen_iterative(dataset, delta, config.statistic, scores=scores)
+        else:
+            threshold = DEFAULT_THRESHOLD if config.threshold is None else config.threshold
+            result = screen_once(dataset, threshold, config.statistic, scores=scores)
+        pairs.append((result, select_vertices(result, config.size_rule, config.size)))
+    return pairs
+
+
+def run(dataset, config):
+    """``run_many`` on a batch of one: ``(result, selected)`` for ``config``."""
+    return run_many(dataset, (config,))[0]

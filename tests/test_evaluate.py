@@ -172,6 +172,26 @@ class TestCrossValidate:
             evaluate.cross_validate(two_block_dataset(m, 6), pipeline)
         assert calls == []
 
+    def test_knn_k_above_the_smallest_training_fold_refused_before_screening(
+            self, monkeypatch):
+        # fold 0 leaves 11 training graphs, fold 1 (subject b) only 8
+        calls = []
+        real_run = screen.run
+
+        def recording_run(*args):
+            calls.append(args)
+            return real_run(*args)
+
+        monkeypatch.setattr(screen, "run", recording_run)
+        subjects = ["a", "b", "b", "b", "b"] + [f"s{i}" for i in range(7)]
+        ds = two_block_dataset(12, 7, subject_ids=subjects)
+        pipeline = evaluate.PipelineConfig(
+            iterative=True, size_rule="fixed", size=3, classifier="knn", k=10
+        )
+        with pytest.raises(ValueError, match=r"k must lie in \[1, 8\]"):
+            evaluate.cross_validate(ds, pipeline, grouping="subject")
+        assert calls == []
+
     def test_unseen_class_flagged_and_counted_as_error(self):
         graphs = two_block_dataset(6, 5).graphs
         labels = np.array([9, 0, 0, 1, 1, 0])  # label 9 appears once
@@ -294,6 +314,17 @@ class TestRunExperiment:
                                           keys=screen.ranking_keys(result))
                 expected.append((method, repeat, auc))
         assert report.auc_records == expected
+
+    def test_exp2_screens_share_a_draw_like_single_method_runs(self):
+        # dcorr and itdcorr-0.5 screen each draw in one batch; their records
+        # are those of the two single-method runs, interleaved per draw
+        options = dict(repeats=2, seed=6, m_grid=(20, 30), test_draws=20)
+        both = evaluate.run_experiment("exp2", methods=("dcorr", "itdcorr-0.5"), **options)
+        once = evaluate.run_experiment("exp2", methods=("dcorr",), **options)
+        iterative = evaluate.run_experiment("exp2", methods=("itdcorr-0.5",), **options)
+        for kind in ("loss_records", "fpr_records"):
+            singles = zip(getattr(once, kind), getattr(iterative, kind))
+            assert getattr(both, kind) == [record for pair in singles for record in pair]
 
     @pytest.mark.parametrize("name, message", [("exp1", "at least 2 graphs, not 0"),
                                                ("exp2", "m too small")])

@@ -115,6 +115,13 @@ class TestInducedSubgraph:
         a = oracles.sample_ier(np.full((5, 5), 0.5), 7)
         assert np.array_equal(graph.induced_subgraph(a, range(5)), a)
 
+    def test_full_set_returns_the_input_uncopied(self):
+        stack = np.stack([oracles.sample_ier(np.full((5, 5), 0.5), seed) for seed in (3, 4)])
+        for a in (stack, stack[0]):
+            sub = graph.induced_subgraph(a, [4, 0, 2, 1, 3])
+            assert np.shares_memory(sub, a)
+            assert np.array_equal(sub, a)
+
     def test_singleton(self):
         a = oracles.sample_ier(np.full((5, 5), 0.5), 8)
         assert np.array_equal(graph.induced_subgraph(a, [2]), [[0.0]])

@@ -348,6 +348,72 @@ class TestRankingAndSelection:
             screen.select_vertices(result, "banana", 3)
 
 
+# one-shot and iterative, dcorr and rv, two deltas, every size rule
+MIXED_BATCH = (
+    screen.ScreeningConfig(),
+    screen.ScreeningConfig(iterative=True, delta=0.3, size_rule="gap"),
+    screen.ScreeningConfig(statistic="rv", size_rule="fixed", size=4),
+    screen.ScreeningConfig(statistic="rv", iterative=True),
+    screen.ScreeningConfig(iterative=True, delta=0.6, size_rule="fixed", size=3),
+    screen.ScreeningConfig(statistic="rv", size_rule="gap"),
+    screen.ScreeningConfig(threshold=0.2),
+)
+
+
+class TestRunMany:
+    def test_batch_matches_one_run_per_config(self):
+        ds = random_dataset(m=18, n=11, seed=31, classes=3)
+        pairs = screen.run_many(ds, MIXED_BATCH)
+        assert len(pairs) == len(MIXED_BATCH)
+        for (result, selected), config in zip(pairs, MIXED_BATCH):
+            want, want_selected = screen.run(ds, config)
+            assert_same_screening(result, want)
+            assert np.array_equal(selected, want_selected)
+
+    def test_scores_every_vertex_once_per_statistic(self, monkeypatch):
+        calls = []
+        real_score = screen.score_vertices
+
+        def counting_score(dataset, restrict=None, statistic="dcorr"):
+            calls.append((statistic, dataset.n if restrict is None else len(restrict)))
+            return real_score(dataset, restrict, statistic)
+
+        monkeypatch.setattr(screen, "score_vertices", counting_score)
+        ds = random_dataset(m=18, n=11, seed=32)
+        pairs = screen.run_many(ds, MIXED_BATCH)
+        full = [statistic for statistic, k in calls if k == ds.n]
+        assert sorted(full) == ["dcorr", "rv"]
+        # every iterative level of two or more vertices but the first is scored
+        later = sum(len(result.levels) - 2 for (result, _), config in zip(pairs, MIXED_BATCH)
+                    if config.iterative)
+        assert len(calls) == len(full) + later
+        # one-shot screens of one statistic share one read-only array
+        assert pairs[0][0].scores is pairs[6][0].scores
+        with pytest.raises(ValueError, match="read-only"):
+            pairs[0][0].scores[0] = 1.0
+
+    def test_refuses_a_size_above_n_in_the_last_config_before_scoring(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(screen, "score_vertices", lambda *args: calls.append(args))
+        ds = random_dataset(seed=33)
+        batch = MIXED_BATCH + (screen.ScreeningConfig(size_rule="fixed", size=ds.n + 1),)
+        with pytest.raises(ValueError, match=f"size {ds.n + 1} exceeds the {ds.n} vertices"):
+            screen.run_many(ds, batch)
+        assert calls == []
+
+    @pytest.mark.parametrize("statistic", ["dcorr", "rv"])
+    def test_handed_scores_replace_the_first_level(self, statistic):
+        ds = random_dataset(m=16, n=9, seed=34)
+        scores = screen.score_vertices(ds, statistic=statistic)
+        assert_same_screening(screen.screen_iterative(ds, 0.5, statistic, scores=scores),
+                              screen.screen_iterative(ds, 0.5, statistic))
+        assert_same_screening(screen.screen_once(ds, 0.1, statistic, scores=scores),
+                              screen.screen_once(ds, 0.1, statistic))
+        for screening, setting in ((screen.screen_once, 0.1), (screen.screen_iterative, 0.5)):
+            with pytest.raises(ValueError, match="one value per vertex, 9 in all"):
+                screening(ds, setting, statistic, scores=scores[1:])
+
+
 class TestSubgraphCorrelation:
     def test_singleton_is_zero(self):
         assert screen.subgraph_correlation(random_dataset(seed=16), [3]) == 0.0
