@@ -111,52 +111,84 @@ def _gram(x):
     return x @ np.swapaxes(x, -1, -2)
 
 
-def _shift_to_zero_mean(a):
-    """Shift an m x m matrix in place to grand mean 0 (H(A - g)H = HAH, and
-    the smaller entries keep the inner products below accurate); return its
-    flat view and row means."""
-    a -= a.mean()
-    return a.ravel(), a.mean(axis=1)
+def _shift_to_zero_mean(mats):
+    """Shift each m x m matrix of a (c, m, m) stack to grand mean 0 (H(A -
+    g)H = HAH, and the smaller entries keep the inner products below
+    accurate); return them flat, (c, m * m) in C order, with their (c, m)
+    row means. A C-ordered stack is shifted in place."""
+    c, m, _ = mats.shape
+    flat = mats.reshape(c, m * m)
+    flat -= flat.mean(axis=1, keepdims=True)
+    return flat, flat.reshape(c, m, m).mean(axis=2)
 
 
 def _centred_inner(a, row_a, b, row_b):
     """<HAH, HBH> / m^2 = (<A, B> - 2m <r_A, r_B>) / m^2 from flat matrices
-    and their row means r; H is the m x m centring matrix."""
-    m = row_a.shape[0]
-    return (np.dot(a, b) - 2.0 * m * np.dot(row_a, row_b)) / (m * m)
+    and their row means r, one value per matrix of a stacked ``a``; H is the
+    m x m centring matrix."""
+    m = row_a.shape[-1]
+    return (np.vecdot(a, b) - 2.0 * m * np.vecdot(row_a, row_b)) / (m * m)
 
 
-def _dependence_terms(blocks, y_matrix, matrix):
+def _zero_mean_terms(y_matrix):
+    """A copy of one m x m matrix shifted to grand mean 0, as a flat vector,
+    with its row means and its centred square mean(HBH * HBH)."""
+    b, row_b = _shift_to_zero_mean(np.array(y_matrix, dtype=float)[None])
+    return b[0], row_b[0], float(_centred_inner(b, row_b, b, row_b)[0])
+
+
+def _dependence_terms(blocks, y_matrix, matrix, samples=None):
     """Cross terms mean(HAH * HBH) and clamped ratios mean(HAH * HBH) /
     sqrt(mean(HAH * HAH) mean(HBH * HBH)) of every block of a (B, m, d)
     stack, where A = matrix(block) and B is y's m x m matrix: pairwise
     distances for dcorr, the standardised Gram for rv. No matrix is
     double-centred; each term needs only the matrices and their row means.
-    Each chunk of blocks is copied to one contiguous array, and every
-    block's terms are reduced on its own; a degenerate block or y has
-    ratio 0."""
+    Each chunk of blocks is copied to one contiguous array, and a chunk's
+    matrices are reduced in one batched pass; a degenerate block or y has
+    ratio 0.
+
+    ``samples``, when given, is a sequence of row-index arrays, and the
+    terms come back as (len(samples), B) arrays: row s holds every block's
+    terms on the rows ``samples[s]`` alone. A chunk's matrices are built
+    once on all m rows, and each sub-sample reduces their slice on its rows
+    and columns, with the same slice of y's matrix. That is the sub-sample's
+    own matrix only when an entry depends on its two rows alone, as a
+    distance does and a standardised Gram does not.
+    """
     blocks = np.asarray(blocks, dtype=float)
     if blocks.ndim != 3:
         raise ValueError(f"expected a (B, m, d) stack of samples, got shape {blocks.shape}")
     n_blocks, m, _ = blocks.shape
     if y_matrix.shape != (m, m):
         raise ValueError(f"y must be one sample of {m} observations, not {y_matrix.shape}")
-    b, row_b = _shift_to_zero_mean(np.array(y_matrix, dtype=float))
-    vxy = np.empty(n_blocks)
-    vx = np.empty(n_blocks)
+    subsets = [None] if samples is None else [np.asarray(rows, dtype=int) for rows in samples]
+    whole_y = _zero_mean_terms(y_matrix) if samples is None else None
+    vxy = np.empty((len(subsets), n_blocks))
+    vx = np.empty((len(subsets), n_blocks))
+    vy = np.empty(len(subsets))
     chunk = max(1, _CHUNK_CELLS // (m * m))
     for start in range(0, n_blocks, chunk):
-        mats = matrix(np.ascontiguousarray(blocks[start : start + chunk]))
-        for i, a in enumerate(mats, start):
-            a, row_a = _shift_to_zero_mean(a)
-            vxy[i] = _centred_inner(a, row_a, b, row_b)
-            vx[i] = _centred_inner(a, row_a, a, row_a)
-        del mats, a  # free this chunk's matrices before the next chunk's
-    vy = _centred_inner(b, row_b, b, row_b)
-    ratios = np.zeros(n_blocks)
-    if vy > DEGENERATE_TOL:
-        ok = vx > DEGENERATE_TOL
-        ratios[ok] = np.clip(np.maximum(vxy[ok], 0.0) / np.sqrt(vx[ok] * vy), 0.0, 1.0)
+        stop = start + chunk
+        mats = matrix(np.ascontiguousarray(blocks[start:stop]))
+        for s, rows in enumerate(subsets):
+            if rows is None:
+                (b, row_b, vy[s]), sliced = whole_y, mats
+            else:
+                # a sub-sample's y terms are rebuilt per chunk, so memory holds
+                # one sub-sample's y matrix however many sub-samples there are
+                (b, row_b, vy[s]) = _zero_mean_terms(y_matrix[np.ix_(rows, rows)])
+                cells = (rows[:, None] * m + rows).ravel()
+                sliced = mats.reshape(len(mats), m * m).take(cells, axis=1)
+                sliced = sliced.reshape(len(mats), rows.size, rows.size)
+            a, row_a = _shift_to_zero_mean(sliced)
+            vxy[s, start:stop] = _centred_inner(a, row_a, b, row_b)
+            vx[s, start:stop] = _centred_inner(a, row_a, a, row_a)
+        del mats, sliced, a  # free this chunk's matrices before the next chunk's
+    ratios = np.zeros_like(vxy)
+    ok = (vx > DEGENERATE_TOL) & (vy[:, None] > DEGENERATE_TOL)
+    ratios[ok] = np.clip(np.maximum(vxy[ok], 0.0) / np.sqrt((vx * vy[:, None])[ok]), 0.0, 1.0)
+    if samples is None:
+        return vxy[0], ratios[0]
     return vxy, ratios
 
 
@@ -167,6 +199,16 @@ def dcorr_many(blocks, y, y_metric="euclidean"):
     scores 0.
     """
     return _dependence_terms(blocks, pairwise_distances(y, y_metric), pairwise_distances)[1]
+
+
+def _label_dcorr_on_rows(blocks, labels, samples):
+    """dcorr of every block of a (B, m, d) stack with the labels (0/1
+    mismatch metric) on each row-index array of ``samples`` alone: a
+    (len(samples), B) array. Each block's distances are built once, on all
+    m rows, and sliced per sub-sample; no row outside a sub-sample enters
+    its scores."""
+    y = pairwise_distances(labels, "discrete")
+    return _dependence_terms(blocks, y, pairwise_distances, samples)[1]
 
 
 def dcov_sq(x, y, y_metric="euclidean"):

@@ -174,14 +174,6 @@ def _neighbours(pipeline):
     return DEFAULT_K if pipeline.k is None else pipeline.k
 
 
-def _selection(train, pipeline):
-    """The vertices ``pipeline`` keeps on ``train``: its ``fixed_vertices``, else
-    the selection of its screening run."""
-    if pipeline.fixed_vertices is not None:
-        return vertex_set(pipeline.fixed_vertices, train.n)
-    return screen.run(train, pipeline)[1]
-
-
 def _fit_predict(train, graphs, pipeline, selected):
     """The pipeline's classifier, fitted on ``train`` restricted to the
     ``selected`` vertices, predicts each adjacency of the stack ``graphs``."""
@@ -198,23 +190,29 @@ def cross_validate(dataset, pipeline, grouping="none"):
     """Leave-one-graph-out or leave-one-subject-out screening + prediction.
 
     Screening and fitting see only the training remainder of each fold, so
-    held-out labels can never leak into vertex selection. Folds whose true
-    class is absent from training are flagged; their predictions count as
-    errors by construction. A knn k above the smallest training remainder
-    is refused before the first fold is screened.
+    held-out labels can never leak into vertex selection. Every fold is
+    screened by one ``screen.run_folds`` call, then fitted and predicted in
+    turn. Folds whose true class is absent from training are flagged; their
+    predictions count as errors by construction. A knn k above the smallest
+    training remainder is refused before the first fold is screened.
     """
     folds = _folds(dataset, grouping)
     # folds are disjoint: the largest leaves the smallest training remainder
     smallest = dataset.m - max(test_idx.size for test_idx in folds)
     if pipeline.classifier == "knn" and _neighbours(pipeline) > smallest:
         raise ValueError(f"k must lie in [1, {smallest}]")
+    train_indices = [np.setdiff1d(np.arange(dataset.m), test_idx) for test_idx in folds]
+    if pipeline.fixed_vertices is None:
+        selections = [selected for _, selected in
+                      screen.run_folds(dataset, pipeline, train_indices)]
+    else:
+        selections = [vertex_set(pipeline.fixed_vertices, dataset.n)] * len(folds)
     records = []
     all_predictions = []
     all_truths = []
-    for fold_id, test_idx in enumerate(folds):
-        train_idx = np.setdiff1d(np.arange(dataset.m), test_idx)
+    for fold_id, (test_idx, train_idx, selected) in enumerate(
+            zip(folds, train_indices, selections)):
         train = dataset.subset(train_idx)
-        selected = _selection(train, pipeline)
         predictions = _fit_predict(train, dataset.graphs[test_idx], pipeline, selected).tolist()
         train_classes = set(np.unique(train.labels).tolist())
         unseen = any(
@@ -370,7 +368,7 @@ def run_experiment(name, repeats, seed=0, m=None, m_grid=None, methods=None, tes
                         fpr = fpr_at_size(selected, signal, train.n)
                         report.fpr_records.append((method, m_value, repeat, fpr))
                     else:
-                        selected = _selection(train, pipeline)
+                        selected = vertex_set(pipeline.fixed_vertices, train.n)
                     predictions = _fit_predict(train, test.graphs, pipeline, selected)
                 error = classify.loss_from_predictions(predictions, test.labels).error
                 report.loss_records.append((method, m_value, repeat, error))

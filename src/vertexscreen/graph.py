@@ -42,6 +42,12 @@ class LabeledGraphDataset:
     graph_ids: tuple | None = None
 
     def __post_init__(self):
+        self._settle(check_entries=True)
+
+    def _settle(self, check_entries):
+        """Check the fields and freeze them. ``check_entries`` runs the
+        finite, hollow and symmetric checks of the adjacency stack, which
+        rows of an already checked stack pass."""
         graphs = np.asarray(self.graphs, dtype=float)
         labels = np.asarray(self.labels)
         if graphs.ndim != 3 or graphs.shape[1] != graphs.shape[2]:
@@ -50,12 +56,13 @@ class LabeledGraphDataset:
             raise ValueError("need one label per graph")
         if graphs.shape[0] < 2:
             raise ValueError("need at least 2 graphs")
-        if not np.all(np.isfinite(graphs)):
-            raise ValueError("adjacency entries must be finite")
-        if np.any(np.diagonal(graphs, axis1=1, axis2=2) != 0):
-            raise ValueError("self-loops are not supported")
-        if not np.array_equal(graphs, np.swapaxes(graphs, 1, 2)):
-            raise ValueError("undirected graphs must have symmetric adjacency")
+        if check_entries:
+            if not np.all(np.isfinite(graphs)):
+                raise ValueError("adjacency entries must be finite")
+            if np.any(np.diagonal(graphs, axis1=1, axis2=2) != 0):
+                raise ValueError("self-loops are not supported")
+            if not np.array_equal(graphs, np.swapaxes(graphs, 1, 2)):
+                raise ValueError("undirected graphs must have symmetric adjacency")
         if self.subject_ids is not None:
             subject_ids = tuple(str(s) for s in self.subject_ids)
             if len(subject_ids) != graphs.shape[0]:
@@ -80,16 +87,23 @@ class LabeledGraphDataset:
         return self.graphs.shape[1]
 
     def subset(self, graph_indices) -> "LabeledGraphDataset":
-        """Dataset restricted to the given graph positions (order kept)."""
+        """Dataset restricted to the given graph positions (order kept).
+
+        Every check but those of the adjacency entries runs again; the
+        entries are rows of this checked stack.
+        """
         idx = np.asarray(graph_indices, dtype=int)
 
         def pick(ids):
             return None if ids is None else tuple(ids[i] for i in idx)
 
-        return LabeledGraphDataset(
-            self.graphs[idx], self.labels[idx],
-            subject_ids=pick(self.subject_ids), graph_ids=pick(self.graph_ids),
-        )
+        subset = object.__new__(LabeledGraphDataset)
+        for name, value in (("graphs", self.graphs[idx]), ("labels", self.labels[idx]),
+                            ("subject_ids", pick(self.subject_ids)),
+                            ("graph_ids", pick(self.graph_ids))):
+            object.__setattr__(subset, name, value)
+        subset._settle(check_entries=False)
+        return subset
 
 
 def validate_probability_matrix(p):

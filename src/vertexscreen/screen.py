@@ -6,7 +6,8 @@ thresholds the scores once; iterative screening repeatedly keeps the top
 (1 - delta) share of the current vertices and keeps the level whose
 whole-subgraph statistic with the labels is largest. Its first level is
 the one-shot scoring of every vertex, which ``run_many`` shares between
-the screens of one dataset.
+the screens of one dataset, and ``run_folds`` builds for every training
+fold of a dataset at once.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import corr
-from .graph import induced_subgraph, upper_pairs, vertex_set
+from .graph import upper_pairs, vertex_set
 
 # elimination_order entry for vertices that were never eliminated
 SURVIVOR = np.inf
@@ -107,10 +108,14 @@ def score_vertices(dataset, restrict=None, statistic="dcorr"):
     Features are rows of the induced subgraph on ``restrict`` (the full
     vertex set when omitted); scores align with the sorted restrict indices.
     """
-    if restrict is None:
-        restrict = np.arange(dataset.n)
-    # feature of the i-th restricted vertex is row i of each induced adjacency
-    features = induced_subgraph(dataset.graphs, restrict).transpose(1, 0, 2)
+    # feature of the i-th restricted vertex is row i of each induced
+    # adjacency: block i of the (n, m, n) view, which every vertex reads
+    # uncopied; a subset is gathered once, C-ordered in that (k, m, k) order
+    features = dataset.graphs.transpose(1, 0, 2)
+    if restrict is not None:
+        idx = vertex_set(restrict, dataset.n)
+        if idx.size < dataset.n:
+            features = features[np.ix_(idx, np.arange(dataset.m), idx)]
     return corr.feature_label_correlation(features, dataset.labels, statistic)
 
 
@@ -153,18 +158,20 @@ def screen_once(dataset, threshold, statistic="dcorr", *, scores=None):
     )
 
 
-def screen_iterative(dataset, delta, statistic="dcorr", *, scores=None):
+def screen_iterative(dataset, delta, statistic="dcorr", *, first_level=None):
     """Iterative screening on shrinking induced subgraphs.
 
     A level of k vertices keeps its top min(ceil((1-delta) * k), k - 1)
     scorers, ties toward the smaller vertex index, so levels are strictly
     nested. The selected set is the level with the largest whole-subgraph
     correlation (ties go to the larger subgraph). The first level scores
-    every vertex, as the one-shot screen does; ``scores``, when given, are
-    those scores, and only the later levels are scored here.
+    every vertex, as the one-shot screen does; ``first_level``, when given,
+    is the pair of those scores and the whole-subgraph correlation of every
+    vertex, and only the later levels are scored here.
     """
     _check_delta(delta)
     n = dataset.n
+    scores, first_corr = (None, None) if first_level is None else first_level
     level_scores = _every_vertex_scores(dataset, statistic, scores)
     # this result's own copy: each later level overwrites its vertices' scores
     scores = np.array(level_scores)
@@ -182,7 +189,10 @@ def screen_iterative(dataset, delta, statistic="dcorr", *, scores=None):
         current = np.sort(current[order[:target]])
         level_sets.append(current)
         iteration += 1
-    level_corrs = [subgraph_correlation(dataset, vs, statistic) for vs in level_sets]
+    if first_corr is None:
+        first_corr = subgraph_correlation(dataset, level_sets[0], statistic)
+    level_corrs = [first_corr] + [subgraph_correlation(dataset, vs, statistic)
+                                  for vs in level_sets[1:]]
     best = int(np.argmax(level_corrs))
     return ScreeningResult(
         scores=scores,
@@ -249,38 +259,85 @@ def select_vertices(result, rule="maxcorr", size=None):
     raise ValueError(f"unknown size rule {rule!r}")
 
 
+def _check_sizes(configs, n):
+    for config in configs:
+        if config.size_rule == "fixed" and config.size > n:
+            raise ValueError(f"size {config.size} exceeds the {n} vertices of the dataset")
+
+
+def _screen(dataset, config, scores, first_corr):
+    """``(result, selected)`` of ``config`` on ``dataset`` from its first level:
+    every vertex's scores and, for iterative screening, their whole-subgraph
+    correlation."""
+    if config.iterative:
+        delta = DEFAULT_DELTA if config.delta is None else config.delta
+        result = screen_iterative(dataset, delta, config.statistic,
+                                  first_level=(scores, first_corr))
+    else:
+        threshold = DEFAULT_THRESHOLD if config.threshold is None else config.threshold
+        result = screen_once(dataset, threshold, config.statistic, scores=scores)
+    return result, select_vertices(result, config.size_rule, config.size)
+
+
 def run_many(dataset, configs):
     """Screen one dataset as each config says and apply its size rule.
 
     Returns one ``(result, selected)`` pair per config, in config order; a
-    one-shot threshold that no score clears selects nothing. Every vertex
-    is scored once per distinct statistic, and each one-shot screen and
-    the first level of each iterative screen read those scores (shared
-    between results, so read-only). A fixed size above the vertex count,
-    in any config, is refused before any scoring.
+    one-shot threshold that no score clears selects nothing. The first
+    level is built once per distinct statistic: every vertex's scores,
+    which each one-shot screen and each iterative screen's first level read
+    (shared between results, so read-only), and, when an iterative config
+    reads it, the whole-subgraph correlation of every vertex. A fixed size
+    above the vertex count, in any config, is refused before any scoring.
     """
     configs = tuple(configs)
-    for config in configs:
-        if config.size_rule == "fixed" and config.size > dataset.n:
-            raise ValueError(f"size {config.size} exceeds the {dataset.n} vertices of the dataset")
-    every_vertex = {}
+    _check_sizes(configs, dataset.n)
+    first_levels = {}
     pairs = []
     for config in configs:
-        if config.statistic not in every_vertex:
+        if config.statistic not in first_levels:
             scores = score_vertices(dataset, None, config.statistic)
             scores.setflags(write=False)
-            every_vertex[config.statistic] = scores
-        scores = every_vertex[config.statistic]
-        if config.iterative:
-            delta = DEFAULT_DELTA if config.delta is None else config.delta
-            result = screen_iterative(dataset, delta, config.statistic, scores=scores)
-        else:
-            threshold = DEFAULT_THRESHOLD if config.threshold is None else config.threshold
-            result = screen_once(dataset, threshold, config.statistic, scores=scores)
-        pairs.append((result, select_vertices(result, config.size_rule, config.size)))
+            first_levels[config.statistic] = (scores, None)
+        scores, first_corr = first_levels[config.statistic]
+        if config.iterative and first_corr is None:
+            first_corr = subgraph_correlation(dataset, np.arange(dataset.n), config.statistic)
+            first_levels[config.statistic] = (scores, first_corr)
+        pairs.append(_screen(dataset, config, scores, first_corr))
     return pairs
 
 
 def run(dataset, config):
     """``run_many`` on a batch of one: ``(result, selected)`` for ``config``."""
     return run_many(dataset, (config,))[0]
+
+
+def run_folds(dataset, config, train_indices):
+    """``run(dataset.subset(rows), config)`` for each row-index array of
+    ``train_indices``, in order: one ``(result, selected)`` pair per fold.
+
+    For dcorr, every fold's first level comes from one build of the
+    dataset's distance matrices, per vertex feature and over the whole
+    graph. A distance depends on its two graphs alone, so a fold's matrix
+    is the full one's slice on the fold's rows and columns, and its label
+    matrix the same slice; no held-out graph or label enters a fold's
+    scores. rv standardises its features over the fold's own graphs, and
+    cca and mgc run per sample, so those statistics screen each fold's
+    subset on its own. A fixed size above the vertex count, or a fold of
+    fewer than 2 graphs, is refused before any scoring.
+    """
+    _check_sizes((config,), dataset.n)
+    train_indices = [np.asarray(rows, dtype=int) for rows in train_indices]
+    if any(rows.size < 2 for rows in train_indices):
+        raise ValueError("every fold needs at least 2 training graphs")
+    if config.statistic != "dcorr":
+        return [run(dataset.subset(rows), config) for rows in train_indices]
+    scores = corr._label_dcorr_on_rows(dataset.graphs.transpose(1, 0, 2), dataset.labels,
+                                       train_indices)
+    scores.setflags(write=False)
+    first_corrs = [None] * len(train_indices)
+    if config.iterative:
+        whole = upper_pairs(dataset.graphs, np.arange(dataset.n))[None]
+        first_corrs = corr._label_dcorr_on_rows(whole, dataset.labels, train_indices)[:, 0].tolist()
+    return [_screen(dataset.subset(rows), config, fold_scores, first_corr)
+            for rows, fold_scores, first_corr in zip(train_indices, scores, first_corrs)]

@@ -204,6 +204,26 @@ class TestStackedKernel:
         assert np.array_equal(many, single)
         assert many[3] == 0.0 and np.all(many[[0, 1, 2, 4, 5, 6]] > 0.0)
 
+    @pytest.mark.parametrize("chunk_cells", [None, 3 * 12 * 12, 1])
+    def test_sub_samples_equal_the_kernel_on_each_sliced_stack(self, monkeypatch, chunk_cells):
+        # 0/1 entries keep every distance exact, so a slice of the full
+        # sample's matrix is the sub-sample's own matrix bit for bit
+        if chunk_cells is not None:
+            monkeypatch.setattr(corr, "_CHUNK_CELLS", chunk_cells)
+        rng = np.random.default_rng(21)
+        labels = rng.integers(0, 3, size=12)
+        blocks = rng.integers(0, 2, size=(7, 12, 5)).astype(float)
+        blocks[3] = 1.0  # a constant block scores 0
+        samples = [np.setdiff1d(np.arange(12), [i]) for i in range(12)]
+        samples += [np.arange(0, 12, 2), np.array([1, 4, 5, 9, 10]),
+                    np.flatnonzero(labels == labels[0])]  # the last has one label: y scores 0
+        got = corr._label_dcorr_on_rows(blocks, labels, samples)
+        assert got.shape == (len(samples), 7)
+        for scores, rows in zip(got, samples):
+            sliced = corr.dcorr_many(blocks[:, rows], labels[rows], "discrete")
+            assert np.array_equal(scores, sliced)
+        assert np.all(got[:, 3] == 0.0) and np.all(got[-1] == 0.0)
+
     def test_many_rejects_mismatched_samples(self):
         with pytest.raises(ValueError):
             corr.dcorr_many(np.zeros((2, 5, 1)), np.arange(6.0))

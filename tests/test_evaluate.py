@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import mann_whitney_auc
-from vertexscreen import classify, evaluate, screen
+from vertexscreen import classify, corr, evaluate, screen
 from vertexscreen.graph import LabeledGraphDataset, sample_ier_dataset
 
 
@@ -111,6 +111,20 @@ def two_block_dataset(m, seed, n=14, subject_ids=None):
     return ds
 
 
+def record_fold_scoring(monkeypatch):
+    """Record each call of the first scoring step on a dcorr fold path: the
+    first level that every fold shares."""
+    calls = []
+    real = corr._label_dcorr_on_rows
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(corr, "_label_dcorr_on_rows", recording)
+    return calls
+
+
 class TestCrossValidate:
     def test_duplicated_twin_has_zero_error(self):
         base = two_block_dataset(6, 1)
@@ -157,32 +171,22 @@ class TestCrossValidate:
 
     @pytest.mark.parametrize("m, k", [(12, 12), (8, None)])
     def test_knn_k_above_training_size_refused_before_screening(self, monkeypatch, m, k):
-        calls = []
-        real_run = screen.run
-
-        def recording_run(*args):
-            calls.append(args)
-            return real_run(*args)
-
-        monkeypatch.setattr(screen, "run", recording_run)
+        calls = record_fold_scoring(monkeypatch)
         pipeline = evaluate.PipelineConfig(
             iterative=True, size_rule="fixed", size=5, classifier="knn", k=k
         )
         with pytest.raises(ValueError, match=rf"k must lie in \[1, {m - 1}\]"):
             evaluate.cross_validate(two_block_dataset(m, 6), pipeline)
         assert calls == []
+        # the recorder sits on the fold path: an accepted k reaches it twice,
+        # for every fold's vertex scores and whole-subgraph correlation
+        evaluate.cross_validate(two_block_dataset(m, 6), replace(pipeline, k=1))
+        assert len(calls) == 2
 
     def test_knn_k_above_the_smallest_training_fold_refused_before_screening(
             self, monkeypatch):
         # fold 0 leaves 11 training graphs, fold 1 (subject b) only 8
-        calls = []
-        real_run = screen.run
-
-        def recording_run(*args):
-            calls.append(args)
-            return real_run(*args)
-
-        monkeypatch.setattr(screen, "run", recording_run)
+        calls = record_fold_scoring(monkeypatch)
         subjects = ["a", "b", "b", "b", "b"] + [f"s{i}" for i in range(7)]
         ds = two_block_dataset(12, 7, subject_ids=subjects)
         pipeline = evaluate.PipelineConfig(

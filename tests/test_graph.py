@@ -215,6 +215,41 @@ class TestDataset:
         assert ds.subset([3, 1]).graph_ids == (40, 10)
         assert make_dataset(m=4).subset([3, 1]).graph_ids is None
 
+    def test_subset_equals_a_fresh_construction(self):
+        base = make_dataset(m=5)
+        ds = graph.LabeledGraphDataset(base.graphs, base.labels, subject_ids="aabbc",
+                                       graph_ids=[50, 10, 40, 20, 30])
+        idx = [4, 0, 2]
+        sub = ds.subset(idx)
+        fresh = graph.LabeledGraphDataset(
+            ds.graphs[idx], ds.labels[idx], subject_ids=[ds.subject_ids[i] for i in idx],
+            graph_ids=[ds.graph_ids[i] for i in idx])
+        for name in ("graphs", "labels"):
+            got, want = getattr(sub, name), getattr(fresh, name)
+            assert np.array_equal(got, want) and got.dtype == want.dtype
+            assert not got.flags.writeable and not want.flags.writeable
+        assert sub.subject_ids == fresh.subject_ids == ("c", "a", "b")
+        assert sub.graph_ids == fresh.graph_ids == (30, 50, 40)
+        with pytest.raises(ValueError, match="at least 2 graphs"):
+            ds.subset([1])
+        with pytest.raises(ValueError, match="one distinct graph id per graph"):
+            ds.subset([1, 1])
+
+    @pytest.mark.parametrize("defect, message", [
+        ("non-finite", "must be finite"), ("self-loop", "self-loops"),
+        ("asymmetric", "symmetric adjacency")])
+    def test_constructor_checks_the_entries(self, defect, message):
+        ds = make_dataset(m=4)
+        graphs = ds.graphs.copy()
+        if defect == "non-finite":
+            graphs[1, 0, 1] = graphs[1, 1, 0] = np.nan
+        elif defect == "self-loop":
+            graphs[2, 3, 3] = 1.0
+        else:
+            graphs[3, 0, 1] = 1.0 - graphs[3, 1, 0]
+        with pytest.raises(ValueError, match=message):
+            graph.LabeledGraphDataset(graphs, ds.labels)
+
     @pytest.mark.parametrize("ids", [[1, 2, 3], [1, 2, 3, 3]], ids=["short", "repeated"])
     def test_rejects_graph_ids_not_one_per_graph(self, ids):
         ds = make_dataset(m=4)

@@ -405,13 +405,118 @@ class TestRunMany:
     def test_handed_scores_replace_the_first_level(self, statistic):
         ds = random_dataset(m=16, n=9, seed=34)
         scores = screen.score_vertices(ds, statistic=statistic)
-        assert_same_screening(screen.screen_iterative(ds, 0.5, statistic, scores=scores),
-                              screen.screen_iterative(ds, 0.5, statistic))
+        first_corr = screen.subgraph_correlation(ds, np.arange(ds.n), statistic)
+        assert_same_screening(
+            screen.screen_iterative(ds, 0.5, statistic, first_level=(scores, first_corr)),
+            screen.screen_iterative(ds, 0.5, statistic))
         assert_same_screening(screen.screen_once(ds, 0.1, statistic, scores=scores),
                               screen.screen_once(ds, 0.1, statistic))
-        for screening, setting in ((screen.screen_once, 0.1), (screen.screen_iterative, 0.5)):
-            with pytest.raises(ValueError, match="one value per vertex, 9 in all"):
-                screening(ds, setting, statistic, scores=scores[1:])
+        with pytest.raises(ValueError, match="one value per vertex, 9 in all"):
+            screen.screen_once(ds, 0.1, statistic, scores=scores[1:])
+        with pytest.raises(ValueError, match="one value per vertex, 9 in all"):
+            screen.screen_iterative(ds, 0.5, statistic, first_level=(scores[1:], first_corr))
+
+
+    def test_whole_graph_correlation_once_per_statistic(self, monkeypatch):
+        calls = []
+        real = screen.subgraph_correlation
+
+        def counting(dataset, vertices, statistic="dcorr"):
+            calls.append((statistic, len(vertices)))
+            return real(dataset, vertices, statistic)
+
+        monkeypatch.setattr(screen, "subgraph_correlation", counting)
+        ds = random_dataset(m=16, n=9, seed=35)
+        batch = (screen.ScreeningConfig(iterative=True, delta=0.3),
+                 screen.ScreeningConfig(iterative=True, delta=0.6, size_rule="gap"),
+                 screen.ScreeningConfig())
+        pairs = screen.run_many(ds, batch)
+        assert [k for _, k in calls].count(ds.n) == 1
+        assert pairs[0][0].levels[0][1] == pairs[1][0].levels[0][1]
+        for (result, _), config in zip(pairs, batch):
+            assert_same_screening(result, screen.run(ds, config)[0])
+
+
+def weighted_dataset(m, n, seed, classes=2):
+    """Symmetric hollow normal weights: no two distances or scores tie."""
+    rng = np.random.default_rng(seed)
+    graphs = np.triu(rng.normal(size=(m, n, n)), 1)
+    graphs += graphs.transpose(0, 2, 1)
+    labels = rng.integers(0, classes, size=m)
+    graphs[:, 0, 1:4] += labels[:, None]
+    graphs[:, 1:4, 0] = graphs[:, 0, 1:4]
+    return LabeledGraphDataset(graphs, labels)
+
+
+def leave_one_out(m):
+    return [np.setdiff1d(np.arange(m), [i]) for i in range(m)]
+
+
+def leave_subject_out(m, per_subject):
+    return [np.setdiff1d(np.arange(m), np.arange(start, min(start + per_subject, m)))
+            for start in range(0, m, per_subject)]
+
+
+FOLD_CONFIGS = [
+    screen.ScreeningConfig(),
+    screen.ScreeningConfig(threshold=0.2),
+    screen.ScreeningConfig(size_rule="gap"),
+    screen.ScreeningConfig(size_rule="fixed", size=4),
+    screen.ScreeningConfig(iterative=True),
+    screen.ScreeningConfig(iterative=True, delta=0.3, size_rule="gap"),
+    screen.ScreeningConfig(iterative=True, delta=0.6, size_rule="fixed", size=3),
+]
+
+
+class TestRunFolds:
+    @pytest.mark.parametrize("config", FOLD_CONFIGS)
+    @pytest.mark.parametrize("folds", ["loo", "subject"])
+    def test_binary_dcorr_folds_equal_per_fold_runs_bit_for_bit(self, config, folds):
+        ds = random_dataset(m=14, n=10, seed=36, classes=3)
+        trains = leave_one_out(ds.m) if folds == "loo" else leave_subject_out(ds.m, 3)
+        pairs = screen.run_folds(ds, config, trains)
+        assert len(pairs) == len(trains)
+        for (result, selected), rows in zip(pairs, trains):
+            want, want_selected = screen.run(ds.subset(rows), config)
+            assert_same_screening(result, want)
+            assert np.array_equal(selected, want_selected)
+
+    @pytest.mark.parametrize("statistic", ["rv", "cca", "mgc"])
+    @pytest.mark.parametrize("iterative", [False, True])
+    def test_other_statistics_equal_per_fold_runs(self, statistic, iterative):
+        ds = random_dataset(m=12, n=7, seed=37)
+        config = screen.ScreeningConfig(statistic=statistic, iterative=iterative)
+        trains = leave_subject_out(ds.m, 2)
+        for (result, selected), rows in zip(screen.run_folds(ds, config, trains), trains):
+            want, want_selected = screen.run(ds.subset(rows), config)
+            assert_same_screening(result, want)
+            assert np.array_equal(selected, want_selected)
+
+    @pytest.mark.parametrize("config", [FOLD_CONFIGS[3], FOLD_CONFIGS[6]])
+    def test_weighted_folds_agree_with_per_fold_runs(self, config):
+        # sums of real weights may round differently on the full sample's
+        # distances than on a fold's own, so scores agree to 1e-12
+        ds = weighted_dataset(m=13, n=9, seed=38)
+        trains = leave_one_out(ds.m)
+        for (result, selected), rows in zip(screen.run_folds(ds, config, trains), trains):
+            want, want_selected = screen.run(ds.subset(rows), config)
+            assert np.allclose(result.scores, want.scores, rtol=0.0, atol=1e-12)
+            assert np.array_equal(result.elimination_order, want.elimination_order)
+            for (vs, value), (want_vs, want_value) in zip(result.levels, want.levels):
+                assert np.array_equal(vs, want_vs)
+                assert np.allclose(value, want_value, rtol=0.0, atol=1e-12, equal_nan=True)
+            assert np.array_equal(selected, want_selected)
+
+    def test_refuses_a_bad_size_or_fold_before_scoring(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(corr, "_label_dcorr_on_rows", lambda *args: calls.append(args))
+        ds = random_dataset(seed=39)
+        config = screen.ScreeningConfig(size_rule="fixed", size=ds.n + 1)
+        with pytest.raises(ValueError, match=f"size {ds.n + 1} exceeds the {ds.n} vertices"):
+            screen.run_folds(ds, config, leave_one_out(ds.m))
+        with pytest.raises(ValueError, match="every fold needs at least 2 training graphs"):
+            screen.run_folds(ds, screen.ScreeningConfig(), [np.arange(ds.m), [3]])
+        assert calls == []
 
 
 class TestSubgraphCorrelation:
