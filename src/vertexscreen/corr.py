@@ -147,13 +147,14 @@ def _dependence_terms(blocks, y_matrix, matrix, samples=None):
     matrices are reduced in one batched pass; a degenerate block or y has
     ratio 0.
 
-    ``samples``, when given, is a sequence of row-index arrays, and the
-    terms come back as (len(samples), B) arrays: row s holds every block's
-    terms on the rows ``samples[s]`` alone. A chunk's matrices are built
-    once on all m rows, and each sub-sample reduces their slice on its rows
-    and columns, with the same slice of y's matrix. That is the sub-sample's
-    own matrix only when an entry depends on its two rows alone, as a
-    distance does and a standardised Gram does not.
+    ``samples``, when given, is a sequence of arrays of row indices in
+    [0, m) (each builds flat cell indices), and the terms come back as
+    (len(samples), B) arrays: row s holds every block's terms on the rows
+    ``samples[s]`` alone. A chunk's matrices are built once on all m rows,
+    and each sub-sample reduces their slice on its rows and columns, with
+    the same slice of y's matrix. That is the sub-sample's own matrix only
+    when an entry depends on its two rows alone, as a distance does and a
+    standardised Gram does not.
     """
     blocks = np.asarray(blocks, dtype=float)
     if blocks.ndim != 3:
@@ -183,7 +184,8 @@ def _dependence_terms(blocks, y_matrix, matrix, samples=None):
             a, row_a = _shift_to_zero_mean(sliced)
             vxy[s, start:stop] = _centred_inner(a, row_a, b, row_b)
             vx[s, start:stop] = _centred_inner(a, row_a, a, row_a)
-        del mats, sliced, a  # free this chunk's matrices before the next chunk's
+            del sliced, a  # free this sub-sample's slice before the next one's
+        del mats  # free this chunk's matrices before the next chunk's
     ratios = np.zeros_like(vxy)
     ok = (vx > DEGENERATE_TOL) & (vy[:, None] > DEGENERATE_TOL)
     ratios[ok] = np.clip(np.maximum(vxy[ok], 0.0) / np.sqrt((vx * vy[:, None])[ok]), 0.0, 1.0)

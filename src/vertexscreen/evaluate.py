@@ -190,11 +190,12 @@ def cross_validate(dataset, pipeline, grouping="none"):
     """Leave-one-graph-out or leave-one-subject-out screening + prediction.
 
     Screening and fitting see only the training remainder of each fold, so
-    held-out labels can never leak into vertex selection. Every fold is
-    screened by one ``screen.run_folds`` call, then fitted and predicted in
-    turn. Folds whose true class is absent from training are flagged; their
-    predictions count as errors by construction. A knn k above the smallest
-    training remainder is refused before the first fold is screened.
+    held-out labels can never leak into vertex selection. The folds are
+    screened by one ``screen.run_folds`` call, and each is fitted and
+    predicted on the training subset it screened. Folds whose true class is
+    absent from training are flagged; their predictions count as errors by
+    construction. A knn k above the smallest training remainder is refused
+    before the first fold is screened.
     """
     folds = _folds(dataset, grouping)
     # folds are disjoint: the largest leaves the smallest training remainder
@@ -203,16 +204,17 @@ def cross_validate(dataset, pipeline, grouping="none"):
         raise ValueError(f"k must lie in [1, {smallest}]")
     train_indices = [np.setdiff1d(np.arange(dataset.m), test_idx) for test_idx in folds]
     if pipeline.fixed_vertices is None:
-        selections = [selected for _, selected in
-                      screen.run_folds(dataset, pipeline, train_indices)]
+        screened = screen.run_folds(dataset, pipeline, train_indices)
     else:
-        selections = [vertex_set(pipeline.fixed_vertices, dataset.n)] * len(folds)
+        selected = vertex_set(pipeline.fixed_vertices, dataset.n)
+        screened = ((dataset.subset(rows), None, selected) for rows in train_indices)
     records = []
     all_predictions = []
     all_truths = []
-    for fold_id, (test_idx, train_idx, selected) in enumerate(
-            zip(folds, train_indices, selections)):
-        train = dataset.subset(train_idx)
+    for fold_id, test_idx in enumerate(folds):
+        # drawn here, not through zip or enumerate, whose reused result tuple
+        # would hold the last fold's training stack while this one is built
+        train, _, selected = next(screened)
         predictions = _fit_predict(train, dataset.graphs[test_idx], pipeline, selected).tolist()
         train_classes = set(np.unique(train.labels).tolist())
         unseen = any(
@@ -231,6 +233,7 @@ def cross_validate(dataset, pipeline, grouping="none"):
         )
         all_predictions.extend(predictions)
         all_truths.extend(truths)
+        del train  # free this fold's training stack before the next fold's is built
     loss = classify.loss_from_predictions(all_predictions, np.asarray(all_truths))
     return CrossValReport(folds=tuple(records), loss=loss)
 

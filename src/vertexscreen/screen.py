@@ -167,7 +167,8 @@ def screen_iterative(dataset, delta, statistic="dcorr", *, first_level=None):
     correlation (ties go to the larger subgraph). The first level scores
     every vertex, as the one-shot screen does; ``first_level``, when given,
     is the pair of those scores and the whole-subgraph correlation of every
-    vertex, and only the later levels are scored here.
+    vertex (None to compute it here), and only the later levels are scored
+    here.
     """
     _check_delta(delta)
     n = dataset.n
@@ -268,7 +269,7 @@ def _check_sizes(configs, n):
 def _screen(dataset, config, scores, first_corr):
     """``(result, selected)`` of ``config`` on ``dataset`` from its first level:
     every vertex's scores and, for iterative screening, their whole-subgraph
-    correlation."""
+    correlation (None to compute it)."""
     if config.iterative:
         delta = DEFAULT_DELTA if config.delta is None else config.delta
         result = screen_iterative(dataset, delta, config.statistic,
@@ -283,27 +284,22 @@ def run_many(dataset, configs):
     """Screen one dataset as each config says and apply its size rule.
 
     Returns one ``(result, selected)`` pair per config, in config order; a
-    one-shot threshold that no score clears selects nothing. The first
-    level is built once per distinct statistic: every vertex's scores,
-    which each one-shot screen and each iterative screen's first level read
-    (shared between results, so read-only), and, when an iterative config
-    reads it, the whole-subgraph correlation of every vertex. A fixed size
-    above the vertex count, in any config, is refused before any scoring.
+    one-shot threshold that no score clears selects nothing. Every vertex
+    is scored once per distinct statistic, and each one-shot screen and
+    the first level of each iterative screen read those scores (shared
+    between results, so read-only). A fixed size above the vertex count,
+    in any config, is refused before any scoring.
     """
     configs = tuple(configs)
     _check_sizes(configs, dataset.n)
-    first_levels = {}
+    every_vertex = {}
     pairs = []
     for config in configs:
-        if config.statistic not in first_levels:
+        if config.statistic not in every_vertex:
             scores = score_vertices(dataset, None, config.statistic)
             scores.setflags(write=False)
-            first_levels[config.statistic] = (scores, None)
-        scores, first_corr = first_levels[config.statistic]
-        if config.iterative and first_corr is None:
-            first_corr = subgraph_correlation(dataset, np.arange(dataset.n), config.statistic)
-            first_levels[config.statistic] = (scores, first_corr)
-        pairs.append(_screen(dataset, config, scores, first_corr))
+            every_vertex[config.statistic] = scores
+        pairs.append(_screen(dataset, config, every_vertex[config.statistic], None))
     return pairs
 
 
@@ -313,31 +309,42 @@ def run(dataset, config):
 
 
 def run_folds(dataset, config, train_indices):
-    """``run(dataset.subset(rows), config)`` for each row-index array of
-    ``train_indices``, in order: one ``(result, selected)`` pair per fold.
+    """Screen each training fold of ``dataset`` as ``config`` says.
+
+    Returns an iterator over the row-index arrays of ``train_indices``, in
+    order, of ``(train, result, selected)``: ``train`` is
+    ``dataset.subset(rows)`` and ``(result, selected)`` is ``run(train,
+    config)``. A fold is subset and screened only when it is drawn.
 
     For dcorr, every fold's first level comes from one build of the
     dataset's distance matrices, per vertex feature and over the whole
-    graph. A distance depends on its two graphs alone, so a fold's matrix
-    is the full one's slice on the fold's rows and columns, and its label
-    matrix the same slice; no held-out graph or label enters a fold's
-    scores. rv standardises its features over the fold's own graphs, and
-    cca and mgc run per sample, so those statistics screen each fold's
-    subset on its own. A fixed size above the vertex count, or a fold of
-    fewer than 2 graphs, is refused before any scoring.
+    graph, made by this call. A distance depends on its two graphs alone,
+    so a fold's matrix is the full one's slice on the fold's rows and
+    columns, and its label matrix the same slice; no held-out graph or
+    label enters a fold's scores. rv standardises its features over the
+    fold's own graphs, and cca and mgc run per sample, so those statistics
+    screen each fold's subset on its own. A fixed size above the vertex
+    count, a row index outside the dataset, or a fold of fewer than 2
+    graphs is refused by this call, before any scoring.
     """
     _check_sizes((config,), dataset.n)
-    train_indices = [np.asarray(rows, dtype=int) for rows in train_indices]
+    # the graph positions subset reads: a negative index counts from the end
+    train_indices = [np.arange(dataset.m)[np.asarray(rows, dtype=int)] for rows in train_indices]
     if any(rows.size < 2 for rows in train_indices):
         raise ValueError("every fold needs at least 2 training graphs")
-    if config.statistic != "dcorr":
-        return [run(dataset.subset(rows), config) for rows in train_indices]
-    scores = corr._label_dcorr_on_rows(dataset.graphs.transpose(1, 0, 2), dataset.labels,
-                                       train_indices)
-    scores.setflags(write=False)
-    first_corrs = [None] * len(train_indices)
-    if config.iterative:
-        whole = upper_pairs(dataset.graphs, np.arange(dataset.n))[None]
-        first_corrs = corr._label_dcorr_on_rows(whole, dataset.labels, train_indices)[:, 0].tolist()
-    return [_screen(dataset.subset(rows), config, fold_scores, first_corr)
-            for rows, fold_scores, first_corr in zip(train_indices, scores, first_corrs)]
+    scores = first_corrs = [None] * len(train_indices)
+    if config.statistic == "dcorr" and train_indices:
+        scores = corr._label_dcorr_on_rows(dataset.graphs.transpose(1, 0, 2), dataset.labels,
+                                           train_indices)
+        scores.setflags(write=False)
+        if config.iterative:
+            whole = upper_pairs(dataset.graphs, np.arange(dataset.n))[None]
+            first_corrs = corr._label_dcorr_on_rows(whole, dataset.labels,
+                                                    train_indices)[:, 0].tolist()
+    # no fold's subset outlives its turn here: only the yielded triple holds it
+    return (_screen_fold(dataset.subset(rows), config, fold_scores, first_corr)
+            for rows, fold_scores, first_corr in zip(train_indices, scores, first_corrs))
+
+
+def _screen_fold(train, config, scores, first_corr):
+    return (train, *_screen(train, config, scores, first_corr))

@@ -1,5 +1,6 @@
 """Tests for ROC/AUC, cross-validation, and the experiment harness."""
 
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -195,6 +196,28 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match=r"k must lie in \[1, 8\]"):
             evaluate.cross_validate(ds, pipeline, grouping="subject")
         assert calls == []
+
+    @pytest.mark.parametrize("pipeline", [
+        evaluate.PipelineConfig(iterative=True, size_rule="fixed", size=5),
+        evaluate.PipelineConfig(size_rule="fixed", size=5, classifier="knn", k=3),
+        evaluate.PipelineConfig(statistic="rv", iterative=True, size_rule="fixed", size=5),
+        evaluate.PipelineConfig(fixed_vertices=(0, 1, 2)),
+    ])
+    def test_one_training_stack_alive_at_a_time(self, monkeypatch, pipeline):
+        # each fold's training subset is built once and freed before the next
+        built = []
+        real = LabeledGraphDataset.subset
+
+        def tracking(dataset, rows):
+            assert [ref for ref in built if ref() is not None] == []
+            train = real(dataset, rows)
+            built.append(weakref.ref(train))
+            return train
+
+        monkeypatch.setattr(LabeledGraphDataset, "subset", tracking)
+        ds = two_block_dataset(10, 8)
+        report = evaluate.cross_validate(ds, pipeline)
+        assert len(built) == len(report.folds) == ds.m
 
     def test_unseen_class_flagged_and_counted_as_error(self):
         graphs = two_block_dataset(6, 5).graphs

@@ -417,26 +417,6 @@ class TestRunMany:
             screen.screen_iterative(ds, 0.5, statistic, first_level=(scores[1:], first_corr))
 
 
-    def test_whole_graph_correlation_once_per_statistic(self, monkeypatch):
-        calls = []
-        real = screen.subgraph_correlation
-
-        def counting(dataset, vertices, statistic="dcorr"):
-            calls.append((statistic, len(vertices)))
-            return real(dataset, vertices, statistic)
-
-        monkeypatch.setattr(screen, "subgraph_correlation", counting)
-        ds = random_dataset(m=16, n=9, seed=35)
-        batch = (screen.ScreeningConfig(iterative=True, delta=0.3),
-                 screen.ScreeningConfig(iterative=True, delta=0.6, size_rule="gap"),
-                 screen.ScreeningConfig())
-        pairs = screen.run_many(ds, batch)
-        assert [k for _, k in calls].count(ds.n) == 1
-        assert pairs[0][0].levels[0][1] == pairs[1][0].levels[0][1]
-        for (result, _), config in zip(pairs, batch):
-            assert_same_screening(result, screen.run(ds, config)[0])
-
-
 def weighted_dataset(m, n, seed, classes=2):
     """Symmetric hollow normal weights: no two distances or scores tie."""
     rng = np.random.default_rng(seed)
@@ -468,29 +448,47 @@ FOLD_CONFIGS = [
 ]
 
 
+def assert_folds_equal_per_fold_runs(ds, config, trains):
+    """run_folds yields each fold's subset and the per-fold run on it, bit for bit."""
+    screened = list(screen.run_folds(ds, config, trains))
+    assert len(screened) == len(trains)
+    for (train, result, selected), rows in zip(screened, trains):
+        want_train = ds.subset(rows)
+        assert np.array_equal(train.graphs, want_train.graphs)
+        assert np.array_equal(train.labels, want_train.labels)
+        want, want_selected = screen.run(want_train, config)
+        assert_same_screening(result, want)
+        assert np.array_equal(selected, want_selected)
+
+
 class TestRunFolds:
     @pytest.mark.parametrize("config", FOLD_CONFIGS)
     @pytest.mark.parametrize("folds", ["loo", "subject"])
     def test_binary_dcorr_folds_equal_per_fold_runs_bit_for_bit(self, config, folds):
         ds = random_dataset(m=14, n=10, seed=36, classes=3)
         trains = leave_one_out(ds.m) if folds == "loo" else leave_subject_out(ds.m, 3)
-        pairs = screen.run_folds(ds, config, trains)
-        assert len(pairs) == len(trains)
-        for (result, selected), rows in zip(pairs, trains):
-            want, want_selected = screen.run(ds.subset(rows), config)
-            assert_same_screening(result, want)
-            assert np.array_equal(selected, want_selected)
+        assert_folds_equal_per_fold_runs(ds, config, trains)
 
     @pytest.mark.parametrize("statistic", ["rv", "cca", "mgc"])
     @pytest.mark.parametrize("iterative", [False, True])
     def test_other_statistics_equal_per_fold_runs(self, statistic, iterative):
         ds = random_dataset(m=12, n=7, seed=37)
         config = screen.ScreeningConfig(statistic=statistic, iterative=iterative)
-        trains = leave_subject_out(ds.m, 2)
-        for (result, selected), rows in zip(screen.run_folds(ds, config, trains), trains):
-            want, want_selected = screen.run(ds.subset(rows), config)
-            assert_same_screening(result, want)
-            assert np.array_equal(selected, want_selected)
+        assert_folds_equal_per_fold_runs(ds, config, leave_subject_out(ds.m, 2))
+
+    @pytest.mark.parametrize("config", [FOLD_CONFIGS[0], FOLD_CONFIGS[5]])
+    def test_negative_row_indices_count_from_the_end(self, config):
+        # subset reads -1 as the last graph; so must each fold's first level
+        ds = random_dataset(m=12, n=8, seed=40)
+        trains = [np.array([0, -1, 3, -5, 6, 7]), np.arange(ds.m) - ds.m,
+                  np.array([-2, 1, 4, -3, 9])]
+        assert_folds_equal_per_fold_runs(ds, config, trains)
+
+    @pytest.mark.parametrize("statistic", ["dcorr", "rv"])
+    @pytest.mark.parametrize("iterative", [False, True])
+    def test_no_folds_yield_nothing(self, statistic, iterative):
+        config = screen.ScreeningConfig(statistic=statistic, iterative=iterative)
+        assert list(screen.run_folds(random_dataset(seed=41), config, [])) == []
 
     @pytest.mark.parametrize("config", [FOLD_CONFIGS[3], FOLD_CONFIGS[6]])
     def test_weighted_folds_agree_with_per_fold_runs(self, config):
@@ -498,7 +496,7 @@ class TestRunFolds:
         # distances than on a fold's own, so scores agree to 1e-12
         ds = weighted_dataset(m=13, n=9, seed=38)
         trains = leave_one_out(ds.m)
-        for (result, selected), rows in zip(screen.run_folds(ds, config, trains), trains):
+        for (_, result, selected), rows in zip(screen.run_folds(ds, config, trains), trains):
             want, want_selected = screen.run(ds.subset(rows), config)
             assert np.allclose(result.scores, want.scores, rtol=0.0, atol=1e-12)
             assert np.array_equal(result.elimination_order, want.elimination_order)
@@ -507,7 +505,7 @@ class TestRunFolds:
                 assert np.allclose(value, want_value, rtol=0.0, atol=1e-12, equal_nan=True)
             assert np.array_equal(selected, want_selected)
 
-    def test_refuses_a_bad_size_or_fold_before_scoring(self, monkeypatch):
+    def test_refuses_a_bad_size_index_or_fold_before_scoring(self, monkeypatch):
         calls = []
         monkeypatch.setattr(corr, "_label_dcorr_on_rows", lambda *args: calls.append(args))
         ds = random_dataset(seed=39)
@@ -516,6 +514,8 @@ class TestRunFolds:
             screen.run_folds(ds, config, leave_one_out(ds.m))
         with pytest.raises(ValueError, match="every fold needs at least 2 training graphs"):
             screen.run_folds(ds, screen.ScreeningConfig(), [np.arange(ds.m), [3]])
+        with pytest.raises(IndexError):
+            screen.run_folds(ds, screen.ScreeningConfig(), [np.arange(ds.m), [0, ds.m]])
         assert calls == []
 
 
