@@ -41,16 +41,17 @@ def fit_plugin(dataset, restrict=None):
 
     Off-diagonal probability estimates are clamped into [1/(2m), 1 - 1/(2m)]
     for m training graphs, so later log-likelihoods stay finite; the
-    diagonal stays 0.
+    diagonal stays 0. The adjacency entries among the ``restrict`` vertices
+    must be 0 or 1; entries outside them are never read.
     """
-    if np.any((dataset.graphs != 0.0) & (dataset.graphs != 1.0)):
-        raise ValueError("plug-in fitting needs binary adjacency matrices")
     vertices = vertex_set(
         restrict if restrict is not None else np.arange(dataset.n), dataset.n
     )
+    sub = induced_subgraph(dataset.graphs, vertices)
+    if np.any((sub != 0.0) & (sub != 1.0)):
+        raise ValueError("plug-in fitting needs binary adjacency matrices")
     class_labels = tuple(np.unique(dataset.labels).tolist())
     clamp = 1.0 / (2.0 * dataset.m)
-    sub = induced_subgraph(dataset.graphs, vertices)
     priors = np.empty(len(class_labels))
     edge_probabilities = []
     for i, label in enumerate(class_labels):

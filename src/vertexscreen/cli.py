@@ -200,7 +200,7 @@ def cmd_simulate(args):
 def cmd_screen(args):
     config = screen.ScreeningConfig(**_screening_options(args))
     dataset = _load(args)
-    result, selected = screen.run(dataset, config)
+    _, [(result, selected)] = next(screen.run(dataset, [config], [np.arange(dataset.m)]))
     ranks = screen.rank_positions(result)
     chosen = np.isin(np.arange(dataset.n), selected)
     out = _out_dir(args)

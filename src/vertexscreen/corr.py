@@ -9,6 +9,8 @@ degenerate inputs (a constant X or Y) yield 0.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy import linalg, ndimage
 from scipy.stats import rankdata
@@ -150,11 +152,12 @@ def _dependence_terms(blocks, y_matrix, matrix, samples=None):
     ``samples``, when given, is a sequence of arrays of row indices in
     [0, m) (each builds flat cell indices), and the terms come back as
     (len(samples), B) arrays: row s holds every block's terms on the rows
-    ``samples[s]`` alone. A chunk's matrices are built once on all m rows,
-    and each sub-sample reduces their slice on its rows and columns, with
-    the same slice of y's matrix. That is the sub-sample's own matrix only
-    when an entry depends on its two rows alone, as a distance does and a
-    standardised Gram does not.
+    ``samples[s]`` alone. None is the one sample of every row, and the
+    terms come back as (B,) arrays. A chunk's matrices are built once on
+    all m rows, and each sample reduces their slice on its rows and
+    columns, with the same slice of y's matrix. That is the sample's own
+    matrix only when an entry depends on its two rows alone, as a distance
+    does and a standardised Gram does not.
     """
     blocks = np.asarray(blocks, dtype=float)
     if blocks.ndim != 3:
@@ -162,8 +165,15 @@ def _dependence_terms(blocks, y_matrix, matrix, samples=None):
     n_blocks, m, _ = blocks.shape
     if y_matrix.shape != (m, m):
         raise ValueError(f"y must be one sample of {m} observations, not {y_matrix.shape}")
-    subsets = [None] if samples is None else [np.asarray(rows, dtype=int) for rows in samples]
-    whole_y = _zero_mean_terms(y_matrix) if samples is None else None
+    every_row = np.arange(m)
+    subsets = [every_row] if samples is None else [np.asarray(rows, dtype=int) for rows in samples]
+
+    # one sample's y terms at a time: a single sample's are built once per
+    # call, and memory holds one sample's y matrix however many there are
+    @functools.lru_cache(maxsize=1)
+    def y_terms(s):
+        return _zero_mean_terms(y_matrix[np.ix_(subsets[s], subsets[s])])
+
     vxy = np.empty((len(subsets), n_blocks))
     vx = np.empty((len(subsets), n_blocks))
     vy = np.empty(len(subsets))
@@ -172,19 +182,19 @@ def _dependence_terms(blocks, y_matrix, matrix, samples=None):
         stop = start + chunk
         mats = matrix(np.ascontiguousarray(blocks[start:stop]))
         for s, rows in enumerate(subsets):
-            if rows is None:
-                (b, row_b, vy[s]), sliced = whole_y, mats
+            b, row_b, vy[s] = y_terms(s)
+            if s == len(subsets) - 1 and np.array_equal(rows, every_row):
+                # every row, in order: reduced (and shifted) in place, as no
+                # later sample reads this chunk's matrices
+                sliced = mats
             else:
-                # a sub-sample's y terms are rebuilt per chunk, so memory holds
-                # one sub-sample's y matrix however many sub-samples there are
-                (b, row_b, vy[s]) = _zero_mean_terms(y_matrix[np.ix_(rows, rows)])
                 cells = (rows[:, None] * m + rows).ravel()
                 sliced = mats.reshape(len(mats), m * m).take(cells, axis=1)
                 sliced = sliced.reshape(len(mats), rows.size, rows.size)
             a, row_a = _shift_to_zero_mean(sliced)
             vxy[s, start:stop] = _centred_inner(a, row_a, b, row_b)
             vx[s, start:stop] = _centred_inner(a, row_a, a, row_a)
-            del sliced, a  # free this sub-sample's slice before the next one's
+            del sliced, a  # free this sample's slice before the next one's
         del mats  # free this chunk's matrices before the next chunk's
     ratios = np.zeros_like(vxy)
     ok = (vx > DEGENERATE_TOL) & (vy[:, None] > DEGENERATE_TOL)

@@ -191,8 +191,8 @@ def cross_validate(dataset, pipeline, grouping="none"):
 
     Screening and fitting see only the training remainder of each fold, so
     held-out labels can never leak into vertex selection. The folds are
-    screened by one ``screen.run_folds`` call, and each is fitted and
-    predicted on the training subset it screened. Folds whose true class is
+    screened by one ``screen.run`` call, and each is fitted and predicted
+    on the training subset it screened. Folds whose true class is
     absent from training are flagged; their predictions count as errors by
     construction. A knn k above the smallest training remainder is refused
     before the first fold is screened.
@@ -204,17 +204,17 @@ def cross_validate(dataset, pipeline, grouping="none"):
         raise ValueError(f"k must lie in [1, {smallest}]")
     train_indices = [np.setdiff1d(np.arange(dataset.m), test_idx) for test_idx in folds]
     if pipeline.fixed_vertices is None:
-        screened = screen.run_folds(dataset, pipeline, train_indices)
+        screened = screen.run(dataset, (pipeline,), train_indices)
     else:
         selected = vertex_set(pipeline.fixed_vertices, dataset.n)
-        screened = ((dataset.subset(rows), None, selected) for rows in train_indices)
+        screened = ((dataset.subset(rows), [(None, selected)]) for rows in train_indices)
     records = []
     all_predictions = []
     all_truths = []
     for fold_id, test_idx in enumerate(folds):
         # drawn here, not through zip or enumerate, whose reused result tuple
         # would hold the last fold's training stack while this one is built
-        train, _, selected = next(screened)
+        train, [(_, selected)] = next(screened)
         predictions = _fit_predict(train, dataset.graphs[test_idx], pipeline, selected).tolist()
         train_classes = set(np.unique(train.labels).tolist())
         unseen = any(
@@ -355,7 +355,8 @@ def run_experiment(name, repeats, seed=0, m=None, m_grid=None, methods=None, tes
             rng = np.random.default_rng(_repeat_seed(seed, m_index * repeats + repeat))
             train, _ = sample_experiment(name, m_value, rng)
             # one batch per draw: each statistic scores every vertex once
-            runs = screen.run_many(train, [pipelines[method] for method in screened])
+            _, runs = next(screen.run(train, [pipelines[method] for method in screened],
+                                      [np.arange(m_value)]))
             screenings = dict(zip(screened, runs))
             if name == "exp1":
                 for method, (result, selected) in screenings.items():

@@ -89,10 +89,13 @@ class LabeledGraphDataset:
     def subset(self, graph_indices) -> "LabeledGraphDataset":
         """Dataset restricted to the given graph positions (order kept).
 
-        Every check but those of the adjacency entries runs again; the
-        entries are rows of this checked stack.
+        Every position in order returns this dataset itself, not a copy.
+        Otherwise every check but those of the adjacency entries runs again;
+        the entries are rows of this checked stack.
         """
         idx = np.asarray(graph_indices, dtype=int)
+        if np.array_equal(idx, np.arange(self.m)):
+            return self
 
         def pick(ids):
             return None if ids is None else tuple(ids[i] for i in idx)

@@ -5,9 +5,8 @@ Each vertex is scored by the dependence between its adjacency-row feature
 thresholds the scores once; iterative screening repeatedly keeps the top
 (1 - delta) share of the current vertices and keeps the level whose
 whole-subgraph statistic with the labels is largest. Its first level is
-the one-shot scoring of every vertex, which ``run_many`` shares between
-the screens of one dataset, and ``run_folds`` builds for every training
-fold of a dataset at once.
+the one-shot scoring of every vertex, which ``run`` builds once per
+training fold and statistic and shares between the configs it screens.
 """
 
 from __future__ import annotations
@@ -145,7 +144,7 @@ def screen_once(dataset, threshold, statistic="dcorr", *, scores=None):
     """Keep the vertices whose score strictly exceeds the threshold.
 
     ``scores``, when given, are the statistic's scores of every vertex, as
-    ``score_vertices`` returns them; ``run_many`` shares one such array.
+    ``score_vertices`` returns them; ``run`` shares one such array.
     """
     _check_threshold(threshold)
     scores = _every_vertex_scores(dataset, statistic, scores)
@@ -260,91 +259,68 @@ def select_vertices(result, rule="maxcorr", size=None):
     raise ValueError(f"unknown size rule {rule!r}")
 
 
-def _check_sizes(configs, n):
-    for config in configs:
-        if config.size_rule == "fixed" and config.size > n:
-            raise ValueError(f"size {config.size} exceeds the {n} vertices of the dataset")
+def run(dataset, configs, train_indices):
+    """Screen each training fold of ``dataset`` as each config says.
 
+    Returns an iterator, in the order of ``train_indices``, of one ``(train,
+    pairs)`` per row-index array: ``train`` is ``dataset.subset(rows)``,
+    the dataset itself for the whole-dataset fold ``np.arange(dataset.m)``,
+    and ``pairs`` holds one ``(result, selected)`` per config, in order,
+    with its size rule applied. A fold is subset and screened only when it
+    is drawn.
 
-def _screen(dataset, config, scores, first_corr):
-    """``(result, selected)`` of ``config`` on ``dataset`` from its first level:
-    every vertex's scores and, for iterative screening, their whole-subgraph
-    correlation (None to compute it)."""
-    if config.iterative:
-        delta = DEFAULT_DELTA if config.delta is None else config.delta
-        result = screen_iterative(dataset, delta, config.statistic,
-                                  first_level=(scores, first_corr))
-    else:
-        threshold = DEFAULT_THRESHOLD if config.threshold is None else config.threshold
-        result = screen_once(dataset, threshold, config.statistic, scores=scores)
-    return result, select_vertices(result, config.size_rule, config.size)
-
-
-def run_many(dataset, configs):
-    """Screen one dataset as each config says and apply its size rule.
-
-    Returns one ``(result, selected)`` pair per config, in config order; a
-    one-shot threshold that no score clears selects nothing. Every vertex
-    is scored once per distinct statistic, and each one-shot screen and
-    the first level of each iterative screen read those scores (shared
-    between results, so read-only). A fixed size above the vertex count,
-    in any config, is refused before any scoring.
+    Each fold scores every vertex once per statistic, and the configs of
+    that statistic share those read-only scores. For dcorr, every fold's
+    scores, and its whole-subgraph correlation when a config is iterative,
+    are slices of one build of the dataset's distance matrices made by
+    this call: a distance depends on its two graphs alone, so no held-out
+    graph or label enters a fold's scores. rv standardises its features
+    over the fold's own graphs, and cca and mgc run per sample, so they
+    score each fold's subset. A fixed size above the vertex count, a row
+    index outside the dataset or a fold of fewer than 2 graphs is refused
+    by this call, before any scoring.
     """
     configs = tuple(configs)
-    _check_sizes(configs, dataset.n)
-    every_vertex = {}
-    pairs = []
     for config in configs:
-        if config.statistic not in every_vertex:
-            scores = score_vertices(dataset, None, config.statistic)
-            scores.setflags(write=False)
-            every_vertex[config.statistic] = scores
-        pairs.append(_screen(dataset, config, every_vertex[config.statistic], None))
-    return pairs
-
-
-def run(dataset, config):
-    """``run_many`` on a batch of one: ``(result, selected)`` for ``config``."""
-    return run_many(dataset, (config,))[0]
-
-
-def run_folds(dataset, config, train_indices):
-    """Screen each training fold of ``dataset`` as ``config`` says.
-
-    Returns an iterator over the row-index arrays of ``train_indices``, in
-    order, of ``(train, result, selected)``: ``train`` is
-    ``dataset.subset(rows)`` and ``(result, selected)`` is ``run(train,
-    config)``. A fold is subset and screened only when it is drawn.
-
-    For dcorr, every fold's first level comes from one build of the
-    dataset's distance matrices, per vertex feature and over the whole
-    graph, made by this call. A distance depends on its two graphs alone,
-    so a fold's matrix is the full one's slice on the fold's rows and
-    columns, and its label matrix the same slice; no held-out graph or
-    label enters a fold's scores. rv standardises its features over the
-    fold's own graphs, and cca and mgc run per sample, so those statistics
-    screen each fold's subset on its own. A fixed size above the vertex
-    count, a row index outside the dataset, or a fold of fewer than 2
-    graphs is refused by this call, before any scoring.
-    """
-    _check_sizes((config,), dataset.n)
+        if config.size_rule == "fixed" and config.size > dataset.n:
+            raise ValueError(f"size {config.size} exceeds the {dataset.n} vertices of the dataset")
     # the graph positions subset reads: a negative index counts from the end
     train_indices = [np.arange(dataset.m)[np.asarray(rows, dtype=int)] for rows in train_indices]
     if any(rows.size < 2 for rows in train_indices):
         raise ValueError("every fold needs at least 2 training graphs")
-    scores = first_corrs = [None] * len(train_indices)
-    if config.statistic == "dcorr" and train_indices:
+    dcorr_levels = [None] * len(train_indices)
+    if train_indices and any(config.statistic == "dcorr" for config in configs):
         scores = corr._label_dcorr_on_rows(dataset.graphs.transpose(1, 0, 2), dataset.labels,
                                            train_indices)
         scores.setflags(write=False)
-        if config.iterative:
+        first_corrs = [None] * len(train_indices)
+        if any(config.statistic == "dcorr" and config.iterative for config in configs):
             whole = upper_pairs(dataset.graphs, np.arange(dataset.n))[None]
             first_corrs = corr._label_dcorr_on_rows(whole, dataset.labels,
                                                     train_indices)[:, 0].tolist()
-    # no fold's subset outlives its turn here: only the yielded triple holds it
-    return (_screen_fold(dataset.subset(rows), config, fold_scores, first_corr)
-            for rows, fold_scores, first_corr in zip(train_indices, scores, first_corrs))
+        dcorr_levels = list(zip(scores, first_corrs))
 
+    def screen_fold(rows, dcorr_level):
+        train = dataset.subset(rows)
+        # a first level is every vertex's scores and, for iterative screening,
+        # their whole-subgraph correlation (None to compute it)
+        first_levels = {} if dcorr_level is None else {"dcorr": dcorr_level}
+        pairs = []
+        for config in configs:
+            if config.statistic not in first_levels:
+                every_vertex = score_vertices(train, None, config.statistic)
+                every_vertex.setflags(write=False)
+                first_levels[config.statistic] = (every_vertex, None)
+            if config.iterative:
+                delta = DEFAULT_DELTA if config.delta is None else config.delta
+                result = screen_iterative(train, delta, config.statistic,
+                                          first_level=first_levels[config.statistic])
+            else:
+                threshold = DEFAULT_THRESHOLD if config.threshold is None else config.threshold
+                result = screen_once(train, threshold, config.statistic,
+                                     scores=first_levels[config.statistic][0])
+            pairs.append((result, select_vertices(result, config.size_rule, config.size)))
+        return train, pairs
 
-def _screen_fold(train, config, scores, first_corr):
-    return (train, *_screen(train, config, scores, first_corr))
+    # map keeps no fold's subset: only the returned pair holds it
+    return map(screen_fold, train_indices, dcorr_levels)

@@ -79,6 +79,17 @@ class TestFitPlugin:
         with pytest.raises(ValueError):
             classify.fit_plugin(ds)
 
+    def test_checks_only_the_fitted_block(self):
+        # an entry outside restrict is never read, so it may be non-binary
+        graphs = np.zeros((4, 5, 5))
+        graphs[:, 0, 1] = graphs[:, 1, 0] = [0, 1, 1, 0]
+        graphs[0, 3, 4] = graphs[0, 4, 3] = 0.5
+        ds = LabeledGraphDataset(graphs, np.array([0, 1, 1, 0]))
+        model = classify.fit_plugin(ds, restrict=[0, 1, 2])
+        assert model.edge_probabilities[1][0, 1] == 1.0 - 1.0 / 8
+        with pytest.raises(ValueError, match="binary adjacency"):
+            classify.fit_plugin(ds, restrict=[0, 3, 4])
+
     def test_estimates_concentrate(self):
         # binomial union bound computed from the class counts: every entry of
         # the estimate stays within z-sigma of the truth, with z covering all

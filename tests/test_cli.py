@@ -80,9 +80,10 @@ class TestScreen:
         configs = []
         real_run = screen.run
 
-        def recording_run(ds, config):
-            configs.append(config)
-            return real_run(ds, config)
+        def recording_run(ds, batch, train_indices):
+            configs.extend(batch)
+            assert [rows.tolist() for rows in train_indices] == [list(range(ds.m))]
+            return real_run(ds, batch, train_indices)
 
         monkeypatch.setattr(screen, "run", recording_run)
         code = run(
@@ -92,7 +93,7 @@ class TestScreen:
         assert code == 0
         assert configs == [screen.ScreeningConfig()]
         ds = graph.load_dataset(small_dataset / "graphs.csv", small_dataset / "labels.csv", n=200)
-        _, expected = real_run(ds, screen.ScreeningConfig())
+        (_, [(_, expected)]), = real_run(ds, [screen.ScreeningConfig()], [np.arange(ds.m)])
         printed = capsys.readouterr().out.splitlines()[0].partition(": ")[2]
         assert printed == " ".join(str(v) for v in expected)
 

@@ -214,7 +214,8 @@ class TestStackedKernel:
         labels = rng.integers(0, 3, size=12)
         blocks = rng.integers(0, 2, size=(7, 12, 5)).astype(float)
         blocks[3] = 1.0  # a constant block scores 0
-        samples = [np.setdiff1d(np.arange(12), [i]) for i in range(12)]
+        # every row first: later samples must still see the chunk's matrices unshifted
+        samples = [np.arange(12)] + [np.setdiff1d(np.arange(12), [i]) for i in range(12)]
         samples += [np.arange(0, 12, 2), np.array([1, 4, 5, 9, 10]),
                     np.flatnonzero(labels == labels[0])]  # the last has one label: y scores 0
         got = corr._label_dcorr_on_rows(blocks, labels, samples)

@@ -336,7 +336,7 @@ class TestRunExperiment:
             for method, iterative, delta in (("dcorr", False, None), ("itdcorr-0.5", True, 0.5)):
                 config = screen.ScreeningConfig(iterative=iterative, delta=delta,
                                                 size_rule="fixed", size=evaluate.SIGNAL_SIZE)
-                result, _ = screen.run(dataset, config)
+                (_, [(result, _)]), = screen.run(dataset, [config], [np.arange(30)])
                 _, auc = evaluate.roc_auc(screen.vertex_ranking(result), signal, dataset.n,
                                           keys=screen.ranking_keys(result))
                 expected.append((method, repeat, auc))
@@ -499,7 +499,8 @@ def test_replace_switches_modes_like_a_fresh_config(data):
     fresh = evaluate.PipelineConfig(**target)
     assert switched == fresh
     ds = two_block_dataset(12, 6, n=8)
-    (result, selected), (want, want_selected) = screen.run(ds, switched), screen.run(ds, fresh)
+    (_, [(result, selected)]), = screen.run(ds, [switched], [np.arange(ds.m)])
+    (_, [(want, want_selected)]), = screen.run(ds, [fresh], [np.arange(ds.m)])
     assert np.array_equal(result.scores, want.scores)
     assert np.array_equal(result.elimination_order, want.elimination_order)
     assert np.array_equal(selected, want_selected)

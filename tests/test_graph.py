@@ -235,6 +235,17 @@ class TestDataset:
         with pytest.raises(ValueError, match="one distinct graph id per graph"):
             ds.subset([1, 1])
 
+    def test_subset_of_every_row_in_order_is_the_dataset(self):
+        ds = make_dataset(m=5)
+        assert ds.subset(range(5)) is ds and ds.subset(np.arange(5)) is ds
+        for idx in ([4, 3, 2, 1, 0], [0, 0, 1, 2, 3], [0, 1, 2, 3]):
+            sub = ds.subset(idx)
+            assert sub is not ds
+            for name in ("graphs", "labels"):
+                got = getattr(sub, name)
+                assert np.array_equal(got, getattr(ds, name)[idx])
+                assert not got.flags.writeable
+
     @pytest.mark.parametrize("defect, message", [
         ("non-finite", "must be finite"), ("self-loop", "self-loops"),
         ("asymmetric", "symmetric adjacency")])

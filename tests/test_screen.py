@@ -30,6 +30,12 @@ def one_shot_result(scores):
     )
 
 
+def screen_whole(ds, config):
+    """``(result, selected)`` of ``screen.run`` for one config on the whole dataset."""
+    (_, [pair]), = screen.run(ds, [config], [np.arange(ds.m)])
+    return pair
+
+
 def assert_same_screening(a, b):
     assert np.array_equal(a.scores, b.scores)
     assert np.array_equal(a.elimination_order, b.elimination_order)
@@ -210,7 +216,7 @@ class TestRankingAndSelection:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # an all-zero score sequence warns
-            result, selected = screen.run(ds, config)
+            result, selected = screen_whole(ds, config)
         ranking = screen.vertex_ranking(result)
         assert np.array_equal(selected, np.sort(ranking[: selected.size]))
 
@@ -230,11 +236,11 @@ class TestRankingAndSelection:
     def test_run_matches_the_screening_it_names(self):
         ds = random_dataset(seed=18)
         config = screen.ScreeningConfig(iterative=True, delta=0.4, size_rule="fixed", size=3)
-        result, selected = screen.run(ds, config)
+        result, selected = screen_whole(ds, config)
         expected = screen.screen_iterative(ds, delta=0.4)
         assert np.array_equal(result.scores, expected.scores)
         assert np.array_equal(selected, screen.select_vertices(expected, "fixed", 3))
-        once, none = screen.run(ds, screen.ScreeningConfig(iterative=False, threshold=1.0))
+        once, none = screen_whole(ds, screen.ScreeningConfig(iterative=False, threshold=1.0))
         assert np.all(once.elimination_order == screen.SURVIVOR) and none.size == 0
 
     @pytest.mark.parametrize(
@@ -278,28 +284,31 @@ class TestRankingAndSelection:
     @pytest.mark.parametrize("iterative", [False, True])
     def test_run_refuses_a_size_above_n_before_screening(self, monkeypatch, iterative):
         calls = []
-        real_score = screen.score_vertices
 
-        def counting_score(*args, **kwargs):
-            calls.append(args)
-            return real_score(*args, **kwargs)
+        def counting(real):
+            def count(*args, **kwargs):
+                calls.append(args)
+                return real(*args, **kwargs)
+            return count
 
-        monkeypatch.setattr(screen, "score_vertices", counting_score)
+        # a dcorr first level comes from the kernel, later levels from score_vertices
+        monkeypatch.setattr(screen, "score_vertices", counting(screen.score_vertices))
+        monkeypatch.setattr(corr, "_label_dcorr_on_rows", counting(corr._label_dcorr_on_rows))
         ds = random_dataset(seed=23)
         config = screen.ScreeningConfig(iterative=iterative, size_rule="fixed", size=ds.n + 1)
         with pytest.raises(ValueError, match=f"size {ds.n + 1} exceeds the {ds.n} vertices"):
-            screen.run(ds, config)
+            screen_whole(ds, config)
         assert calls == []
-        screen.run(ds, replace(config, size=ds.n))
+        screen_whole(ds, replace(config, size=ds.n))
         assert calls
 
     def test_config_resolves_the_setting_its_mode_reads(self):
         # an unset threshold or delta screens as threshold 0 or delta 0.5
         ds = random_dataset(seed=22)
-        result, selected = screen.run(ds, screen.ScreeningConfig())
+        result, selected = screen_whole(ds, screen.ScreeningConfig())
         assert_same_screening(result, screen.screen_once(ds, 0.0))
         assert np.array_equal(selected, result.selected)
-        result, selected = screen.run(ds, screen.ScreeningConfig(iterative=True))
+        result, selected = screen_whole(ds, screen.ScreeningConfig(iterative=True))
         assert_same_screening(result, screen.screen_iterative(ds, 0.5))
         assert np.array_equal(selected, result.selected)
 
@@ -310,13 +319,13 @@ class TestRankingAndSelection:
         assert (fixed.threshold, fixed.size) == (None, 6)
         assert replace(screen.ScreeningConfig(size_rule="gap"), statistic="rv").threshold is None
         ds = random_dataset(seed=21)
-        _, selected = screen.run(ds, fixed)
+        _, selected = screen_whole(ds, fixed)
         assert np.array_equal(selected, screen.select_vertices(screen.screen_once(ds, 0.0),
                                                                "fixed", 6))
 
     def test_config_defaults_to_one_shot(self):
         ds = random_dataset(seed=19)
-        result, selected = screen.run(ds, screen.ScreeningConfig())
+        result, selected = screen_whole(ds, screen.ScreeningConfig())
         assert np.all(result.elimination_order == screen.SURVIVOR)
         assert np.array_equal(selected, screen.screen_once(ds, 0.0).selected)
 
@@ -360,61 +369,12 @@ MIXED_BATCH = (
 )
 
 
-class TestRunMany:
-    def test_batch_matches_one_run_per_config(self):
-        ds = random_dataset(m=18, n=11, seed=31, classes=3)
-        pairs = screen.run_many(ds, MIXED_BATCH)
-        assert len(pairs) == len(MIXED_BATCH)
-        for (result, selected), config in zip(pairs, MIXED_BATCH):
-            want, want_selected = screen.run(ds, config)
-            assert_same_screening(result, want)
-            assert np.array_equal(selected, want_selected)
-
-    def test_scores_every_vertex_once_per_statistic(self, monkeypatch):
-        calls = []
-        real_score = screen.score_vertices
-
-        def counting_score(dataset, restrict=None, statistic="dcorr"):
-            calls.append((statistic, dataset.n if restrict is None else len(restrict)))
-            return real_score(dataset, restrict, statistic)
-
-        monkeypatch.setattr(screen, "score_vertices", counting_score)
-        ds = random_dataset(m=18, n=11, seed=32)
-        pairs = screen.run_many(ds, MIXED_BATCH)
-        full = [statistic for statistic, k in calls if k == ds.n]
-        assert sorted(full) == ["dcorr", "rv"]
-        # every iterative level of two or more vertices but the first is scored
-        later = sum(len(result.levels) - 2 for (result, _), config in zip(pairs, MIXED_BATCH)
-                    if config.iterative)
-        assert len(calls) == len(full) + later
-        # one-shot screens of one statistic share one read-only array
-        assert pairs[0][0].scores is pairs[6][0].scores
-        with pytest.raises(ValueError, match="read-only"):
-            pairs[0][0].scores[0] = 1.0
-
-    def test_refuses_a_size_above_n_in_the_last_config_before_scoring(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(screen, "score_vertices", lambda *args: calls.append(args))
-        ds = random_dataset(seed=33)
-        batch = MIXED_BATCH + (screen.ScreeningConfig(size_rule="fixed", size=ds.n + 1),)
-        with pytest.raises(ValueError, match=f"size {ds.n + 1} exceeds the {ds.n} vertices"):
-            screen.run_many(ds, batch)
-        assert calls == []
-
-    @pytest.mark.parametrize("statistic", ["dcorr", "rv"])
-    def test_handed_scores_replace_the_first_level(self, statistic):
-        ds = random_dataset(m=16, n=9, seed=34)
-        scores = screen.score_vertices(ds, statistic=statistic)
-        first_corr = screen.subgraph_correlation(ds, np.arange(ds.n), statistic)
-        assert_same_screening(
-            screen.screen_iterative(ds, 0.5, statistic, first_level=(scores, first_corr)),
-            screen.screen_iterative(ds, 0.5, statistic))
-        assert_same_screening(screen.screen_once(ds, 0.1, statistic, scores=scores),
-                              screen.screen_once(ds, 0.1, statistic))
-        with pytest.raises(ValueError, match="one value per vertex, 9 in all"):
-            screen.screen_once(ds, 0.1, statistic, scores=scores[1:])
-        with pytest.raises(ValueError, match="one value per vertex, 9 in all"):
-            screen.screen_iterative(ds, 0.5, statistic, first_level=(scores[1:], first_corr))
+# MIXED_BATCH, then cca and mgc, one-shot and iterative
+ENTRY_BATCH = MIXED_BATCH + (
+    screen.ScreeningConfig(statistic="cca", iterative=True, size_rule="fixed", size=3),
+    screen.ScreeningConfig(statistic="mgc", size_rule="gap"),
+    screen.ScreeningConfig(statistic="mgc", iterative=True, delta=0.4),
+)
 
 
 def weighted_dataset(m, n, seed, classes=2):
@@ -437,86 +397,134 @@ def leave_subject_out(m, per_subject):
             for start in range(0, m, per_subject)]
 
 
-FOLD_CONFIGS = [
-    screen.ScreeningConfig(),
-    screen.ScreeningConfig(threshold=0.2),
-    screen.ScreeningConfig(size_rule="gap"),
-    screen.ScreeningConfig(size_rule="fixed", size=4),
-    screen.ScreeningConfig(iterative=True),
-    screen.ScreeningConfig(iterative=True, delta=0.3, size_rule="gap"),
-    screen.ScreeningConfig(iterative=True, delta=0.6, size_rule="fixed", size=3),
-]
+FOLD_LAYOUTS = {
+    "whole": lambda m: [np.arange(m)],
+    "loo": leave_one_out,
+    "subject": lambda m: leave_subject_out(m, 3),
+    # subset reads -1 as the last graph; so must each fold's first level
+    "negative": lambda m: [np.array([0, -1, 3, -5, 6, 7]), np.arange(m) - m,
+                           np.array([-2, 1, 4, -3, 9])],
+    "empty": lambda m: [],
+}
 
 
-def assert_folds_equal_per_fold_runs(ds, config, trains):
-    """run_folds yields each fold's subset and the per-fold run on it, bit for bit."""
-    screened = list(screen.run_folds(ds, config, trains))
-    assert len(screened) == len(trains)
-    for (train, result, selected), rows in zip(screened, trains):
-        want_train = ds.subset(rows)
-        assert np.array_equal(train.graphs, want_train.graphs)
-        assert np.array_equal(train.labels, want_train.labels)
-        want, want_selected = screen.run(want_train, config)
-        assert_same_screening(result, want)
-        assert np.array_equal(selected, want_selected)
+def direct_screen(train, config):
+    """The screening a config names on one training set, then its size rule."""
+    if config.iterative:
+        delta = screen.DEFAULT_DELTA if config.delta is None else config.delta
+        result = screen.screen_iterative(train, delta, config.statistic)
+    else:
+        threshold = screen.DEFAULT_THRESHOLD if config.threshold is None else config.threshold
+        result = screen.screen_once(train, threshold, config.statistic)
+    return result, screen.select_vertices(result, config.size_rule, config.size)
 
 
-class TestRunFolds:
-    @pytest.mark.parametrize("config", FOLD_CONFIGS)
-    @pytest.mark.parametrize("folds", ["loo", "subject"])
-    def test_binary_dcorr_folds_equal_per_fold_runs_bit_for_bit(self, config, folds):
+class TestRun:
+    @pytest.mark.parametrize("layout", FOLD_LAYOUTS)
+    def test_each_fold_and_config_equals_its_direct_screen(self, layout):
+        # 0/1 entries keep every distance exact, so the shared dcorr first
+        # level equals each fold's own bit for bit
         ds = random_dataset(m=14, n=10, seed=36, classes=3)
-        trains = leave_one_out(ds.m) if folds == "loo" else leave_subject_out(ds.m, 3)
-        assert_folds_equal_per_fold_runs(ds, config, trains)
+        trains = FOLD_LAYOUTS[layout](ds.m)
+        screened = list(screen.run(ds, ENTRY_BATCH, trains))
+        assert len(screened) == len(trains)
+        for (train, pairs), rows in zip(screened, trains):
+            want_train = ds.subset(rows)
+            assert np.array_equal(train.graphs, want_train.graphs)
+            assert np.array_equal(train.labels, want_train.labels)
+            assert len(pairs) == len(ENTRY_BATCH)
+            for (result, selected), config in zip(pairs, ENTRY_BATCH):
+                want, want_selected = direct_screen(want_train, config)
+                assert_same_screening(result, want)
+                assert np.array_equal(selected, want_selected)
+        if layout == "whole":
+            assert screened[0][0] is ds
 
-    @pytest.mark.parametrize("statistic", ["rv", "cca", "mgc"])
-    @pytest.mark.parametrize("iterative", [False, True])
-    def test_other_statistics_equal_per_fold_runs(self, statistic, iterative):
-        ds = random_dataset(m=12, n=7, seed=37)
-        config = screen.ScreeningConfig(statistic=statistic, iterative=iterative)
-        assert_folds_equal_per_fold_runs(ds, config, leave_subject_out(ds.m, 2))
-
-    @pytest.mark.parametrize("config", [FOLD_CONFIGS[0], FOLD_CONFIGS[5]])
-    def test_negative_row_indices_count_from_the_end(self, config):
-        # subset reads -1 as the last graph; so must each fold's first level
-        ds = random_dataset(m=12, n=8, seed=40)
-        trains = [np.array([0, -1, 3, -5, 6, 7]), np.arange(ds.m) - ds.m,
-                  np.array([-2, 1, 4, -3, 9])]
-        assert_folds_equal_per_fold_runs(ds, config, trains)
-
-    @pytest.mark.parametrize("statistic", ["dcorr", "rv"])
-    @pytest.mark.parametrize("iterative", [False, True])
-    def test_no_folds_yield_nothing(self, statistic, iterative):
-        config = screen.ScreeningConfig(statistic=statistic, iterative=iterative)
-        assert list(screen.run_folds(random_dataset(seed=41), config, [])) == []
-
-    @pytest.mark.parametrize("config", [FOLD_CONFIGS[3], FOLD_CONFIGS[6]])
-    def test_weighted_folds_agree_with_per_fold_runs(self, config):
-        # sums of real weights may round differently on the full sample's
-        # distances than on a fold's own, so scores agree to 1e-12
+    def test_weighted_folds_agree_with_direct_screens(self):
         ds = weighted_dataset(m=13, n=9, seed=38)
-        trains = leave_one_out(ds.m)
-        for (_, result, selected), rows in zip(screen.run_folds(ds, config, trains), trains):
-            want, want_selected = screen.run(ds.subset(rows), config)
-            assert np.allclose(result.scores, want.scores, rtol=0.0, atol=1e-12)
-            assert np.array_equal(result.elimination_order, want.elimination_order)
-            for (vs, value), (want_vs, want_value) in zip(result.levels, want.levels):
-                assert np.array_equal(vs, want_vs)
-                assert np.allclose(value, want_value, rtol=0.0, atol=1e-12, equal_nan=True)
+        (train, pairs), = screen.run(ds, ENTRY_BATCH, [np.arange(ds.m)])
+        assert train is ds
+        for (result, selected), config in zip(pairs, ENTRY_BATCH):
+            want, want_selected = direct_screen(ds, config)
+            assert_same_screening(result, want)
             assert np.array_equal(selected, want_selected)
+        # sums of real weights may round differently on the full sample's
+        # distances than on a fold's own, so fold scores agree to 1e-12
+        trains = leave_one_out(ds.m)
+        for (train, pairs), rows in zip(screen.run(ds, ENTRY_BATCH, trains), trains):
+            for (result, selected), config in zip(pairs, ENTRY_BATCH):
+                want, want_selected = direct_screen(train, config)
+                assert np.allclose(result.scores, want.scores, rtol=0.0, atol=1e-12)
+                assert np.array_equal(result.elimination_order, want.elimination_order)
+                for (vs, value), (want_vs, want_value) in zip(result.levels, want.levels):
+                    assert np.array_equal(vs, want_vs)
+                    assert np.allclose(value, want_value, rtol=0.0, atol=1e-12, equal_nan=True)
+                assert np.array_equal(selected, want_selected)
+
+    def test_scores_every_vertex_once_per_statistic_per_fold(self, monkeypatch):
+        calls = []
+        real_score = screen.score_vertices
+
+        def counting_score(dataset, restrict=None, statistic="dcorr"):
+            calls.append((statistic, dataset.m, dataset.n if restrict is None else len(restrict)))
+            return real_score(dataset, restrict, statistic)
+
+        kernel_calls = []
+        real_kernel = corr._label_dcorr_on_rows
+
+        def counting_kernel(blocks, labels, samples):
+            kernel_calls.append(len(samples))
+            return real_kernel(blocks, labels, samples)
+
+        monkeypatch.setattr(screen, "score_vertices", counting_score)
+        monkeypatch.setattr(corr, "_label_dcorr_on_rows", counting_kernel)
+        ds = random_dataset(m=12, n=11, seed=32)
+        trains = leave_subject_out(ds.m, 3)
+        folds = list(screen.run(ds, ENTRY_BATCH, trains))
+        # dcorr: one call for every fold's scores, one for their whole-subgraph
+        # correlations; every other statistic scores each fold's every vertex once
+        assert kernel_calls == [len(trains), len(trains)]
+        full = sorted((statistic, m) for statistic, m, k in calls if k == ds.n)
+        assert full == sorted((statistic, rows.size) for rows in trains
+                              for statistic in ("rv", "cca", "mgc"))
+        # every iterative level of two or more vertices but the first is scored
+        later = sum(len(result.levels) - 2 for _, pairs in folds
+                    for (result, _), config in zip(pairs, ENTRY_BATCH) if config.iterative)
+        assert len(calls) == len(full) + later
+        # one-shot screens of one statistic share one read-only array
+        for _, pairs in folds:
+            assert pairs[0][0].scores is pairs[6][0].scores
+            with pytest.raises(ValueError, match="read-only"):
+                pairs[0][0].scores[0] = 1.0
 
     def test_refuses_a_bad_size_index_or_fold_before_scoring(self, monkeypatch):
         calls = []
         monkeypatch.setattr(corr, "_label_dcorr_on_rows", lambda *args: calls.append(args))
+        monkeypatch.setattr(screen, "score_vertices", lambda *args: calls.append(args))
         ds = random_dataset(seed=39)
-        config = screen.ScreeningConfig(size_rule="fixed", size=ds.n + 1)
+        batch = MIXED_BATCH + (screen.ScreeningConfig(size_rule="fixed", size=ds.n + 1),)
         with pytest.raises(ValueError, match=f"size {ds.n + 1} exceeds the {ds.n} vertices"):
-            screen.run_folds(ds, config, leave_one_out(ds.m))
+            screen.run(ds, batch, [np.arange(ds.m)])
         with pytest.raises(ValueError, match="every fold needs at least 2 training graphs"):
-            screen.run_folds(ds, screen.ScreeningConfig(), [np.arange(ds.m), [3]])
+            screen.run(ds, MIXED_BATCH, [np.arange(ds.m), [3]])
         with pytest.raises(IndexError):
-            screen.run_folds(ds, screen.ScreeningConfig(), [np.arange(ds.m), [0, ds.m]])
+            screen.run(ds, MIXED_BATCH, [np.arange(ds.m), [0, ds.m]])
         assert calls == []
+
+    @pytest.mark.parametrize("statistic", ["dcorr", "rv"])
+    def test_handed_scores_replace_the_first_level(self, statistic):
+        ds = random_dataset(m=16, n=9, seed=34)
+        scores = screen.score_vertices(ds, statistic=statistic)
+        first_corr = screen.subgraph_correlation(ds, np.arange(ds.n), statistic)
+        assert_same_screening(
+            screen.screen_iterative(ds, 0.5, statistic, first_level=(scores, first_corr)),
+            screen.screen_iterative(ds, 0.5, statistic))
+        assert_same_screening(screen.screen_once(ds, 0.1, statistic, scores=scores),
+                              screen.screen_once(ds, 0.1, statistic))
+        with pytest.raises(ValueError, match="one value per vertex, 9 in all"):
+            screen.screen_once(ds, 0.1, statistic, scores=scores[1:])
+        with pytest.raises(ValueError, match="one value per vertex, 9 in all"):
+            screen.screen_iterative(ds, 0.5, statistic, first_level=(scores[1:], first_corr))
 
 
 class TestSubgraphCorrelation:
