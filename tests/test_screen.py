@@ -419,47 +419,44 @@ def direct_screen(train, config):
     return result, screen.select_vertices(result, config.size_rule, config.size)
 
 
+def assert_folds_equal_direct_screens(ds, configs, trains):
+    """run yields each fold's subset and every config's direct screen on it, bit for bit."""
+    screened = list(screen.run(ds, configs, trains))
+    assert len(screened) == len(trains)
+    for (train, pairs), rows in zip(screened, trains):
+        want_train = ds.subset(rows)
+        assert np.array_equal(train.graphs, want_train.graphs)
+        assert np.array_equal(train.labels, want_train.labels)
+        assert len(pairs) == len(configs)
+        for (result, selected), config in zip(pairs, configs):
+            want, want_selected = direct_screen(want_train, config)
+            assert_same_screening(result, want)
+            assert np.array_equal(selected, want_selected)
+    return screened
+
+
+def counting_first_levels(monkeypatch):
+    """Record every dcorr kernel call and every score_vertices call; neither scores."""
+    calls = []
+    monkeypatch.setattr(corr, "_label_dcorr_on_rows", lambda *args: calls.append(args))
+    monkeypatch.setattr(screen, "score_vertices", lambda *args: calls.append(args))
+    return calls
+
+
 class TestRun:
     @pytest.mark.parametrize("layout", FOLD_LAYOUTS)
     def test_each_fold_and_config_equals_its_direct_screen(self, layout):
         # 0/1 entries keep every distance exact, so the shared dcorr first
         # level equals each fold's own bit for bit
         ds = random_dataset(m=14, n=10, seed=36, classes=3)
-        trains = FOLD_LAYOUTS[layout](ds.m)
-        screened = list(screen.run(ds, ENTRY_BATCH, trains))
-        assert len(screened) == len(trains)
-        for (train, pairs), rows in zip(screened, trains):
-            want_train = ds.subset(rows)
-            assert np.array_equal(train.graphs, want_train.graphs)
-            assert np.array_equal(train.labels, want_train.labels)
-            assert len(pairs) == len(ENTRY_BATCH)
-            for (result, selected), config in zip(pairs, ENTRY_BATCH):
-                want, want_selected = direct_screen(want_train, config)
-                assert_same_screening(result, want)
-                assert np.array_equal(selected, want_selected)
+        screened = assert_folds_equal_direct_screens(ds, ENTRY_BATCH, FOLD_LAYOUTS[layout](ds.m))
         if layout == "whole":
             assert screened[0][0] is ds
 
-    def test_weighted_folds_agree_with_direct_screens(self):
+    def test_weighted_whole_dataset_fold_equals_direct_screens(self):
         ds = weighted_dataset(m=13, n=9, seed=38)
-        (train, pairs), = screen.run(ds, ENTRY_BATCH, [np.arange(ds.m)])
+        (train, _), = assert_folds_equal_direct_screens(ds, ENTRY_BATCH, [np.arange(ds.m)])
         assert train is ds
-        for (result, selected), config in zip(pairs, ENTRY_BATCH):
-            want, want_selected = direct_screen(ds, config)
-            assert_same_screening(result, want)
-            assert np.array_equal(selected, want_selected)
-        # sums of real weights may round differently on the full sample's
-        # distances than on a fold's own, so fold scores agree to 1e-12
-        trains = leave_one_out(ds.m)
-        for (train, pairs), rows in zip(screen.run(ds, ENTRY_BATCH, trains), trains):
-            for (result, selected), config in zip(pairs, ENTRY_BATCH):
-                want, want_selected = direct_screen(train, config)
-                assert np.allclose(result.scores, want.scores, rtol=0.0, atol=1e-12)
-                assert np.array_equal(result.elimination_order, want.elimination_order)
-                for (vs, value), (want_vs, want_value) in zip(result.levels, want.levels):
-                    assert np.array_equal(vs, want_vs)
-                    assert np.allclose(value, want_value, rtol=0.0, atol=1e-12, equal_nan=True)
-                assert np.array_equal(selected, want_selected)
 
     def test_scores_every_vertex_once_per_statistic_per_fold(self, monkeypatch):
         calls = []
@@ -497,20 +494,6 @@ class TestRun:
             with pytest.raises(ValueError, match="read-only"):
                 pairs[0][0].scores[0] = 1.0
 
-    def test_refuses_a_bad_size_index_or_fold_before_scoring(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(corr, "_label_dcorr_on_rows", lambda *args: calls.append(args))
-        monkeypatch.setattr(screen, "score_vertices", lambda *args: calls.append(args))
-        ds = random_dataset(seed=39)
-        batch = MIXED_BATCH + (screen.ScreeningConfig(size_rule="fixed", size=ds.n + 1),)
-        with pytest.raises(ValueError, match=f"size {ds.n + 1} exceeds the {ds.n} vertices"):
-            screen.run(ds, batch, [np.arange(ds.m)])
-        with pytest.raises(ValueError, match="every fold needs at least 2 training graphs"):
-            screen.run(ds, MIXED_BATCH, [np.arange(ds.m), [3]])
-        with pytest.raises(IndexError):
-            screen.run(ds, MIXED_BATCH, [np.arange(ds.m), [0, ds.m]])
-        assert calls == []
-
     @pytest.mark.parametrize("statistic", ["dcorr", "rv"])
     def test_handed_scores_replace_the_first_level(self, statistic):
         ds = random_dataset(m=16, n=9, seed=34)
@@ -525,6 +508,85 @@ class TestRun:
             screen.screen_once(ds, 0.1, statistic, scores=scores[1:])
         with pytest.raises(ValueError, match="one value per vertex, 9 in all"):
             screen.screen_iterative(ds, 0.5, statistic, first_level=(scores[1:], first_corr))
+
+
+class TestRunMany:
+    """Several configs on the whole dataset, the fold of every row."""
+
+    def test_refuses_a_size_above_n_in_the_last_config_before_scoring(self, monkeypatch):
+        calls = counting_first_levels(monkeypatch)
+        ds = random_dataset(seed=33)
+        batch = MIXED_BATCH + (screen.ScreeningConfig(size_rule="fixed", size=ds.n + 1),)
+        with pytest.raises(ValueError, match=f"size {ds.n + 1} exceeds the {ds.n} vertices"):
+            screen.run(ds, batch, [np.arange(ds.m)])
+        assert calls == []
+
+
+FOLD_CONFIGS = [
+    screen.ScreeningConfig(),
+    screen.ScreeningConfig(threshold=0.2),
+    screen.ScreeningConfig(size_rule="gap"),
+    screen.ScreeningConfig(size_rule="fixed", size=4),
+    screen.ScreeningConfig(iterative=True),
+    screen.ScreeningConfig(iterative=True, delta=0.3, size_rule="gap"),
+    screen.ScreeningConfig(iterative=True, delta=0.6, size_rule="fixed", size=3),
+]
+
+
+class TestRunFolds:
+    """One config over many training folds."""
+
+    @pytest.mark.parametrize("config", FOLD_CONFIGS)
+    @pytest.mark.parametrize("folds", ["loo", "subject"])
+    def test_binary_dcorr_folds_equal_per_fold_runs_bit_for_bit(self, config, folds):
+        ds = random_dataset(m=14, n=10, seed=36, classes=3)
+        trains = leave_one_out(ds.m) if folds == "loo" else leave_subject_out(ds.m, 3)
+        assert_folds_equal_direct_screens(ds, [config], trains)
+
+    @pytest.mark.parametrize("statistic", ["rv", "cca", "mgc"])
+    @pytest.mark.parametrize("iterative", [False, True])
+    def test_other_statistics_equal_per_fold_runs(self, statistic, iterative):
+        ds = random_dataset(m=12, n=7, seed=37)
+        config = screen.ScreeningConfig(statistic=statistic, iterative=iterative)
+        assert_folds_equal_direct_screens(ds, [config], leave_subject_out(ds.m, 2))
+
+    @pytest.mark.parametrize("config", [FOLD_CONFIGS[0], FOLD_CONFIGS[5]])
+    def test_negative_row_indices_count_from_the_end(self, config):
+        ds = random_dataset(m=12, n=8, seed=40)
+        assert_folds_equal_direct_screens(ds, [config], FOLD_LAYOUTS["negative"](ds.m))
+
+    @pytest.mark.parametrize("statistic", ["dcorr", "rv"])
+    @pytest.mark.parametrize("iterative", [False, True])
+    def test_no_folds_yield_nothing(self, statistic, iterative):
+        config = screen.ScreeningConfig(statistic=statistic, iterative=iterative)
+        assert list(screen.run(random_dataset(seed=41), [config], [])) == []
+
+    @pytest.mark.parametrize("config", [FOLD_CONFIGS[3], FOLD_CONFIGS[6]])
+    def test_weighted_folds_agree_with_per_fold_runs(self, config):
+        # sums of real weights may round differently on the full sample's
+        # distances than on a fold's own, so scores agree to 1e-12
+        ds = weighted_dataset(m=13, n=9, seed=38)
+        trains = leave_one_out(ds.m)
+        for (train, [(result, selected)]), rows in zip(screen.run(ds, [config], trains), trains):
+            want, want_selected = direct_screen(ds.subset(rows), config)
+            assert np.allclose(result.scores, want.scores, rtol=0.0, atol=1e-12)
+            assert np.array_equal(result.elimination_order, want.elimination_order)
+            for (vs, value), (want_vs, want_value) in zip(result.levels, want.levels):
+                assert np.array_equal(vs, want_vs)
+                assert np.allclose(value, want_value, rtol=0.0, atol=1e-12, equal_nan=True)
+            assert np.array_equal(selected, want_selected)
+
+    def test_refuses_a_bad_size_index_or_fold_before_scoring(self, monkeypatch):
+        calls = counting_first_levels(monkeypatch)
+        ds = random_dataset(seed=39)
+        config = screen.ScreeningConfig(size_rule="fixed", size=ds.n + 1)
+        with pytest.raises(ValueError, match=f"size {ds.n + 1} exceeds the {ds.n} vertices"):
+            screen.run(ds, [config], leave_one_out(ds.m))
+        with pytest.raises(ValueError, match="every fold needs at least 2 training graphs"):
+            screen.run(ds, MIXED_BATCH, [np.arange(ds.m), [3]])
+        with pytest.raises(IndexError):
+            screen.run(ds, MIXED_BATCH, [np.arange(ds.m), [0, ds.m]])
+        assert calls == []
 
 
 class TestSubgraphCorrelation:
