@@ -56,6 +56,23 @@ def _as_sample_matrix(x, stack=False):
     return x
 
 
+def _squared_distances(samples):
+    """m x m squared euclidean distances between the rows of an (m, d)
+    sample matrix, or of each matrix of a (B, m, d) stack."""
+    x = _as_sample_matrix(samples, stack=True)
+    sq = np.einsum("...ij,...ij->...i", x, x)
+    # d^2 = sq_i + sq_j - 2G in the Gram's own buffer. The Gram is exactly
+    # symmetric and sq_i + sq_j is added as one term, so d^2 is symmetric
+    # without a transpose pass; clamped, as roundoff can go < 0.
+    d = x @ np.swapaxes(x, -1, -2)
+    d *= -2.0
+    d += sq[..., :, None] + sq[..., None, :]
+    np.maximum(d, 0.0, out=d)
+    diag = np.arange(d.shape[-1])
+    d[..., diag, diag] = 0.0
+    return d
+
+
 def pairwise_distances(samples, metric="euclidean"):
     """m x m matrix of pairwise distances between rows.
 
@@ -64,19 +81,8 @@ def pairwise_distances(samples, metric="euclidean"):
     indicator and only applies to 1-d label vectors.
     """
     if metric == "euclidean":
-        x = _as_sample_matrix(samples, stack=True)
-        sq = np.einsum("...ij,...ij->...i", x, x)
-        # d^2 = sq_i + sq_j - 2G in the Gram's own buffer. The Gram is exactly
-        # symmetric and sq_i + sq_j is added as one term, so d^2 is symmetric
-        # without a transpose pass; clamp before sqrt, as roundoff can go < 0.
-        d = x @ np.swapaxes(x, -1, -2)
-        d *= -2.0
-        d += sq[..., :, None] + sq[..., None, :]
-        np.maximum(d, 0.0, out=d)
-        np.sqrt(d, out=d)
-        diag = np.arange(d.shape[-1])
-        d[..., diag, diag] = 0.0
-        return d
+        d = _squared_distances(samples)
+        return np.sqrt(d, out=d)
     if metric == "discrete":
         y = np.asarray(samples)
         if y.ndim != 1:
@@ -213,14 +219,27 @@ def dcorr_many(blocks, y, y_metric="euclidean"):
     return _dependence_terms(blocks, pairwise_distances(y, y_metric), pairwise_distances)[1]
 
 
-def _label_dcorr_on_rows(blocks, labels, samples):
-    """dcorr of every block of a (B, m, d) stack with the labels (0/1
-    mismatch metric) on each row-index array of ``samples`` alone: a
-    (len(samples), B) array. Each block's distances are built once, on all
-    m rows, and sliced per sub-sample; no row outside a sub-sample enters
-    its scores."""
+def _label_dcorr_level(blocks, labels, samples=None):
+    """dcorr with the labels (0/1 mismatch metric) of each block of a
+    level's (k, m, k) stack of vertex rows, then of the whole level
+    subgraph: k + 1 values per row sample, ``samples`` as in
+    ``_dependence_terms``. Each vertex pair u < v lies in row u and row v,
+    so the subgraph's squared distances are half the sum of the blocks';
+    on 0/1 entries that sum is exact, and bit for bit the upper-pair one.
+    """
     y = pairwise_distances(labels, "discrete")
-    return _dependence_terms(blocks, y, pairwise_distances, samples)[1]
+    m = blocks.shape[1]
+    total = np.zeros((m, m))
+
+    def matrix(chunk):
+        d = _squared_distances(chunk)
+        for block in d:  # in place: a summed copy would cost a pass per chunk
+            np.add(total, block, out=total)
+        return np.sqrt(d, out=d)
+
+    scores = _dependence_terms(blocks, y, matrix, samples)[1]
+    level = _dependence_terms(np.sqrt(total / 2.0)[None], y, lambda mats: mats, samples)[1]
+    return np.concatenate([scores, level], axis=-1)
 
 
 def dcov_sq(x, y, y_metric="euclidean"):

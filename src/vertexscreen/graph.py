@@ -26,6 +26,14 @@ def vertex_set(indices, n):
     return idx
 
 
+def _graph_positions(rows, m):
+    """Positions in [0, m) of integer row indices; a negative one counts from the end."""
+    rows = np.asarray(rows)
+    if rows.size and rows.dtype.kind not in "iu":
+        raise ValueError(f"graph row indices must be integers, not {rows.dtype}")
+    return np.arange(m)[rows.astype(int)]
+
+
 @dataclass(frozen=True)
 class LabeledGraphDataset:
     """m adjacency matrices on a shared vertex set with per-graph labels.
@@ -93,7 +101,7 @@ class LabeledGraphDataset:
         Otherwise every check but those of the adjacency entries runs again;
         the entries are rows of this checked stack.
         """
-        idx = np.asarray(graph_indices, dtype=int)
+        idx = _graph_positions(graph_indices, self.m)
         if np.array_equal(idx, np.arange(self.m)):
             return self
 

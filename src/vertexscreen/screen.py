@@ -4,9 +4,9 @@ Each vertex is scored by the dependence between its adjacency-row feature
 (within the current induced subgraph) and the labels. One-shot screening
 thresholds the scores once; iterative screening repeatedly keeps the top
 (1 - delta) share of the current vertices and keeps the level whose
-whole-subgraph statistic with the labels is largest. Its first level is
-the one-shot scoring of every vertex, which ``run`` builds once per
-training fold and statistic and shares between the configs it screens.
+whole-subgraph statistic with the labels is largest; dcorr takes a level's
+scores and that statistic from one build of its distances. ``run`` builds
+the first level, every vertex's scores, once per fold and statistic.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import corr
-from .graph import upper_pairs, vertex_set
+from .graph import _graph_positions, upper_pairs, vertex_set
 
 # elimination_order entry for vertices that were never eliminated
 SURVIVOR = np.inf
@@ -101,21 +101,25 @@ class ScreeningConfig:
                 )
 
 
+def _row_features(dataset, restrict):
+    """The (k, m, k) features of ``score_vertices``: the uncopied (n, m, n)
+    view for every vertex, or a subset gathered once in that order."""
+    features = dataset.graphs.transpose(1, 0, 2)
+    if restrict is not None:
+        idx = vertex_set(restrict, dataset.n)
+        if idx.size < dataset.n:
+            features = features[np.ix_(idx, np.arange(dataset.m), idx)]
+    return features
+
+
 def score_vertices(dataset, restrict=None, statistic="dcorr"):
     """Per-vertex statistic between adjacency-row features and the labels.
 
     Features are rows of the induced subgraph on ``restrict`` (the full
     vertex set when omitted); scores align with the sorted restrict indices.
     """
-    # feature of the i-th restricted vertex is row i of each induced
-    # adjacency: block i of the (n, m, n) view, which every vertex reads
-    # uncopied; a subset is gathered once, C-ordered in that (k, m, k) order
-    features = dataset.graphs.transpose(1, 0, 2)
-    if restrict is not None:
-        idx = vertex_set(restrict, dataset.n)
-        if idx.size < dataset.n:
-            features = features[np.ix_(idx, np.arange(dataset.m), idx)]
-    return corr.feature_label_correlation(features, dataset.labels, statistic)
+    return corr.feature_label_correlation(_row_features(dataset, restrict), dataset.labels,
+                                          statistic)
 
 
 def subgraph_correlation(dataset, vertices, statistic="dcorr"):
@@ -129,32 +133,31 @@ def subgraph_correlation(dataset, vertices, statistic="dcorr"):
     return corr.feature_label_correlation(features, dataset.labels, statistic)
 
 
-def _every_vertex_scores(dataset, statistic, scores):
-    """The statistic's scores of every vertex: ``scores`` when the caller
-    has them, else ``score_vertices`` on the full vertex set."""
-    if scores is None:
-        return score_vertices(dataset, None, statistic)
-    scores = np.asarray(scores, dtype=float)
-    if scores.shape != (dataset.n,):
-        raise ValueError(f"scores must hold one value per vertex, {dataset.n} in all")
-    return scores
+def _score_level(dataset, vertices, statistic):
+    """A level's per-vertex scores, aligned with the sorted ``vertices``,
+    and its whole-subgraph correlation. dcorr takes both from one build of
+    the level's distances; the other statistics score and correlate apart."""
+    if statistic != "dcorr":
+        return (score_vertices(dataset, vertices, statistic),
+                subgraph_correlation(dataset, vertices, statistic))
+    level = corr._label_dcorr_level(_row_features(dataset, vertices), dataset.labels)
+    return level[:-1], float(level[-1])
 
 
-def screen_once(dataset, threshold, statistic="dcorr", *, scores=None):
-    """Keep the vertices whose score strictly exceeds the threshold.
-
-    ``scores``, when given, are the statistic's scores of every vertex, as
-    ``score_vertices`` returns them; ``run`` shares one such array.
-    """
-    _check_threshold(threshold)
-    scores = _every_vertex_scores(dataset, statistic, scores)
-    selected = np.flatnonzero(scores > threshold)
+def _one_shot(scores, threshold):
+    """One-shot result of every vertex's scores; those above ``threshold`` are selected."""
     return ScreeningResult(
         scores=scores,
-        elimination_order=np.full(dataset.n, SURVIVOR),
-        levels=((np.arange(dataset.n), float("nan")),),
-        selected=selected,
+        elimination_order=np.full(scores.size, SURVIVOR),
+        levels=((np.arange(scores.size), float("nan")),),
+        selected=np.flatnonzero(scores > threshold),
     )
+
+
+def screen_once(dataset, threshold, statistic="dcorr"):
+    """Keep the vertices whose score strictly exceeds the threshold."""
+    _check_threshold(threshold)
+    return _one_shot(score_vertices(dataset, None, statistic), threshold)
 
 
 def screen_iterative(dataset, delta, statistic="dcorr", *, first_level=None):
@@ -163,42 +166,37 @@ def screen_iterative(dataset, delta, statistic="dcorr", *, first_level=None):
     A level of k vertices keeps its top min(ceil((1-delta) * k), k - 1)
     scorers, ties toward the smaller vertex index, so levels are strictly
     nested. The selected set is the level with the largest whole-subgraph
-    correlation (ties go to the larger subgraph). The first level scores
-    every vertex, as the one-shot screen does; ``first_level``, when given,
-    is the pair of those scores and the whole-subgraph correlation of every
-    vertex (None to compute it here), and only the later levels are scored
-    here.
+    correlation (ties go to the larger subgraph); the last level, of one
+    vertex, has correlation 0. ``first_level``, when given, is the first
+    level's every-vertex scores and whole-subgraph correlation.
     """
     _check_delta(delta)
     n = dataset.n
-    scores, first_corr = (None, None) if first_level is None else first_level
-    level_scores = _every_vertex_scores(dataset, statistic, scores)
-    # this result's own copy: each later level overwrites its vertices' scores
-    scores = np.array(level_scores)
-    elimination = np.full(n, SURVIVOR)
     current = np.arange(n)
-    level_sets = [current]
-    iteration = 1
+    first_level = _score_level(dataset, current, statistic) if first_level is None else first_level
+    level_scores, level_corr = first_level
+    if np.shape(level_scores) != (n,):
+        raise ValueError(f"scores must hold one value per vertex, {n} in all")
+    # this result's own copy: each later level overwrites its vertices' scores
+    scores = np.array(level_scores, dtype=float)
+    elimination = np.full(n, SURVIVOR)
+    levels = []
     while current.size > 1:
-        if current.size < n:
-            level_scores = score_vertices(dataset, current, statistic)
+        if levels:
+            level_scores, level_corr = _score_level(dataset, current, statistic)
             scores[current] = level_scores
+        levels.append((current, level_corr))
         target = min(int(np.ceil((1.0 - delta) * current.size)), current.size - 1)
         order = np.lexsort((current, -level_scores))
-        elimination[current[order[target:]]] = iteration
+        elimination[current[order[target:]]] = len(levels)
         current = np.sort(current[order[:target]])
-        level_sets.append(current)
-        iteration += 1
-    if first_corr is None:
-        first_corr = subgraph_correlation(dataset, level_sets[0], statistic)
-    level_corrs = [first_corr] + [subgraph_correlation(dataset, vs, statistic)
-                                  for vs in level_sets[1:]]
-    best = int(np.argmax(level_corrs))
+    levels.append((current, 0.0))
+    best = int(np.argmax([level_corr for _, level_corr in levels]))
     return ScreeningResult(
         scores=scores,
         elimination_order=elimination,
-        levels=tuple(zip(level_sets, level_corrs)),
-        selected=level_sets[best],
+        levels=tuple(levels),
+        selected=levels[best][0],
     )
 
 
@@ -271,54 +269,51 @@ def run(dataset, configs, train_indices):
 
     Each fold scores every vertex once per statistic, and the configs of
     that statistic share those read-only scores. For dcorr, every fold's
-    scores, and its whole-subgraph correlation when a config is iterative,
-    are slices of one build of the dataset's distance matrices made by
-    this call: a distance depends on its two graphs alone, so no held-out
-    graph or label enters a fold's scores. rv standardises its features
-    over the fold's own graphs, and cca and mgc run per sample, so they
-    score each fold's subset. A fixed size above the vertex count, a row
-    index outside the dataset or a fold of fewer than 2 graphs is refused
-    by this call, before any scoring.
+    scores and whole-subgraph correlation are slices of one build of the
+    dataset's distance matrices made by this call: a distance depends on
+    its two graphs alone, so no held-out graph or label enters a fold's
+    first level. rv standardises its features over the fold's own graphs,
+    and cca and mgc run per sample, so they score each fold's subset. A
+    fixed size above the vertex count, a row index outside the dataset or
+    not an integer, or a fold of fewer than 2 graphs is refused by this
+    call, before any scoring.
     """
     configs = tuple(configs)
     for config in configs:
         if config.size_rule == "fixed" and config.size > dataset.n:
             raise ValueError(f"size {config.size} exceeds the {dataset.n} vertices of the dataset")
-    # the graph positions subset reads: a negative index counts from the end
-    train_indices = [np.arange(dataset.m)[np.asarray(rows, dtype=int)] for rows in train_indices]
+    train_indices = [_graph_positions(rows, dataset.m) for rows in train_indices]
     if any(rows.size < 2 for rows in train_indices):
         raise ValueError("every fold needs at least 2 training graphs")
     dcorr_levels = [None] * len(train_indices)
     if train_indices and any(config.statistic == "dcorr" for config in configs):
-        scores = corr._label_dcorr_on_rows(dataset.graphs.transpose(1, 0, 2), dataset.labels,
-                                           train_indices)
-        scores.setflags(write=False)
-        first_corrs = [None] * len(train_indices)
-        if any(config.statistic == "dcorr" and config.iterative for config in configs):
-            whole = upper_pairs(dataset.graphs, np.arange(dataset.n))[None]
-            first_corrs = corr._label_dcorr_on_rows(whole, dataset.labels,
-                                                    train_indices)[:, 0].tolist()
-        dcorr_levels = list(zip(scores, first_corrs))
+        levels = corr._label_dcorr_level(_row_features(dataset, None), dataset.labels,
+                                         train_indices)
+        levels.setflags(write=False)
+        dcorr_levels = [(level[:-1], float(level[-1])) for level in levels]
 
     def screen_fold(rows, dcorr_level):
         train = dataset.subset(rows)
-        # a first level is every vertex's scores and, for iterative screening,
-        # their whole-subgraph correlation (None to compute it)
+        # a first level is every vertex's scores and, once an iterative
+        # config reads it, their whole-subgraph correlation
         first_levels = {} if dcorr_level is None else {"dcorr": dcorr_level}
         pairs = []
         for config in configs:
-            if config.statistic not in first_levels:
-                every_vertex = score_vertices(train, None, config.statistic)
+            statistic = config.statistic
+            if statistic not in first_levels:
+                every_vertex = score_vertices(train, None, statistic)
                 every_vertex.setflags(write=False)
-                first_levels[config.statistic] = (every_vertex, None)
+                first_levels[statistic] = (every_vertex, None)
+            scores, first_corr = first_levels[statistic]
             if config.iterative:
+                if first_corr is None:
+                    first_corr = subgraph_correlation(train, np.arange(train.n), statistic)
+                    first_levels[statistic] = (scores, first_corr)
                 delta = DEFAULT_DELTA if config.delta is None else config.delta
-                result = screen_iterative(train, delta, config.statistic,
-                                          first_level=first_levels[config.statistic])
+                result = screen_iterative(train, delta, statistic, first_level=(scores, first_corr))
             else:
                 threshold = DEFAULT_THRESHOLD if config.threshold is None else config.threshold
-                result = screen_once(train, threshold, config.statistic,
-                                     scores=first_levels[config.statistic][0])
+                result = _one_shot(scores, threshold)
             pairs.append((result, select_vertices(result, config.size_rule, config.size)))
         return train, pairs
 

@@ -12,6 +12,7 @@ from scipy.linalg import subspace_angles
 
 from oracles import pairwise_distances_oracle, triple_loop_dcov
 from vertexscreen import corr, evaluate
+from vertexscreen.graph import upper_pairs
 
 
 finite_matrix = arrays(
@@ -212,17 +213,23 @@ class TestStackedKernel:
             monkeypatch.setattr(corr, "_CHUNK_CELLS", chunk_cells)
         rng = np.random.default_rng(21)
         labels = rng.integers(0, 3, size=12)
-        blocks = rng.integers(0, 2, size=(7, 12, 5)).astype(float)
-        blocks[3] = 1.0  # a constant block scores 0
+        # a level of 7 vertices: block i holds row i of every graph
+        graphs = np.triu(rng.integers(0, 2, size=(12, 7, 7)), 1).astype(float)
+        graphs += graphs.transpose(0, 2, 1)
+        graphs[:, 3] = graphs[:, :, 3] = 0.0  # vertex 3 has no edge: a constant block scores 0
+        blocks = graphs.transpose(1, 0, 2)
         # every row first: later samples must still see the chunk's matrices unshifted
         samples = [np.arange(12)] + [np.setdiff1d(np.arange(12), [i]) for i in range(12)]
         samples += [np.arange(0, 12, 2), np.array([1, 4, 5, 9, 10]),
                     np.flatnonzero(labels == labels[0])]  # the last has one label: y scores 0
-        got = corr._label_dcorr_on_rows(blocks, labels, samples)
-        assert got.shape == (len(samples), 7)
+        got = corr._label_dcorr_level(blocks, labels, samples)
+        assert got.shape == (len(samples), 8)
         for scores, rows in zip(got, samples):
             sliced = corr.dcorr_many(blocks[:, rows], labels[rows], "discrete")
-            assert np.array_equal(scores, sliced)
+            assert np.array_equal(scores[:-1], sliced)
+            # the last column is the whole subgraph's, from its vertex pairs
+            pairs = upper_pairs(graphs[rows], np.arange(7))
+            assert scores[-1] == corr.dcorr(pairs, labels[rows], "discrete")
         assert np.all(got[:, 3] == 0.0) and np.all(got[-1] == 0.0)
 
     def test_many_rejects_mismatched_samples(self):

@@ -116,13 +116,13 @@ def record_fold_scoring(monkeypatch):
     """Record each call of the first scoring step on a dcorr fold path: the
     first level that every fold shares."""
     calls = []
-    real = corr._label_dcorr_on_rows
+    real = corr._label_dcorr_level
 
-    def recording(*args):
-        calls.append(args)
-        return real(*args)
+    def recording(blocks, labels, samples=None):
+        calls.append(samples)
+        return real(blocks, labels, samples)
 
-    monkeypatch.setattr(corr, "_label_dcorr_on_rows", recording)
+    monkeypatch.setattr(corr, "_label_dcorr_level", recording)
     return calls
 
 
@@ -179,10 +179,11 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match=rf"k must lie in \[1, {m - 1}\]"):
             evaluate.cross_validate(two_block_dataset(m, 6), pipeline)
         assert calls == []
-        # the recorder sits on the fold path: an accepted k reaches it twice,
-        # for every fold's vertex scores and whole-subgraph correlation
+        # the recorder sits on the fold path: an accepted k reaches it once
+        # for every fold's first level, then once per later level of a fold
         evaluate.cross_validate(two_block_dataset(m, 6), replace(pipeline, k=1))
-        assert len(calls) == 2
+        assert len(calls[0]) == m and len(calls) > 1
+        assert all(samples is None for samples in calls[1:])
 
     def test_knn_k_above_the_smallest_training_fold_refused_before_screening(
             self, monkeypatch):

@@ -246,6 +246,13 @@ class TestDataset:
                 assert np.array_equal(got, getattr(ds, name)[idx])
                 assert not got.flags.writeable
 
+    @pytest.mark.parametrize("rows", [np.arange(12) < 8, [0.9, 1.9, 2.9]],
+                             ids=["mask", "float"])
+    def test_subset_refuses_rows_that_are_not_integers(self, rows):
+        # numpy would read a mask or floats as positions 0 and 1 or 0, 1, 2
+        with pytest.raises(ValueError, match="graph row indices must be integers"):
+            make_dataset(m=12).subset(rows)
+
     @pytest.mark.parametrize("defect, message", [
         ("non-finite", "must be finite"), ("self-loop", "self-loops"),
         ("asymmetric", "symmetric adjacency")])

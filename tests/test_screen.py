@@ -291,9 +291,9 @@ class TestRankingAndSelection:
                 return real(*args, **kwargs)
             return count
 
-        # a dcorr first level comes from the kernel, later levels from score_vertices
+        # every dcorr level comes from the level kernel, other levels from score_vertices
         monkeypatch.setattr(screen, "score_vertices", counting(screen.score_vertices))
-        monkeypatch.setattr(corr, "_label_dcorr_on_rows", counting(corr._label_dcorr_on_rows))
+        monkeypatch.setattr(corr, "_label_dcorr_level", counting(corr._label_dcorr_level))
         ds = random_dataset(seed=23)
         config = screen.ScreeningConfig(iterative=iterative, size_rule="fixed", size=ds.n + 1)
         with pytest.raises(ValueError, match=f"size {ds.n + 1} exceeds the {ds.n} vertices"):
@@ -436,9 +436,9 @@ def assert_folds_equal_direct_screens(ds, configs, trains):
 
 
 def counting_first_levels(monkeypatch):
-    """Record every dcorr kernel call and every score_vertices call; neither scores."""
+    """Record every dcorr level kernel call and every score_vertices call; neither scores."""
     calls = []
-    monkeypatch.setattr(corr, "_label_dcorr_on_rows", lambda *args: calls.append(args))
+    monkeypatch.setattr(corr, "_label_dcorr_level", lambda *args: calls.append(args))
     monkeypatch.setattr(screen, "score_vertices", lambda *args: calls.append(args))
     return calls
 
@@ -467,27 +467,32 @@ class TestRun:
             return real_score(dataset, restrict, statistic)
 
         kernel_calls = []
-        real_kernel = corr._label_dcorr_on_rows
+        real_kernel = corr._label_dcorr_level
 
-        def counting_kernel(blocks, labels, samples):
-            kernel_calls.append(len(samples))
+        def counting_kernel(blocks, labels, samples=None):
+            kernel_calls.append(None if samples is None else len(samples))
             return real_kernel(blocks, labels, samples)
 
         monkeypatch.setattr(screen, "score_vertices", counting_score)
-        monkeypatch.setattr(corr, "_label_dcorr_on_rows", counting_kernel)
+        monkeypatch.setattr(corr, "_label_dcorr_level", counting_kernel)
         ds = random_dataset(m=12, n=11, seed=32)
         trains = leave_subject_out(ds.m, 3)
         folds = list(screen.run(ds, ENTRY_BATCH, trains))
-        # dcorr: one call for every fold's scores, one for their whole-subgraph
-        # correlations; every other statistic scores each fold's every vertex once
-        assert kernel_calls == [len(trains), len(trains)]
+
+        def later_levels(dcorr):
+            # every iterative level of two or more vertices but the first is scored
+            return sum(len(result.levels) - 2 for _, pairs in folds
+                       for (result, _), config in zip(pairs, ENTRY_BATCH)
+                       if config.iterative and (config.statistic == "dcorr") == dcorr)
+
+        # dcorr: one call for every fold's scores and whole-subgraph
+        # correlation, then one per later level; every other statistic scores
+        # each fold's every vertex once
+        assert kernel_calls == [len(trains)] + [None] * later_levels(True)
         full = sorted((statistic, m) for statistic, m, k in calls if k == ds.n)
         assert full == sorted((statistic, rows.size) for rows in trains
                               for statistic in ("rv", "cca", "mgc"))
-        # every iterative level of two or more vertices but the first is scored
-        later = sum(len(result.levels) - 2 for _, pairs in folds
-                    for (result, _), config in zip(pairs, ENTRY_BATCH) if config.iterative)
-        assert len(calls) == len(full) + later
+        assert len(calls) == len(full) + later_levels(False)
         # one-shot screens of one statistic share one read-only array
         for _, pairs in folds:
             assert pairs[0][0].scores is pairs[6][0].scores
@@ -502,12 +507,41 @@ class TestRun:
         assert_same_screening(
             screen.screen_iterative(ds, 0.5, statistic, first_level=(scores, first_corr)),
             screen.screen_iterative(ds, 0.5, statistic))
-        assert_same_screening(screen.screen_once(ds, 0.1, statistic, scores=scores),
-                              screen.screen_once(ds, 0.1, statistic))
-        with pytest.raises(ValueError, match="one value per vertex, 9 in all"):
-            screen.screen_once(ds, 0.1, statistic, scores=scores[1:])
         with pytest.raises(ValueError, match="one value per vertex, 9 in all"):
             screen.screen_iterative(ds, 0.5, statistic, first_level=(scores[1:], first_corr))
+
+    @pytest.mark.parametrize("layout", FOLD_LAYOUTS)
+    def test_dcorr_level_correlations_equal_the_subgraph_reference(self, layout):
+        # a level's correlation comes from its scores' distances; on 0/1
+        # entries it equals the upper-pair reference bit for bit
+        ds = random_dataset(m=14, n=10, seed=36, classes=3)
+        configs = [config for config in ENTRY_BATCH
+                   if config.iterative and config.statistic == "dcorr"]
+        for train, pairs in screen.run(ds, configs, FOLD_LAYOUTS[layout](ds.m)):
+            for result, _ in pairs:
+                assert result.levels[-1][0].size == 1 and result.levels[-1][1] == 0.0
+                for vertices, value in result.levels:
+                    assert value == screen.subgraph_correlation(train, vertices)
+
+    def test_weighted_dcorr_level_correlations_agree_with_the_subgraph_reference(self):
+        ds = weighted_dataset(m=13, n=9, seed=38)
+        config = screen.ScreeningConfig(iterative=True, delta=0.3)
+        trains = [np.arange(ds.m)] + leave_one_out(ds.m)
+        for train, [(result, _)] in screen.run(ds, [config], trains):
+            assert result.levels[-1][1] == 0.0
+            for vertices, value in result.levels:
+                reference = screen.subgraph_correlation(train, vertices)
+                assert np.isclose(value, reference, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("rows", [np.arange(12) < 8, [0.9, 1.9, 2.9]],
+                             ids=["mask", "float"])
+    def test_refuses_rows_that_are_not_integers_before_scoring(self, monkeypatch, rows):
+        # numpy would read a mask or floats as positions 0 and 1 or 0, 1, 2
+        calls = counting_first_levels(monkeypatch)
+        ds = random_dataset(m=12, seed=42)
+        with pytest.raises(ValueError, match="graph row indices must be integers"):
+            screen.run(ds, MIXED_BATCH, [np.arange(ds.m), rows])
+        assert calls == []
 
 
 class TestRunMany:
