@@ -9,16 +9,26 @@ labels.csv).
 from __future__ import annotations
 
 import csv
-import itertools
+import io
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 
+def _integers(values, what):
+    """``values`` as an int array; a boolean mask or float values are refused,
+    not read as positions."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, not {values.dtype}")
+    return values.astype(int)
+
+
 def vertex_set(indices, n):
     """Normalize to a sorted array of distinct vertex indices in [0, n)."""
-    idx = np.unique(np.asarray(indices, dtype=int))
+    idx = np.unique(_integers(indices, "vertex indices"))
     if idx.size == 0:
         raise ValueError("vertex set is empty")
     if idx[0] < 0 or idx[-1] >= n:
@@ -28,10 +38,7 @@ def vertex_set(indices, n):
 
 def _graph_positions(rows, m):
     """Positions in [0, m) of integer row indices; a negative one counts from the end."""
-    rows = np.asarray(rows)
-    if rows.size and rows.dtype.kind not in "iu":
-        raise ValueError(f"graph row indices must be integers, not {rows.dtype}")
-    return np.arange(m)[rows.astype(int)]
+    return np.arange(m)[_integers(rows, "graph row indices")]
 
 
 @dataclass(frozen=True)
@@ -192,10 +199,15 @@ def load_dataset(graphs_path, labels_path, n=None):
     """Read a dataset from the long-form CSV pair.
 
     graphs.csv rows are ``graph_id,u,v,weight`` with undirected edges listed
-    once (a pair repeated in either orientation is an error) and absent
-    pairs implicitly 0; labels.csv rows are ``graph_id,label[,subject_id]``
-    with a finite numeric label. Vertex count is ``n`` if given, otherwise
-    1 + the largest vertex index seen.
+    once (a pair repeated in either orientation is an error), a finite
+    weight, and absent pairs implicitly 0; labels.csv rows are
+    ``graph_id,label[,subject_id]`` with a finite numeric label. Blank lines
+    are skipped. Vertex count is ``n`` if given, otherwise 1 + the largest
+    vertex index seen.
+
+    A clean graphs.csv is parsed in one ``np.loadtxt`` call; any other file
+    is read row by row, which accepts the same rows with the same values and
+    names the line of the first bad one.
     """
     ids = []
     labels = []
@@ -224,37 +236,15 @@ def load_dataset(graphs_path, labels_path, n=None):
         raise ValueError(f"{labels_path}: no graphs listed")
 
     order = np.argsort(ids, kind="stable")
-    position = {ids[i]: rank for rank, i in enumerate(order)}
-
-    # one entry per edge row, in file order
-    lines, gpos, us, vs, weights = [], [], [], [], []
-    with open(graphs_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["graph_id", "u", "v", "weight"]:
-            raise ValueError(f"{graphs_path}:1: expected header graph_id,u,v,weight")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                gid, u, v = int(row[0]), int(row[1]), int(row[2])
-                w = float(row[3])
-            except (ValueError, IndexError):
-                raise ValueError(f"{graphs_path}:{line_no}: malformed edge row {row!r}") from None
-            if gid not in position:
-                raise ValueError(f"{graphs_path}:{line_no}: unknown graph id {gid}")
-            if u < 0 or v < 0:
-                raise ValueError(f"{graphs_path}:{line_no}: negative vertex index")
-            if u == v and w != 0.0:
-                raise ValueError(f"{graphs_path}:{line_no}: self-loops are not supported")
-            lines.append(line_no)
-            gpos.append(position[gid])
-            us.append(u)
-            vs.append(v)
-            weights.append(w)
+    sorted_ids = sorted(ids)
+    # one entry per edge row, in file order; a graph's position is its id's rank
+    edges = _read_edges_bulk(graphs_path, sorted_ids)
+    if edges is None:
+        edges = _read_edges(graphs_path, {gid: rank for rank, gid in enumerate(sorted_ids)})
+    lines, gpos, us, vs, weights = edges
 
     gpos, us, vs = (np.asarray(x, dtype=int) for x in (gpos, us, vs))
-    max_vertex = int(max(us.max(), vs.max())) if lines else -1
+    max_vertex = int(max(us.max(), vs.max())) if len(lines) else -1
     if n is None:
         if max_vertex < 0:
             raise ValueError(f"{graphs_path}: no edges; pass the vertex count explicitly")
@@ -270,7 +260,7 @@ def load_dataset(graphs_path, labels_path, n=None):
         earlier = first[np.searchsorted(unique_pairs, pair[again])]
         raise ValueError(
             f"{graphs_path}:{lines[again]}: pair {us[again]},{vs[again]} of graph "
-            f"{ids[order[gpos[again]]]} is already listed on line {lines[earlier]}"
+            f"{sorted_ids[gpos[again]]} is already listed on line {lines[earlier]}"
         )
     graphs = np.zeros((m, n, n))
     graphs[gpos, us, vs] = weights
@@ -279,28 +269,99 @@ def load_dataset(graphs_path, labels_path, n=None):
     labels_arr = np.asarray([labels[i] for i in order])
     subject_ids = tuple(subjects[i] for i in order) if subjects else None
     return LabeledGraphDataset(
-        graphs, labels_arr, subject_ids=subject_ids, graph_ids=sorted(ids)
+        graphs, labels_arr, subject_ids=subject_ids, graph_ids=sorted_ids
     )
+
+
+_EDGE_ROW = np.dtype([("gid", np.int64), ("u", np.int64), ("v", np.int64), ("w", np.float64)])
+
+
+def _read_edges_bulk(graphs_path, sorted_ids):
+    """``(lines, gpos, us, vs, weights)`` of a graphs.csv that passes every
+    check of ``_read_edges``, from one ``np.loadtxt`` call; None when the
+    row parser must decide. loadtxt raises or warns on an empty body, ids
+    beyond int64 and every integer spelling but signed digits (``1.0``,
+    ``"1"``, ``1_0``); a blank line it skips would shift the line numbers.
+    """
+    try:
+        with open(graphs_path, newline="") as fh:
+            header, _, body = fh.read().partition("\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(io.StringIO(body, newline=""), dtype=_EDGE_ROW, delimiter=",",
+                              comments=None, ndmin=1)
+        known = np.asarray(sorted_ids, dtype=np.int64)
+    except Exception:
+        return None
+    gid, us, vs, weights = (rows[name] for name in _EDGE_ROW.names)
+    gpos = np.searchsorted(known, gid)
+    clean = (
+        header.removesuffix("\r") == "graph_id,u,v,weight"
+        # one row per line of the body, the last one with or without its newline
+        and rows.size == body.count("\n") + (not body.endswith("\n"))
+        and np.array_equal(known[np.minimum(gpos, known.size - 1)], gid)
+        and np.all((us >= 0) & (vs >= 0) & ((us != vs) | (weights == 0.0)) & np.isfinite(weights))
+    )
+    return (np.arange(2, rows.size + 2), gpos, us, vs, weights) if clean else None
+
+
+def _read_edges(graphs_path, position):
+    """``(lines, gpos, us, vs, weights)`` of graphs.csv, one row at a time;
+    the first bad row raises a ValueError that names its line."""
+    lines, gpos, us, vs, weights = [], [], [], [], []
+    with open(graphs_path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != ["graph_id", "u", "v", "weight"]:
+            raise ValueError(f"{graphs_path}:1: expected header graph_id,u,v,weight")
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                gid, u, v, w = row
+                gid, u, v, w = int(gid), int(u), int(v), float(w)
+            except ValueError:
+                raise ValueError(f"{graphs_path}:{line_no}: malformed edge row {row!r}") from None
+            if not math.isfinite(w):
+                raise ValueError(f"{graphs_path}:{line_no}: weight {row[3]!r} is not finite")
+            if gid not in position:
+                raise ValueError(f"{graphs_path}:{line_no}: unknown graph id {gid}")
+            if u < 0 or v < 0:
+                raise ValueError(f"{graphs_path}:{line_no}: negative vertex index")
+            if u == v and w != 0.0:
+                raise ValueError(f"{graphs_path}:{line_no}: self-loops are not supported")
+            lines.append(line_no)
+            gpos.append(position[gid])
+            us.append(u)
+            vs.append(v)
+            weights.append(w)
+    return lines, gpos, us, vs, weights
 
 
 def save_dataset(dataset, graphs_path, labels_path):
     """Write the CSV pair read back by load_dataset.
 
     Graph ids are ``dataset.graph_ids``, or the dataset positions when it
-    has none; only nonzero upper-triangle entries are listed.
+    has none; only nonzero upper-triangle entries are listed. Each graph's
+    rows are joined as one string, with each distinct weight formatted once;
+    the bytes are those ``csv.writer`` writes.
     """
     ids = range(dataset.m) if dataset.graph_ids is None else dataset.graph_ids
     iu = np.triu_indices(dataset.n, 1)
+    # the "u,v," text of every pair, built once per call
+    pair_text = np.array([f"{u},{v}," for u, v in zip(*(x.tolist() for x in iu))], dtype=object)
     with open(graphs_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["graph_id", "u", "v", "weight"])
+        fh.write("graph_id,u,v,weight\r\n")
         # one graph's edge rows at a time, so memory stays bounded by one graph
         for gid, a in zip(ids, dataset.graphs):
             weights = a[iu]
             edges = np.flatnonzero(weights)
-            us, vs = iu[0][edges].tolist(), iu[1][edges].tolist()
-            cells = map(_format_number, weights[edges].tolist())
-            writer.writerows(zip(itertools.repeat(gid), us, vs, cells))
+            if edges.size:
+                values, which = np.unique(weights[edges], return_inverse=True)
+                cells = np.array([f"{_format_number(w)}\r\n" for w in values.tolist()],
+                                 dtype=object)
+                prefix = f"{gid},"
+                fh.write(prefix + prefix.join(pair_text[edges] + cells[which]))
     with open(labels_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         labels = map(_format_number, dataset.labels.tolist())

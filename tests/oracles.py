@@ -3,10 +3,13 @@
 Each oracle computes one concept the slow, literal way: a per-graph
 independent-edge draw, a per-pair log-likelihood, a per-vertex feature row,
 the symmetrised pairwise distances, the triple-loop distance covariance, the
-pairwise Mann-Whitney AUC, the per-graph likelihood argmax and the unclamped
-class means. The library has one batched implementation of each; nothing
-under ``src`` imports this module.
+pairwise Mann-Whitney AUC, the per-graph likelihood argmax, the unclamped
+class means and the ``csv.writer`` save of a dataset. The library has one
+batched implementation of each; nothing under ``src`` imports this module.
 """
+
+import csv
+import itertools
 
 import numpy as np
 
@@ -135,3 +138,33 @@ def class_means(dataset, vertices=None):
     vertices = np.arange(dataset.n) if vertices is None else vertex_set(vertices, dataset.n)
     sub = induced_subgraph(dataset.graphs, vertices)
     return tuple(sub[dataset.labels == label].mean(axis=0) for label in np.unique(dataset.labels))
+
+
+def save_dataset_rows(dataset, graphs_path, labels_path):
+    """The CSV pair of ``graph.save_dataset``, written one ``csv.writer`` row
+    per edge and per graph: nonzero upper-triangle entries in (u, v) order,
+    a whole number written as an int (1.0 as 1), ids from ``graph_ids`` or
+    the dataset positions."""
+    def cell(value):
+        return int(value) if isinstance(value, float) and value.is_integer() else value
+
+    ids = range(dataset.m) if dataset.graph_ids is None else dataset.graph_ids
+    iu = np.triu_indices(dataset.n, 1)
+    with open(graphs_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["graph_id", "u", "v", "weight"])
+        for gid, a in zip(ids, dataset.graphs):
+            weights = a[iu]
+            edges = np.flatnonzero(weights)
+            us, vs = iu[0][edges].tolist(), iu[1][edges].tolist()
+            cells = map(cell, weights[edges].tolist())
+            writer.writerows(zip(itertools.repeat(gid), us, vs, cells))
+    with open(labels_path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        labels = map(cell, dataset.labels.tolist())
+        if dataset.subject_ids is not None:
+            writer.writerow(["graph_id", "label", "subject_id"])
+            writer.writerows(zip(ids, labels, dataset.subject_ids))
+        else:
+            writer.writerow(["graph_id", "label"])
+            writer.writerows(zip(ids, labels))

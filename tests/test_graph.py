@@ -1,6 +1,9 @@
 """Tests for the graph data model, IER sampling, and CSV I/O, and for the
 sampling, likelihood and feature-row oracles."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from vertexscreen import graph
+from vertexscreen.cli import main
 
 
 def make_dataset(m=4, n=5, seed=0, subject_ids=None):
@@ -377,13 +381,166 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="labels.csv:1"):
             graph.load_dataset(gp, lp, n=3)
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-Infinity"])
+    def test_non_finite_weight_reports_line(self, tmp_path, weight):
+        gp, lp = tmp_path / "graphs.csv", tmp_path / "labels.csv"
+        lp.write_text("graph_id,label\n0,0\n1,1\n")
+        gp.write_text(f"graph_id,u,v,weight\n0,0,1,1\n1,0,2,{weight}\n")
+        with pytest.raises(ValueError, match=f"graphs.csv:3: weight '{weight}' is not finite"):
+            graph.load_dataset(gp, lp, n=3)
+
+    def test_edge_row_with_a_fifth_field_reports_line(self, tmp_path):
+        gp, lp = tmp_path / "graphs.csv", tmp_path / "labels.csv"
+        lp.write_text("graph_id,label\n0,0\n1,1\n")
+        gp.write_text("graph_id,u,v,weight\n0,0,1,1\n0,1,2,1,zzz\n")
+        with pytest.raises(ValueError, match="graphs.csv:3: malformed edge row"):
+            graph.load_dataset(gp, lp, n=3)
+
+
+LABELS = "graph_id,label\n0,0\n1,1\n"
+HUGE_ID = "99999999999999999999"
+
+# (graphs.csv body after its header line, labels.csv, whether the bulk parse
+# takes it, the error the load raises or None)
+SPELLINGS = {
+    "lf": ("0,0,1,1\n1,1,2,0.5\n", LABELS, True, None),
+    "crlf": ("0,0,1,1\r\n1,1,2,0.5\r\n", LABELS, True, None),
+    "no-trailing-newline": ("0,0,1,1\n1,1,2,0.5", LABELS, True, None),
+    "header-only": ("", LABELS, False, None),
+    "blank-lines": ("\n0,0,1,1\n\n1,1,2,0.5\n\n", LABELS, False, None),
+    "blank-crlf-line": ("0,0,1,1\r\n\r\n1,1,2,0.5\r\n", LABELS, False, None),
+    "spaces-around-fields": (" 0 , 0 , 1 , 1 \n1,1,2,0.5\n", LABELS, True, None),
+    "plus-signs": ("+0,+0,+1,+1\n", LABELS, True, None),
+    "float-vertex": ("0,1.0,2,1\n", LABELS, False, r"graphs.csv:2: malformed edge row"),
+    "quoted-vertex": ('0,"1",2,1\n', LABELS, False, None),
+    "underscore-vertex": ("0,1_0,2,1\n", LABELS, False, r"vertex index 10 exceeds n=3"),
+    "exponent-weight": ("0,0,1,1e0\n", LABELS, True, None),
+    "fractional-weight": ("0,0,1,0.25\n", LABELS, True, None),
+    "underflowing-weight": ("0,0,1,1e-400\n", LABELS, True, None),
+    "three-fields": ("0,0,1,1\n0,1,2\n", LABELS, False, r"graphs.csv:3: malformed edge row"),
+    "five-fields": ("0,0,1,1\n0,1,2,1,zzz\n", LABELS, False, r"graphs.csv:3: malformed edge row"),
+    "id-beyond-int64": (f"0,0,1,1\n{HUGE_ID},1,2,1\n", LABELS + f"{HUGE_ID},1\n", False, None),
+    "unlisted-id-beyond-int64": (f"{HUGE_ID},1,2,1\n", LABELS, False,
+                                 rf"graphs.csv:2: unknown graph id {HUGE_ID}"),
+    "comment-row": ("0,0,1,1\n#1,1,2,1\n", LABELS, False, r"graphs.csv:3: malformed edge row"),
+    "unknown-id": ("0,0,1,1\n7,1,2,1\n", LABELS, False, r"graphs.csv:3: unknown graph id 7"),
+    "negative-index": ("0,0,-1,1\n", LABELS, False, r"graphs.csv:2: negative vertex index"),
+    "self-loop": ("0,0,1,1\n1,2,2,1\n", LABELS, False, r"graphs.csv:3: self-loops are not supported"),
+    "zero-weight-self-loop": ("0,2,2,0\n", LABELS, True, None),
+    "non-finite-weight": ("0,0,1,inf\n", LABELS, False, r"graphs.csv:2: weight 'inf' is not finite"),
+    "repeated-pair": ("0,0,1,1\n1,0,1,1\n0,1,0,1\n", LABELS, True,
+                      r"graphs.csv:4: pair 1,0 of graph 0 is already listed on line 2"),
+    "repeated-pair-after-blank-line": ("0,0,1,1\n\n0,1,0,1\n", LABELS, False,
+                                       r"graphs.csv:4: pair 1,0 of graph 0 is already listed on line 2"),
+}
+
+
+def load_outcome(gp, lp):
+    """What ``load_dataset(n=3)`` gives: the dataset's fields, or its error."""
+    try:
+        ds = graph.load_dataset(gp, lp, n=3)
+    except ValueError as exc:
+        return str(exc)
+    return ds.graphs.tolist(), ds.labels.tolist(), ds.graph_ids, ds.n
+
+
+class TestCsvBulkPath:
+    @pytest.mark.parametrize("body, labels, bulk, error", SPELLINGS.values(), ids=SPELLINGS.keys())
+    def test_bulk_load_equals_the_row_parser(self, tmp_path, monkeypatch, body, labels, bulk, error):
+        gp, lp = tmp_path / "graphs.csv", tmp_path / "labels.csv"
+        lp.write_text(labels)
+        gp.write_bytes(("graph_id,u,v,weight\n" + body).encode())
+        row_parses = []
+        read_edges = graph._read_edges
+
+        def row_parser(*args):
+            row_parses.append(args)
+            return read_edges(*args)
+
+        monkeypatch.setattr(graph, "_read_edges", row_parser)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcome = load_outcome(gp, lp)
+        assert not caught, [str(w.message) for w in caught]
+        assert bool(row_parses) is not bulk
+        if error is None:
+            assert not isinstance(outcome, str), outcome
+        else:
+            assert re.search(error, outcome), outcome
+        monkeypatch.setattr(graph, "_read_edges_bulk", lambda *args: None)
+        assert load_outcome(gp, lp) == outcome
+
+    @pytest.mark.parametrize("source", ["save_dataset", "simulate"])
+    def test_clean_files_take_the_bulk_path(self, tmp_path, monkeypatch, source):
+        gp, lp = tmp_path / "graphs.csv", tmp_path / "labels.csv"
+        if source == "simulate":
+            assert main(["simulate", "exp2", "--m", "60", "--seed", "7", "--out", str(tmp_path)]) == 0
+        else:
+            ds = make_dataset(m=5, n=6, seed=3)
+            weights = np.triu(np.random.default_rng(3).uniform(0.5, 1.5, ds.graphs.shape), 1)
+            ds = graph.LabeledGraphDataset(ds.graphs * (weights + np.swapaxes(weights, 1, 2)),
+                                           ds.labels, graph_ids=(40, 10, 30, 20, 50))
+            graph.save_dataset(ds, gp, lp)
+        monkeypatch.setattr(graph, "_read_edges_bulk", lambda *args: None)
+        expected = graph.load_dataset(gp, lp)
+        monkeypatch.undo()
+
+        def refuse(*args):
+            raise AssertionError("a clean graphs.csv fell back to the row parser")
+
+        monkeypatch.setattr(graph, "_read_edges", refuse)
+        loaded = graph.load_dataset(gp, lp)
+        assert np.array_equal(loaded.graphs, expected.graphs)
+        assert loaded.graph_ids == expected.graph_ids
+        assert np.array_equal(loaded.labels, expected.labels)
+        if source == "save_dataset":
+            # a load lists the graphs in ascending id
+            assert np.array_equal(loaded.graphs, ds.subset(np.argsort(ds.graph_ids)).graphs)
+
+    @pytest.mark.parametrize("weights, graph_ids", [
+        ((0.0, 0.0, 0.0, 1.0, 1.0, 0.0), (0, 1)),
+        ((-2.0, 1e16, 0.1 + 0.2, 1e-300, 0.3, -0.5), (7, 3)),
+        ((0.25, 0.25, 1.0, 0.0, 2.0, 0.25), (20, 10)),
+    ], ids=["edgeless-graph", "awkward-weights", "out-of-order-ids"])
+    def test_save_writes_the_csv_writer_bytes(self, tmp_path, weights, graph_ids):
+        ds = two_graphs(weights, graph_ids)
+        graph.save_dataset(ds, tmp_path / "g.csv", tmp_path / "l.csv")
+        oracles.save_dataset_rows(ds, tmp_path / "g_rows.csv", tmp_path / "l_rows.csv")
+        assert (tmp_path / "g.csv").read_bytes() == (tmp_path / "g_rows.csv").read_bytes()
+        assert (tmp_path / "l.csv").read_bytes() == (tmp_path / "l_rows.csv").read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=6, max_size=6))
+    def test_save_writes_the_csv_writer_bytes_for_any_finite_weights(self, tmp_path_factory, weights):
+        out = tmp_path_factory.mktemp("bytes")
+        ds = two_graphs(weights, None)
+        graph.save_dataset(ds, out / "g.csv", out / "l.csv")
+        oracles.save_dataset_rows(ds, out / "g_rows.csv", out / "l_rows.csv")
+        assert (out / "g.csv").read_bytes() == (out / "g_rows.csv").read_bytes()
+
+
+def two_graphs(weights, graph_ids):
+    """Two graphs on 3 vertices: weights 0-2 on graph 0's pairs 01, 02, 12,
+    weights 3-5 on graph 1's."""
+    a = np.zeros((2, 3, 3))
+    iu = np.triu_indices(3, 1)
+    a[:, iu[0], iu[1]] = np.reshape(weights, (2, 3))
+    a += np.swapaxes(a, 1, 2)
+    return graph.LabeledGraphDataset(a, np.array([1.0, 0.5]), graph_ids=graph_ids)
 
 def test_vertex_set_normalizes():
     assert np.array_equal(graph.vertex_set([3, 1, 3], 5), [1, 3])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vertex set is empty"):
         graph.vertex_set([], 5)
     with pytest.raises(ValueError):
         graph.vertex_set([5], 5)
+
+
+@pytest.mark.parametrize("indices", [np.array([True, False, True, True]), [0.9, 2.5]],
+                         ids=["mask", "floats"])
+def test_vertex_set_refuses_indices_that_are_not_integers(indices):
+    with pytest.raises(ValueError, match="vertex indices must be integers"):
+        graph.vertex_set(indices, 4)
 
 
 @pytest.mark.parametrize("m", [-1, 0, 1])

@@ -62,6 +62,13 @@ class TestScoreVertices:
             expected = corr.dcorr(feats, ds.labels, y_metric="discrete")
             assert abs(scores[pos] - expected) <= 1e-10
 
+    @pytest.mark.parametrize("restrict", [np.isin(np.arange(10), [2, 5, 7]), [2.0, 5.0, 7.0]],
+                             ids=["mask", "floats"])
+    def test_restrict_must_be_vertex_indices(self, restrict):
+        # a mask of 3 marked vertices once scored vertices 0 and 1
+        with pytest.raises(ValueError, match="vertex indices must be integers"):
+            screen.score_vertices(random_dataset(), restrict=restrict)
+
     def test_planted_deterministic_vertex_scores_highest(self):
         # vertex 0's row follows the label exactly; every other row is
         # independent noise apart from its mirrored entry in column 0
