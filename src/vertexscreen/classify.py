@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import corr
 from .graph import (
     LabeledGraphDataset,
     induced_subgraph,
@@ -76,22 +77,30 @@ def _log_posteriors(priors, probabilities, graphs, vertices):
     probability exactly 0 or 1 adds nothing to the matmul over finite logs;
     a graph contradicting it (an edge where p = 0, a non-edge where p = 1)
     gets log posterior -inf for that class.
+
+    The graphs are read in row chunks of about ``corr._CHUNK_CELLS`` pairs,
+    each gathered and cast to float64 on its own, so neither the (N, n, n)
+    stack nor its dense (N, pairs) pairs are ever copied whole. BLAS picks
+    its kernel by shape, so a row's sums can differ from those of the whole
+    product in the last bit; a uint8 stack gives a float64 one's bits.
     """
-    flat = upper_pairs(graphs, vertices)
-    # checked on the gathered pairs, so the (N, n, n) stack is never copied
-    if np.count_nonzero(flat) != np.count_nonzero(flat == 1.0):
-        raise ValueError("adjacency must be binary for likelihood operations")
     p = upper_pairs(np.stack(probabilities), np.arange(vertices.size))
     with np.errstate(divide="ignore"):
         log_prior, log_p, log_1p = np.log(priors), np.log(p), np.log1p(-p)
-    scores = (
-        log_prior
-        + flat @ np.where(p > 0.0, log_p, 0.0).T
-        + (1.0 - flat) @ np.where(p < 1.0, log_1p, 0.0).T
-    )
+    log_p, log_1p = np.where(p > 0.0, log_p, 0.0).T, np.where(p < 1.0, log_1p, 0.0).T
     zero, one = p == 0.0, p == 1.0
-    if zero.any() or one.any():
-        scores[flat @ zero.T + (1.0 - flat) @ one.T > 0.0] = -np.inf
+    scores = np.empty((graphs.shape[0], p.shape[0]))
+    rows = max(1, corr._CHUNK_CELLS // max(1, p.shape[1]))
+    for start in range(0, graphs.shape[0], rows):
+        stop = start + rows
+        flat = upper_pairs(graphs[start:stop], vertices)
+        if np.count_nonzero(flat) != np.count_nonzero(flat == 1):
+            raise ValueError("adjacency must be binary for likelihood operations")
+        flat = np.asarray(flat, dtype=float)
+        chunk = scores[start:stop]
+        chunk[...] = log_prior + flat @ log_p + (1.0 - flat) @ log_1p
+        if zero.any() or one.any():
+            chunk[flat @ zero.T + (1.0 - flat) @ one.T > 0.0] = -np.inf
     return scores
 
 
@@ -101,7 +110,8 @@ def _decide(class_labels, scores):
 
 
 def _stack(graphs):
-    graphs = np.asarray(graphs, dtype=float)
+    # not cast: _log_posteriors casts one chunk at a time to float64
+    graphs = np.asarray(graphs)
     if graphs.ndim != 3 or graphs.shape[1] != graphs.shape[2]:
         raise ValueError("graphs must form an (N, n, n) stack of square adjacencies")
     return graphs
@@ -163,7 +173,8 @@ def knn_predict(train, a, k, restrict=None):
     )
     target = induced_subgraph(a, vertices)
     pool = induced_subgraph(train.graphs, vertices)
-    dists = np.sqrt(((pool - target) ** 2).sum(axis=(1, 2)))
+    # in float: a uint8 difference would wrap around
+    dists = np.sqrt((np.subtract(pool, target, dtype=float) ** 2).sum(axis=(1, 2)))
     nearest = np.argsort(dists, kind="stable")[:k]
     votes = train.labels[nearest]
     candidates = np.unique(votes)

@@ -151,9 +151,10 @@ def _dependence_terms(blocks, y_matrix, matrix, samples=None):
     stack, where A = matrix(block) and B is y's m x m matrix: pairwise
     distances for dcorr, the standardised Gram for rv. No matrix is
     double-centred; each term needs only the matrices and their row means.
-    Each chunk of blocks is copied to one contiguous array, and a chunk's
-    matrices are reduced in one batched pass; a degenerate block or y has
-    ratio 0.
+    Each chunk of blocks is copied to one contiguous float64 array, so a
+    stack of another dtype (uint8 0/1 rows) is never cast whole, and a
+    chunk's matrices are reduced in one batched pass; a degenerate block or
+    y has ratio 0.
 
     ``samples``, when given, is a sequence of arrays of row indices in
     [0, m) (each builds flat cell indices), and the terms come back as
@@ -165,7 +166,7 @@ def _dependence_terms(blocks, y_matrix, matrix, samples=None):
     matrix only when an entry depends on its two rows alone, as a distance
     does and a standardised Gram does not.
     """
-    blocks = np.asarray(blocks, dtype=float)
+    blocks = np.asarray(blocks)
     if blocks.ndim != 3:
         raise ValueError(f"expected a (B, m, d) stack of samples, got shape {blocks.shape}")
     n_blocks, m, _ = blocks.shape
@@ -186,7 +187,7 @@ def _dependence_terms(blocks, y_matrix, matrix, samples=None):
     chunk = max(1, _CHUNK_CELLS // (m * m))
     for start in range(0, n_blocks, chunk):
         stop = start + chunk
-        mats = matrix(np.ascontiguousarray(blocks[start:stop]))
+        mats = matrix(np.ascontiguousarray(blocks[start:stop], dtype=float))
         for s, rows in enumerate(subsets):
             b, row_b, vy[s] = y_terms(s)
             if s == len(subsets) - 1 and np.array_equal(rows, every_row):
@@ -337,17 +338,18 @@ def rv_coefficient(x, y):
     return float(_dependence_terms(_as_sample_matrix(x)[None], _gram(y), _gram)[1][0])
 
 
-def _column_basis(xc):
-    """Orthonormal basis of the column span of ``xc``.
-
-    Pivoted QR; the numerical rank counts diagonal entries of R above
-    numpy.linalg.matrix_rank's relative tolerance, max(m, d) * eps times
-    the largest one.
-    """
-    q, r, _ = linalg.qr(xc, mode="economic", pivoting=True)
+def _numerical_rank(xc, r):
+    """Rank of ``xc`` from the R of its pivoted QR: the diagonal entries
+    above numpy.linalg.matrix_rank's relative tolerance, max(m, d) * eps
+    times the largest one."""
     diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > diag[0] * max(xc.shape) * np.finfo(float).eps))
-    return q[:, :rank]
+    return int(np.sum(diag > diag[0] * max(xc.shape) * np.finfo(float).eps))
+
+
+def _column_basis(xc):
+    """Orthonormal basis of the column span of ``xc``, from pivoted QR."""
+    q, r, _ = linalg.qr(xc, mode="economic", pivoting=True)
+    return q[:, :_numerical_rank(xc, r)]
 
 
 def cca_corr(x, y):
@@ -369,10 +371,14 @@ def cca_corr(x, y):
     yc = y - y.mean(axis=0)
     if np.sum(xc * xc) / m <= DEGENERATE_TOL or np.sum(yc * yc) / m <= DEGENERATE_TOL:
         return 0.0
+    if min(xc.shape) + min(yc.shape) > m - 1:
+        # the ranks may saturate: R alone decides (the same R the bases
+        # below factor), and Q is formed only when they do not
+        rank = sum(_numerical_rank(c, linalg.qr(c, mode="r", pivoting=True)[0]) for c in (xc, yc))
+        if rank > m - 1:
+            return 1.0
     qx = _column_basis(xc)
     qy = _column_basis(yc)
-    if qx.shape[1] + qy.shape[1] > m - 1:
-        return 1.0
     sigma = np.linalg.svd(qx.T @ qy, compute_uv=False)
     return float(np.clip(sigma[0], 0.0, 1.0))
 
@@ -393,7 +399,8 @@ def feature_label_correlation(features, labels, statistic):
     """
     check_statistic(statistic)
     single = np.ndim(features) < 3
-    blocks = _as_sample_matrix(features)[None] if single else np.asarray(features, dtype=float)
+    # a stack keeps its dtype: each statistic casts one block or chunk at a time
+    blocks = _as_sample_matrix(features)[None] if single else np.asarray(features)
     if statistic == "dcorr":
         scores = dcorr_many(blocks, labels, y_metric="discrete")
     elif statistic == "rv":

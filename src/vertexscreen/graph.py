@@ -45,8 +45,11 @@ def _graph_positions(rows, m):
 class LabeledGraphDataset:
     """m adjacency matrices on a shared vertex set with per-graph labels.
 
-    Graphs are undirected: hollow (no self-loops) and symmetric. Arrays are
-    frozen after construction so datasets can be shared safely.
+    Graphs are undirected: hollow (no self-loops) and symmetric. A stack
+    whose entries are all 0 or 1 is stored as uint8, any other as float64;
+    consumers cast one chunk at a time to float64, so no score depends on
+    the storage. Arrays are frozen after construction so datasets can be
+    shared safely.
     ``graph_ids`` are the ids a file gave the graphs, one distinct id per
     graph; None means the dataset positions.
     """
@@ -62,8 +65,10 @@ class LabeledGraphDataset:
     def _settle(self, check_entries):
         """Check the fields and freeze them. ``check_entries`` runs the
         finite, hollow and symmetric checks of the adjacency stack, which
-        rows of an already checked stack pass."""
-        graphs = np.asarray(self.graphs, dtype=float)
+        rows of an already checked stack pass, and settles its storage:
+        uint8 when every entry is 0 or 1, float64 otherwise. Without them
+        the stack keeps its dtype."""
+        graphs = np.asarray(self.graphs)
         labels = np.asarray(self.labels)
         if graphs.ndim != 3 or graphs.shape[1] != graphs.shape[2]:
             raise ValueError("graphs must form an (m, n, n) array")
@@ -72,12 +77,17 @@ class LabeledGraphDataset:
         if graphs.shape[0] < 2:
             raise ValueError("need at least 2 graphs")
         if check_entries:
-            if not np.all(np.isfinite(graphs)):
-                raise ValueError("adjacency entries must be finite")
+            # an integer stack is finite by its dtype
+            if graphs.dtype.kind not in "biu":
+                graphs = np.asarray(graphs, dtype=float)
+                if not np.all(np.isfinite(graphs)):
+                    raise ValueError("adjacency entries must be finite")
             if np.any(np.diagonal(graphs, axis1=1, axis2=2) != 0):
                 raise ValueError("self-loops are not supported")
             if not np.array_equal(graphs, np.swapaxes(graphs, 1, 2)):
                 raise ValueError("undirected graphs must have symmetric adjacency")
+            binary = np.count_nonzero(graphs) == np.count_nonzero(graphs == 1)
+            graphs = np.asarray(graphs, dtype=np.uint8 if binary else float)
         if self.subject_ids is not None:
             subject_ids = tuple(str(s) for s in self.subject_ids)
             if len(subject_ids) != graphs.shape[0]:
@@ -106,7 +116,7 @@ class LabeledGraphDataset:
 
         Every position in order returns this dataset itself, not a copy.
         Otherwise every check but those of the adjacency entries runs again;
-        the entries are rows of this checked stack.
+        the entries are rows of this checked stack, in its dtype.
         """
         idx = _graph_positions(graph_indices, self.m)
         if np.array_equal(idx, np.arange(self.m)):
@@ -154,7 +164,7 @@ def sample_ier_dataset(p_by_class, priors, m, rng):
     # per graph, one (n, n) uniform block; the pairs u < v below p are edges
     n = mats[0].shape[0]
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    graphs = np.empty((m, n, n))
+    graphs = np.empty((m, n, n), dtype=np.uint8)
     for graph, c in zip(graphs, which):
         edges = (rng.random((n, n)) < mats[c]) & upper
         graph[...] = edges | edges.T
@@ -243,8 +253,10 @@ def load_dataset(graphs_path, labels_path, n=None):
         edges = _read_edges(graphs_path, {gid: rank for rank, gid in enumerate(sorted_ids)})
     lines, gpos, us, vs, weights = edges
 
-    gpos, us, vs = (np.asarray(x, dtype=int) for x in (gpos, us, vs))
-    max_vertex = int(max(us.max(), vs.max())) if len(lines) else -1
+    gpos, us, vs = (np.asarray(x, dtype=np.int64) for x in (gpos, us, vs))
+    weights = np.asarray(weights, dtype=float)
+    largest = int(np.argmax(np.maximum(us, vs))) if len(lines) else None
+    max_vertex = -1 if largest is None else int(max(us[largest], vs[largest]))
     if n is None:
         if max_vertex < 0:
             raise ValueError(f"{graphs_path}: no edges; pass the vertex count explicitly")
@@ -253,6 +265,10 @@ def load_dataset(graphs_path, labels_path, n=None):
         raise ValueError(f"{graphs_path}: vertex index {max_vertex} exceeds n={n}")
 
     m = len(ids)
+    # Python ints: every cell must have an int64 pair key below
+    if m * n * n > _INT64_MAX:
+        where = f"{graphs_path}:{lines[largest]}" if max_vertex + 1 == n else str(graphs_path)
+        raise ValueError(f"{where}: {m} graphs on {n} vertices have more than 2**63 - 1 cells")
     pair = (gpos * n + np.minimum(us, vs)) * n + np.maximum(us, vs)
     unique_pairs, first = np.unique(pair, return_index=True)
     if first.size < pair.size:
@@ -262,7 +278,14 @@ def load_dataset(graphs_path, labels_path, n=None):
             f"{graphs_path}:{lines[again]}: pair {us[again]},{vs[again]} of graph "
             f"{sorted_ids[gpos[again]]} is already listed on line {lines[earlier]}"
         )
-    graphs = np.zeros((m, n, n))
+    # 0/1 weights are stored as uint8 from the start, never cast from float64
+    dtype = np.uint8 if np.all((weights == 0.0) | (weights == 1.0)) else np.float64
+    try:
+        graphs = np.zeros((m, n, n), dtype=dtype)
+    except MemoryError:
+        gib = m * n * n * np.dtype(dtype).itemsize / 2**30
+        raise ValueError(f"{graphs_path}: cannot allocate the ({m}, {n}, {n}) {np.dtype(dtype)} "
+                         f"adjacency stack, {gib:.1f} GiB") from None
     graphs[gpos, us, vs] = weights
     graphs[gpos, vs, us] = weights
 
@@ -273,6 +296,7 @@ def load_dataset(graphs_path, labels_path, n=None):
     )
 
 
+_INT64_MAX = np.iinfo(np.int64).max
 _EDGE_ROW = np.dtype([("gid", np.int64), ("u", np.int64), ("v", np.int64), ("w", np.float64)])
 
 
@@ -328,6 +352,9 @@ def _read_edges(graphs_path, position):
                 raise ValueError(f"{graphs_path}:{line_no}: unknown graph id {gid}")
             if u < 0 or v < 0:
                 raise ValueError(f"{graphs_path}:{line_no}: negative vertex index")
+            if max(u, v) > _INT64_MAX:
+                raise ValueError(f"{graphs_path}:{line_no}: vertex index {max(u, v)} "
+                                 "is beyond int64")
             if u == v and w != 0.0:
                 raise ValueError(f"{graphs_path}:{line_no}: self-loops are not supported")
             lines.append(line_no)

@@ -232,6 +232,29 @@ class TestBayesPredict:
             oracle = likelihood_oracle(priors, mats, graphs, (0, 1, 2))
             assert list(batched) == oracle
 
+    def test_one_row_chunks_agree_with_the_whole_stack(self, monkeypatch):
+        # BLAS picks its kernel by shape (gemv for one row, a small-matrix
+        # kernel for small products), so a chunk's sums may differ from the
+        # whole product's in the last bit; the -inf contradictions and the
+        # decisions do not, and a uint8 stack gives the float64 stack's bits
+        rng = np.random.default_rng(43)
+        mats = saturated_parameters(rng)
+        priors = np.array([0.5, 0.3, 0.2])
+        graphs = np.concatenate([sample_ier_dataset(mats, priors, 9, rng).graphs,
+                                 sample_ier_dataset([mats[0]], [1.0], 4, rng).graphs])
+        vertices = np.arange(graphs.shape[1])
+        assert graphs.dtype == np.uint8
+        monkeypatch.setattr(classify.corr, "_CHUNK_CELLS", 2**40)
+        whole = classify._log_posteriors(priors, mats, graphs, vertices)
+        assert np.isneginf(whole).any() and np.isfinite(whole).any()
+        monkeypatch.setattr(classify.corr, "_CHUNK_CELLS", 1)
+        chunked = classify._log_posteriors(priors, mats, graphs, vertices)
+        assert np.array_equal(np.isneginf(chunked), np.isneginf(whole))
+        np.testing.assert_allclose(chunked, whole, rtol=1e-13, atol=0.0)
+        assert np.array_equal(np.argmax(chunked, axis=1), np.argmax(whole, axis=1))
+        floats = classify._log_posteriors(priors, mats, graphs.astype(float), vertices)
+        assert np.array_equal(floats, chunked)
+
     def test_rejects_wrong_prior_count(self):
         mats, _, _ = evaluate.experiment_parameters("exp2")
         graphs = sample_ier_dataset(mats, [1 / 3] * 3, 5, 34).graphs

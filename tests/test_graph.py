@@ -70,7 +70,7 @@ class TestSampleIer:
         which = rng.choice(3, size=9, p=np.asarray(priors) / np.sum(priors))
         expected = np.stack([oracles.sample_ier(mats[c], rng) for c in which])
         assert np.all(ds.labels == which)
-        assert ds.graphs.dtype == expected.dtype and np.all(ds.graphs == expected)
+        assert ds.graphs.dtype == np.uint8 and np.all(ds.graphs == expected)
 
 
 class TestLogLikelihood:
@@ -262,7 +262,8 @@ class TestDataset:
         ("asymmetric", "symmetric adjacency")])
     def test_constructor_checks_the_entries(self, defect, message):
         ds = make_dataset(m=4)
-        graphs = ds.graphs.copy()
+        # float, so a NaN written below stays a NaN (uint8 would store 0)
+        graphs = ds.graphs.astype(float)
         if defect == "non-finite":
             graphs[1, 0, 1] = graphs[1, 1, 0] = np.nan
         elif defect == "self-loop":
@@ -271,6 +272,32 @@ class TestDataset:
             graphs[3, 0, 1] = 1.0 - graphs[3, 1, 0]
         with pytest.raises(ValueError, match=message):
             graph.LabeledGraphDataset(graphs, ds.labels)
+
+    @pytest.mark.parametrize("source, stored", [
+        ("bool", np.uint8), ("int64", np.uint8), ("float64", np.uint8),
+        ("int-with-a-2", np.float64), ("float-with-a-half", np.float64),
+        ("binary-csv", np.uint8), ("weighted-csv", np.float64)])
+    def test_storage_rule(self, tmp_path, source, stored):
+        # a stack of 0/1 entries is stored as uint8 whatever its input dtype;
+        # any other as float64, holding the values the float64 input did
+        base = make_dataset(m=4, n=5, seed=2)
+        values = base.graphs.astype(float)
+        if source.endswith("csv"):
+            if source == "weighted-csv":
+                values[0, 0, 1] = values[0, 1, 0] = 2.5
+            graph.save_dataset(graph.LabeledGraphDataset(values, base.labels),
+                               tmp_path / "graphs.csv", tmp_path / "labels.csv")
+            ds = graph.load_dataset(tmp_path / "graphs.csv", tmp_path / "labels.csv", n=5)
+        else:
+            dtype = source.partition("-")[0]
+            if source == "int-with-a-2":
+                values[0, 0, 1] = values[0, 1, 0] = 2
+            elif source == "float-with-a-half":
+                values[0, 0, 1] = values[0, 1, 0] = 0.5
+            ds = graph.LabeledGraphDataset(values.astype(dtype), base.labels)
+        assert ds.graphs.dtype == stored
+        assert np.array_equal(ds.graphs.astype(float), values)
+        assert ds.subset([3, 1]).graphs.dtype == stored
 
     @pytest.mark.parametrize("ids", [[1, 2, 3], [1, 2, 3, 3]], ids=["short", "repeated"])
     def test_rejects_graph_ids_not_one_per_graph(self, ids):
@@ -395,6 +422,33 @@ class TestCsvRoundTrip:
         gp.write_text("graph_id,u,v,weight\n0,0,1,1\n0,1,2,1,zzz\n")
         with pytest.raises(ValueError, match="graphs.csv:3: malformed edge row"):
             graph.load_dataset(gp, lp, n=3)
+
+    def test_vertex_index_beyond_int64_reports_line(self, tmp_path):
+        gp, lp = tmp_path / "graphs.csv", tmp_path / "labels.csv"
+        lp.write_text("graph_id,label\n0,0\n1,1\n")
+        gp.write_text("graph_id,u,v,weight\n0,0,1,1\n0,0,99999999999999999999,1\n")
+        with pytest.raises(ValueError, match="graphs.csv:3: vertex index 99999999999999999999 "
+                                             "is beyond int64"):
+            graph.load_dataset(gp, lp)
+
+    def test_stack_beyond_int64_cells_reports_line(self, tmp_path):
+        # 2 * 3037000501**2 cells overflow the int64 pair key of a duplicate check
+        gp, lp = tmp_path / "graphs.csv", tmp_path / "labels.csv"
+        lp.write_text("graph_id,label\n0,0\n1,1\n")
+        gp.write_text("graph_id,u,v,weight\n0,0,3037000500,1\n1,0,1,1\n")
+        with pytest.raises(ValueError, match=r"graphs.csv:2: 2 graphs on 3037000501 vertices"):
+            graph.load_dataset(gp, lp)
+
+    def test_stack_too_large_to_allocate_is_refused(self, tmp_path):
+        # 2 * 30000001**2 uint8 cells (1.6 PiB) lie beyond any 64-bit
+        # address space, so the allocation fails on every machine
+        gp, lp = tmp_path / "graphs.csv", tmp_path / "labels.csv"
+        lp.write_text("graph_id,label\n0,0\n1,1\n")
+        gp.write_text("graph_id,u,v,weight\n0,0,30000000,1\n")
+        with pytest.raises(ValueError, match=r"graphs.csv: cannot allocate the "
+                                             r"\(2, 30000001, 30000001\) uint8 adjacency stack, "
+                                             r"1676380.7 GiB"):
+            graph.load_dataset(gp, lp)
 
 
 LABELS = "graph_id,label\n0,0\n1,1\n"

@@ -1,5 +1,6 @@
 """Tests for one-shot and iterative vertex screening."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import sample_ier, vertex_feature
-from vertexscreen import corr, evaluate, screen
-from vertexscreen.graph import LabeledGraphDataset, induced_subgraph
+from vertexscreen import classify, corr, evaluate, screen
+from vertexscreen.graph import LabeledGraphDataset, induced_subgraph, sample_ier_dataset
 
 
 def random_dataset(m=20, n=10, seed=0, classes=2):
@@ -647,6 +648,56 @@ class TestSubgraphCorrelation:
         ds, _ = evaluate.sample_experiment("exp2", 60, 29)
         value = screen.subgraph_correlation(ds, np.arange(ds.n), "rv")
         assert 0.0 <= value <= 1.0
+
+
+def float_copy(ds):
+    """``ds`` with its stack held as float64, built as ``subset`` builds a
+    dataset, so the storage rule does not turn it back into uint8."""
+    copy = object.__new__(LabeledGraphDataset)
+    for name, value in (("graphs", ds.graphs.astype(float)), ("labels", ds.labels),
+                        ("subject_ids", None), ("graph_ids", None)):
+        object.__setattr__(copy, name, value)
+    copy._settle(check_entries=False)
+    return copy
+
+
+class TestUint8Storage:
+    @pytest.mark.parametrize("statistic", corr.STATISTICS)
+    def test_uint8_and_float64_stacks_score_the_same_bits(self, statistic):
+        ds = random_dataset(m=24, n=9, seed=40)
+        floats = float_copy(ds)
+        assert ds.graphs.dtype == np.uint8 and floats.graphs.dtype == np.float64
+        for restrict in (None, [0, 2, 3, 5, 8]):
+            assert np.array_equal(screen.score_vertices(ds, restrict, statistic),
+                                  screen.score_vertices(floats, restrict, statistic))
+        assert (screen.subgraph_correlation(ds, [1, 2, 4, 6], statistic)
+                == screen.subgraph_correlation(floats, [1, 2, 4, 6], statistic))
+
+    def test_uint8_and_float64_stacks_give_the_same_dcorr_level_bits(self):
+        ds = random_dataset(m=24, n=9, seed=41)
+        folds = [np.arange(24), np.arange(1, 24), np.arange(0, 24, 2)]
+        u8, f64 = (corr._label_dcorr_level(screen._row_features(d, None), d.labels, folds)
+                   for d in (ds, float_copy(ds)))
+        assert np.array_equal(u8, f64)
+
+    @pytest.mark.parametrize("call", ["score_vertices", "plugin_predict_many"])
+    def test_no_float64_copy_of_the_stack(self, call):
+        # a float64 copy of the whole (200, 60, 60) stack is 5.5 MiB; each
+        # consumer casts one chunk at a time and stays below it
+        mats = [np.full((60, 60), p) for p in (0.3, 0.5)]
+        ds = sample_ier_dataset(mats, [0.5, 0.5], 200, np.random.default_rng(42))
+        assert ds.graphs.dtype == np.uint8
+        model = classify.fit_plugin(ds)
+        tracemalloc.start()
+        try:
+            if call == "score_vertices":
+                screen.score_vertices(ds)
+            else:
+                classify.plugin_predict_many(model, ds.graphs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.graphs.size * 8
 
 
 def test_exp1_iterative_beats_one_shot_on_average():
