@@ -25,13 +25,14 @@ DEGENERATE_TOL = 1e-14
 MGC_REGION_FRACTION = 0.02
 
 
-# Cells of one intermediate of a dependence kernel chunk (blocks per chunk scale
-# with 1/m^2). 2**18 float64 cells are 2 MiB, so a chunk's elementwise passes,
-# shift, row means and dots stay in cache instead of streaming through DRAM,
-# as each 64 MiB intermediate of 2**23 did. dcorr of 0/1 blocks, best-of CPU-s,
-# one BLAS thread, 2**23 -> 2**18: 200 blocks at m = 600 (one block per chunk
-# from 2**19 down) 1.37 -> 1.08, 400 at m = 100 0.132 -> 0.088, 400 at m = 59
-# 0.055 -> 0.046.
+# Cells of one intermediate of a dependence kernel chunk: blocks per chunk are
+# _CHUNK_CELLS // (m * max(m, d)), so a chunk's input copy (m d cells a block)
+# and each of its m x m matrices stay below it. 2**18 float64 cells are 2 MiB,
+# so a chunk's elementwise passes, shift, row means and dots stay in cache
+# instead of streaming through DRAM, as each 64 MiB intermediate of 2**23 did.
+# dcorr of 0/1 blocks, best-of CPU-s, one BLAS thread, 2**23 -> 2**18: 200
+# blocks at m = 600 (one block per chunk from 2**19 down) 1.37 -> 1.08, 400 at
+# m = 100 0.132 -> 0.088, 400 at m = 59 0.055 -> 0.046.
 _CHUNK_CELLS = 2**18
 
 
@@ -41,31 +42,58 @@ def check_statistic(statistic):
         raise ValueError(f"unknown statistic {statistic!r}; expected one of {STATISTICS}")
 
 
-def _as_sample_matrix(x, stack=False):
-    """(m, d) float samples, or a (B, m, d) stack of them when ``stack`` is
-    set; 1-d input is one column."""
-    x = np.asarray(x, dtype=float)
+def _samples(x, stack=False):
+    """(m, d) samples, or a (B, m, d) stack of them when ``stack`` is set;
+    1-d input is one column. An integer array keeps its dtype, from which
+    the distance kernel picks its precision; anything else, lists included,
+    becomes float64 and must be finite."""
+    integers = isinstance(x, np.ndarray) and x.dtype.kind in "biu"
+    x = np.asarray(x, dtype=None if integers else float)
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2 and not (stack and x.ndim == 3):
         raise ValueError(f"expected a 1-d or 2-d sample array, got shape {x.shape}")
     if x.shape[-2] < 2:
         raise ValueError("need at least 2 samples")
-    if not np.all(np.isfinite(x)):
+    if not integers and not np.all(np.isfinite(x)):
         raise ValueError("samples contain non-finite entries")
     return x
 
 
+def _as_sample_matrix(x, stack=False):
+    """``_samples`` in float64; a stack comes back C-ordered."""
+    return np.asarray(_samples(x, stack), dtype=float, order="C" if stack else "K")
+
+
+def _float32_exact(x, terms=2):
+    """Whether float32 holds exactly every Gram entry, squared norm and
+    squared distance of the rows of samples ``x``, and every sum of up to
+    ``terms`` of them: so for integer entries in [0, M] with
+    terms * d * M^2 < 2^24, as each is an integer of at most d M^2. Float
+    samples, float32 included, never qualify."""
+    if x.dtype.kind not in "biu" or x.size == 0 or (x.dtype.kind == "i" and x.min() < 0):
+        return False
+    return terms * x.shape[-1] * int(x.max()) ** 2 < 2**24
+
+
 def _squared_distances(samples):
     """m x m squared euclidean distances between the rows of an (m, d)
-    sample matrix, or of each matrix of a (B, m, d) stack."""
-    x = _as_sample_matrix(samples, stack=True)
+    sample matrix, or of each matrix of a (B, m, d) stack: float32 when
+    ``_float32_exact`` holds for the samples, float64 otherwise."""
+    x = _samples(samples, stack=True)
+    x = np.asarray(x, dtype=np.float32 if _float32_exact(x) else float, order="C")
     sq = np.einsum("...ij,...ij->...i", x, x)
-    # d^2 = sq_i + sq_j - 2G in the Gram's own buffer. The Gram is exactly
-    # symmetric and sq_i + sq_j is added as one term, so d^2 is symmetric
-    # without a transpose pass; clamped, as roundoff can go < 0.
+    # d^2 = sq_i + sq_j - 2G in the Gram's own buffer
     d = x @ np.swapaxes(x, -1, -2)
     d *= -2.0
+    if d.dtype == np.float32:
+        # every step is exact: d^2 is symmetric, never below 0, and 0 on
+        # the diagonal, with no m x m temporary
+        d += sq[..., :, None]
+        d += sq[..., None, :]
+        return d
+    # the Gram is exactly symmetric and sq_i + sq_j is added as one term, so
+    # d^2 is symmetric without a transpose pass; clamped, as roundoff can go < 0
     d += sq[..., :, None] + sq[..., None, :]
     np.maximum(d, 0.0, out=d)
     diag = np.arange(d.shape[-1])
@@ -73,16 +101,42 @@ def _squared_distances(samples):
     return d
 
 
+def _distance_matrix(total=None):
+    """The dcorr ``matrix`` of ``_dependence_terms``: a chunk's float64
+    pairwise distances, once its squared distances are added into ``total``
+    when one is given. The roots of float32 squared distances go into one
+    float64 buffer that every chunk reuses, as the kernel is done with a
+    chunk's matrices before it builds the next chunk's."""
+    buffer = None
+
+    def matrix(chunk):
+        nonlocal buffer
+        d = _squared_distances(chunk)
+        if total is not None:
+            for block in d:  # in place: a summed copy would cost a pass per chunk
+                np.add(total, block, out=total)
+        if d.dtype == np.float64:
+            return np.sqrt(d, out=d)
+        if buffer is None:
+            buffer = np.empty(d.shape)  # the first chunk is the largest
+        # dtype=float roots each exact integer in float64, as the float64
+        # path does; np.sqrt(float32, out=float64) alone takes the float32 loop
+        return np.sqrt(d, out=buffer[:len(d)], dtype=float)
+
+    return matrix
+
+
 def pairwise_distances(samples, metric="euclidean"):
     """m x m matrix of pairwise distances between rows.
 
     ``euclidean`` accepts an (m, d) sample matrix or a (B, m, d) stack of
-    them and works on the last two axes; ``discrete`` is the 0/1 mismatch
-    indicator and only applies to 1-d label vectors.
+    them and works on the last two axes; integer samples that float32 holds
+    exactly (``_float32_exact``) get their squared distances in float32 and
+    the same float64 distances as their float64 cast. ``discrete`` is the
+    0/1 mismatch indicator and only applies to 1-d label vectors.
     """
     if metric == "euclidean":
-        d = _squared_distances(samples)
-        return np.sqrt(d, out=d)
+        return _distance_matrix()(samples)
     if metric == "discrete":
         y = np.asarray(samples)
         if y.ndim != 1:
@@ -151,10 +205,13 @@ def _dependence_terms(blocks, y_matrix, matrix, samples=None):
     stack, where A = matrix(block) and B is y's m x m matrix: pairwise
     distances for dcorr, the standardised Gram for rv. No matrix is
     double-centred; each term needs only the matrices and their row means.
-    Each chunk of blocks is copied to one contiguous float64 array, so a
-    stack of another dtype (uint8 0/1 rows) is never cast whole, and a
-    chunk's matrices are reduced in one batched pass; a degenerate block or
-    y has ratio 0.
+    ``matrix`` gets each chunk of blocks as a view and casts it once, so a
+    stack of another dtype (uint8 0/1 rows) is never cast whole: dcorr
+    builds an exactly-integer chunk's squared distances in float32 and
+    roots them in float64, rv's Gram casts to float64. A chunk has at most
+    ``_CHUNK_CELLS`` cells in its input copy and in each m x m matrix, and
+    its matrices are reduced in one batched pass; a degenerate block or y
+    has ratio 0.
 
     ``samples``, when given, is a sequence of arrays of row indices in
     [0, m) (each builds flat cell indices), and the terms come back as
@@ -169,11 +226,14 @@ def _dependence_terms(blocks, y_matrix, matrix, samples=None):
     blocks = np.asarray(blocks)
     if blocks.ndim != 3:
         raise ValueError(f"expected a (B, m, d) stack of samples, got shape {blocks.shape}")
-    n_blocks, m, _ = blocks.shape
+    n_blocks, m, d = blocks.shape
     if y_matrix.shape != (m, m):
         raise ValueError(f"y must be one sample of {m} observations, not {y_matrix.shape}")
     every_row = np.arange(m)
     subsets = [every_row] if samples is None else [np.asarray(rows, dtype=int) for rows in samples]
+    # every row, in order, last: reduced (and shifted) in place, as no later
+    # sample reads a chunk's matrices
+    last_in_place = np.array_equal(subsets[-1], every_row)
 
     # one sample's y terms at a time: a single sample's are built once per
     # call, and memory holds one sample's y matrix however many there are
@@ -184,15 +244,13 @@ def _dependence_terms(blocks, y_matrix, matrix, samples=None):
     vxy = np.empty((len(subsets), n_blocks))
     vx = np.empty((len(subsets), n_blocks))
     vy = np.empty(len(subsets))
-    chunk = max(1, _CHUNK_CELLS // (m * m))
+    chunk = max(1, _CHUNK_CELLS // (m * max(m, d)))
     for start in range(0, n_blocks, chunk):
         stop = start + chunk
-        mats = matrix(np.ascontiguousarray(blocks[start:stop], dtype=float))
+        mats = matrix(blocks[start:stop])
         for s, rows in enumerate(subsets):
             b, row_b, vy[s] = y_terms(s)
-            if s == len(subsets) - 1 and np.array_equal(rows, every_row):
-                # every row, in order: reduced (and shifted) in place, as no
-                # later sample reads this chunk's matrices
+            if s == len(subsets) - 1 and last_in_place:
                 sliced = mats
             else:
                 cells = (rows[:, None] * m + rows).ravel()
@@ -217,7 +275,7 @@ def dcorr_many(blocks, y, y_metric="euclidean"):
     ``dcorr`` is a batch of one. A degenerate (constant) block or y
     scores 0.
     """
-    return _dependence_terms(blocks, pairwise_distances(y, y_metric), pairwise_distances)[1]
+    return _dependence_terms(blocks, pairwise_distances(y, y_metric), _distance_matrix())[1]
 
 
 def _label_dcorr_level(blocks, labels, samples=None):
@@ -227,19 +285,18 @@ def _label_dcorr_level(blocks, labels, samples=None):
     ``_dependence_terms``. Each vertex pair u < v lies in row u and row v,
     so the subgraph's squared distances are half the sum of the blocks';
     on 0/1 entries that sum is exact, and bit for bit the upper-pair one.
+    The sum is float32 while float32 holds it exactly (a 0/1 level's
+    entries are at most k(k - 1)), and then each block's squared distances
+    are float32 too.
     """
     y = pairwise_distances(labels, "discrete")
-    m = blocks.shape[1]
-    total = np.zeros((m, m))
-
-    def matrix(chunk):
-        d = _squared_distances(chunk)
-        for block in d:  # in place: a summed copy would cost a pass per chunk
-            np.add(total, block, out=total)
-        return np.sqrt(d, out=d)
-
-    scores = _dependence_terms(blocks, y, matrix, samples)[1]
-    level = _dependence_terms(np.sqrt(total / 2.0)[None], y, lambda mats: mats, samples)[1]
+    blocks = np.asarray(blocks)
+    k, m = blocks.shape[:2]
+    total = np.zeros((m, m), np.float32 if _float32_exact(blocks, max(k, 2)) else float)
+    scores = _dependence_terms(blocks, y, _distance_matrix(total), samples)[1]
+    # total / 2 is exact in either dtype; its root is taken in float64
+    level = np.sqrt(total / 2.0, dtype=float)
+    level = _dependence_terms(level[None], y, lambda mats: mats, samples)[1]
     return np.concatenate([scores, level], axis=-1)
 
 
@@ -251,7 +308,7 @@ def dcov_sq(x, y, y_metric="euclidean"):
     roundoff is clamped to 0. Symmetric in its arguments.
     """
     dy = pairwise_distances(y, y_metric)
-    vxy, _ = _dependence_terms(_as_sample_matrix(x)[None], dy, pairwise_distances)
+    vxy, _ = _dependence_terms(_samples(x)[None], dy, _distance_matrix())
     return max(float(vxy[0]), 0.0)
 
 
@@ -260,7 +317,7 @@ def dcorr(x, y, y_metric="euclidean"):
 
     Lies in [0, 1]; a degenerate (constant) x or y gives 0 by convention.
     """
-    return float(dcorr_many(_as_sample_matrix(x)[None], y, y_metric)[0])
+    return float(dcorr_many(_samples(x)[None], y, y_metric)[0])
 
 
 def local_correlation_grid(x, y, y_metric="euclidean"):
@@ -400,7 +457,7 @@ def feature_label_correlation(features, labels, statistic):
     check_statistic(statistic)
     single = np.ndim(features) < 3
     # a stack keeps its dtype: each statistic casts one block or chunk at a time
-    blocks = _as_sample_matrix(features)[None] if single else np.asarray(features)
+    blocks = _samples(features)[None] if single else np.asarray(features)
     if statistic == "dcorr":
         scores = dcorr_many(blocks, labels, y_metric="discrete")
     elif statistic == "rv":

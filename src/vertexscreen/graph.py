@@ -184,8 +184,9 @@ def induced_subgraph(a, vertices):
     idx = vertex_set(vertices, a.shape[-1])
     if idx.size == a.shape[-1]:
         return a
-    # np.ix_ over every axis keeps the copy C-ordered
-    return a[np.ix_(*map(np.arange, a.shape[:-2]), idx, idx)]
+    # two takes, rows then columns, return a C-ordered copy several times
+    # faster than one np.ix_ gather over every axis
+    return a.take(idx, axis=-2).take(idx, axis=-1)
 
 
 def upper_pairs(graphs, vertices):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import corr
-from .graph import _graph_positions, upper_pairs, vertex_set
+from .graph import _graph_positions, induced_subgraph, upper_pairs, vertex_set
 
 # elimination_order entry for vertices that were never eliminated
 SURVIVOR = np.inf
@@ -102,14 +102,13 @@ class ScreeningConfig:
 
 
 def _row_features(dataset, restrict):
-    """The (k, m, k) features of ``score_vertices``: the uncopied (n, m, n)
-    view for every vertex, or a subset gathered once in that order."""
-    features = dataset.graphs.transpose(1, 0, 2)
+    """The (k, m, k) features of ``score_vertices``: the (n, m, n) view of
+    the stack for every vertex, or of the induced subgraph's one copy for a
+    subset."""
+    graphs = dataset.graphs
     if restrict is not None:
-        idx = vertex_set(restrict, dataset.n)
-        if idx.size < dataset.n:
-            features = features[np.ix_(idx, np.arange(dataset.m), idx)]
-    return features
+        graphs = induced_subgraph(graphs, restrict)
+    return graphs.transpose(1, 0, 2)
 
 
 def score_vertices(dataset, restrict=None, statistic="dcorr"):

@@ -239,6 +239,78 @@ class TestStackedKernel:
             corr.dcorr_many(np.zeros((5, 1)), np.arange(5.0))
 
 
+class TestFloat32Distances:
+    """An integer stack whose rows' Gram entries, squared norms and squared
+    distances float32 holds exactly builds its squared distances in float32;
+    every other stack in float64. Either way the results are its float64
+    cast's, bit for bit."""
+
+    @staticmethod
+    def integer_stack(entries, rng):
+        if entries == "binary":
+            return rng.integers(0, 2, size=(4, 30, 300), dtype=np.uint8)
+        if entries == "uint8-240-255":
+            # 2 d M^2 = 2 * 300 * 255^2 is above 2^24: float32 would round
+            return rng.integers(240, 256, size=(4, 30, 300), dtype=np.uint8)
+        # |entries| <= 181 at d = 250 keep 2 d M^2 below 2^24, but rows of
+        # opposite signs lie farther apart than 2^24
+        signs = rng.choice(np.array([-1, 1], np.int16), size=(4, 30, 1))
+        return rng.integers(150, 182, size=(4, 30, 250), dtype=np.int16) * signs
+
+    @pytest.mark.parametrize("entries", ["binary", "uint8-240-255", "signed-int16"])
+    def test_integer_stacks_give_their_float64_cast_bits(self, entries):
+        rng = np.random.default_rng(30)
+        stack = self.integer_stack(entries, rng)
+        floats = stack.astype(float)
+        y = rng.integers(0, 2, size=30)
+        assert np.array_equal(corr.pairwise_distances(stack), corr.pairwise_distances(floats))
+        assert np.array_equal(corr.dcorr_many(stack, y, "discrete"),
+                              corr.dcorr_many(floats, y, "discrete"))
+        for block, cast in zip(stack, floats):
+            assert corr.dcov_sq(block, y, "discrete") == corr.dcov_sq(cast, y, "discrete")
+
+    def test_float32_and_list_input_give_their_float64_cast_bits(self):
+        rng = np.random.default_rng(31)
+        stack = rng.normal(size=(3, 20, 5)).astype(np.float32)
+        cast = stack.astype(float)
+        y = rng.integers(0, 2, size=20)
+        assert np.array_equal(corr.pairwise_distances(stack), corr.pairwise_distances(cast))
+        assert np.array_equal(corr.dcorr_many(stack, y, "discrete"),
+                              corr.dcorr_many(cast, y, "discrete"))
+        for block, floats in zip(stack, cast):
+            assert corr.dcov_sq(block, y) == corr.dcov_sq(floats, y)
+            assert corr.dcorr(block.tolist(), y, "discrete") == corr.dcorr(floats, y, "discrete")
+        rows = rng.integers(0, 2, size=(20, 6))
+        assert np.array_equal(corr.pairwise_distances(rows.tolist()),
+                              corr.pairwise_distances(rows.astype(float)))
+        stack[1, 4, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            corr.pairwise_distances(stack)
+        with pytest.raises(ValueError, match="non-finite"):
+            corr.dcorr_many(stack, y, "discrete")
+
+    def test_binary_uint8_stacks_reach_the_gram_as_float32(self, monkeypatch):
+        built = []
+        squared_distances = corr._squared_distances
+
+        def recorder(samples):
+            d = squared_distances(samples)
+            built.append(d.dtype)
+            return d
+
+        monkeypatch.setattr(corr, "_squared_distances", recorder)
+        rng = np.random.default_rng(32)
+        stack = rng.integers(0, 2, size=(6, 15, 6), dtype=np.uint8)
+        labels = rng.integers(0, 2, size=15)
+        corr.feature_label_correlation(stack, labels, "dcorr")
+        corr._label_dcorr_level(stack, labels, [np.arange(15), np.arange(1, 15)])
+        corr.pairwise_distances(stack[0])
+        assert built and set(built) == {np.dtype(np.float32)}
+        built.clear()
+        corr.feature_label_correlation(stack.astype(float), labels, "dcorr")
+        assert built and set(built) == {np.dtype(np.float64)}
+
+
 class TestLargeMAccuracy:
     """The kernel never double-centres a block: it takes <HAH, HBH> from the
     raw matrices, shifted to grand mean 0, and their row means. At m=600

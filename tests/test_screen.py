@@ -699,6 +699,21 @@ class TestUint8Storage:
             tracemalloc.stop()
         assert peak < ds.graphs.size * 8
 
+    @pytest.mark.parametrize("statistic", ["dcorr", "rv"])
+    def test_a_chunk_is_bounded_by_its_input_copy(self, statistic):
+        # the (200, 40, 200) features of 40 graphs: a chunk bounded by its
+        # m x m matrices alone would cast 163 blocks, a 10 MiB float64 copy
+        mats = [np.full((200, 200), p) for p in (0.3, 0.5)]
+        ds = sample_ier_dataset(mats, [0.5, 0.5], 40, np.random.default_rng(43))
+        assert ds.graphs.dtype == np.uint8
+        tracemalloc.start()
+        try:
+            screen.score_vertices(ds, statistic=statistic)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+
 
 def test_exp1_iterative_beats_one_shot_on_average():
     """Iterative screening should rank signal vertices at least as well as
