@@ -148,6 +148,17 @@ def validate_probability_matrix(p):
     return p
 
 
+def _adjacency_stack(m, n, dtype, where=""):
+    """A zero (m, n, n) stack, or a ValueError naming its size when it
+    cannot be allocated (numpy raises ValueError past the largest array)."""
+    try:
+        return np.zeros((m, n, n), dtype=dtype)
+    except (MemoryError, ValueError):
+        gib = m * n * n * np.dtype(dtype).itemsize / 2**30
+        raise ValueError(f"{where}cannot allocate the ({m}, {n}, {n}) {np.dtype(dtype)} "
+                         f"adjacency stack, {gib:.1f} GiB") from None
+
+
 def sample_ier_dataset(p_by_class, priors, m, rng):
     """m labeled draws: a class index from ``priors`` (the label), then one
     graph from its edge-probability matrix."""
@@ -159,12 +170,12 @@ def sample_ier_dataset(p_by_class, priors, m, rng):
     priors = np.asarray(priors, dtype=float)
     if priors.shape != (len(mats),) or np.any(priors < 0) or not np.isclose(priors.sum(), 1.0):
         raise ValueError("priors must be a distribution over the classes")
+    n = mats[0].shape[0]
+    graphs = _adjacency_stack(m, n, np.uint8)
     rng = np.random.default_rng(rng)
     which = rng.choice(len(mats), size=m, p=priors / priors.sum())
     # per graph, one (n, n) uniform block; the pairs u < v below p are edges
-    n = mats[0].shape[0]
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    graphs = np.empty((m, n, n), dtype=np.uint8)
     for graph, c in zip(graphs, which):
         edges = (rng.random((n, n)) < mats[c]) & upper
         graph[...] = edges | edges.T
@@ -281,12 +292,7 @@ def load_dataset(graphs_path, labels_path, n=None):
         )
     # 0/1 weights are stored as uint8 from the start, never cast from float64
     dtype = np.uint8 if np.all((weights == 0.0) | (weights == 1.0)) else np.float64
-    try:
-        graphs = np.zeros((m, n, n), dtype=dtype)
-    except MemoryError:
-        gib = m * n * n * np.dtype(dtype).itemsize / 2**30
-        raise ValueError(f"{graphs_path}: cannot allocate the ({m}, {n}, {n}) {np.dtype(dtype)} "
-                         f"adjacency stack, {gib:.1f} GiB") from None
+    graphs = _adjacency_stack(m, n, dtype, f"{graphs_path}: ")
     graphs[gpos, us, vs] = weights
     graphs[gpos, vs, us] = weights
 

@@ -6,6 +6,8 @@ the symmetrised pairwise distances, the triple-loop distance covariance, the
 pairwise Mann-Whitney AUC, the per-graph likelihood argmax, the unclamped
 class means and the ``csv.writer`` save of a dataset. The library has one
 batched implementation of each; nothing under ``src`` imports this module.
+``rv_coefficient`` instead runs the library's own rv kernel on a general y,
+which the library itself scores only against one-hot labels.
 """
 
 import csv
@@ -99,6 +101,17 @@ def triple_loop_dcov(x, y):
                 s3 += dx[i, j] * dy[i, k]
     s3 /= m**3
     return s1 + s2 - 2.0 * s3
+
+
+def rv_coefficient(x, y):
+    """RV coefficient between standardized sample matrices.
+
+    trace(Sxy Syx) / sqrt(trace(Sxx^2) trace(Syy^2)) on column-centered,
+    unit-variance columns, computed by the dependence kernel as the same
+    ratio of the m x m Grams XX' and YY'; 0 when either side is degenerate.
+    """
+    return float(corr._dependence_terms(corr._as_sample_matrix(x)[None], corr._gram(y),
+                                        corr._gram)[1][0])
 
 
 def mann_whitney_auc(ranking, true_set, n, keys=None):

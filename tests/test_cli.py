@@ -34,6 +34,13 @@ class TestSimulate:
         assert run(["simulate", "exp1", "--m", 0, "--out", tmp_path]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_refuses_a_stack_it_cannot_allocate(self, tmp_path, capsys):
+        # past the largest numpy array, let alone any address space
+        assert run(["simulate", "exp2", "--m", 2**50, "--out", tmp_path]) == 1
+        assert capsys.readouterr().err == (
+            "error: cannot allocate the (1125899906842624, 200, 200) uint8 adjacency stack, "
+            "41943040000.0 GiB\n")
+
     def test_same_seed_same_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

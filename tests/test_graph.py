@@ -603,6 +603,15 @@ def test_sample_dataset_needs_two_graphs(m):
         graph.sample_ier_dataset([np.full((3, 3), 0.5)], [1.0], m, 0)
 
 
+def test_sample_dataset_refuses_a_stack_it_cannot_allocate():
+    # 2**45 * 200**2 uint8 cells (1.2 EiB) lie beyond any 64-bit address space
+    p = np.full((200, 200), 0.5)
+    np.fill_diagonal(p, 0.0)
+    with pytest.raises(ValueError, match=r"^cannot allocate the \(35184372088832, 200, 200\) "
+                                         r"uint8 adjacency stack, 1310720000.0 GiB$"):
+        graph.sample_ier_dataset([p], [1.0], 2**45, 0)
+
+
 def test_sample_dataset_prior_counts():
     mats = [np.full((6, 6), 0.2), np.full((6, 6), 0.8)]
     ds = graph.sample_ier_dataset(mats, [0.5, 0.5], 400, 4)

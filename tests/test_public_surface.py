@@ -27,7 +27,6 @@ FUNCTIONS = {
     "corr.dcorr": ("y_metric",),
     "corr.local_correlation_grid": ("y_metric",),
     "corr.mgc": ("y_metric",),
-    "corr.rv_coefficient": (),
     "corr.cca_corr": (),
     "corr.one_hot": (),
     "corr.feature_label_correlation": (),

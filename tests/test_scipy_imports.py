@@ -1,0 +1,69 @@
+"""scipy is loaded only by the statistics that use it (cca and mgc): importing
+the package and running a dcorr screen in a fresh interpreter load none of it."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from vertexscreen import evaluate, graph
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# prints the scipy modules loaded after each step, one JSON object
+PROBE = """
+import json, sys
+import numpy as np
+
+def loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+steps = {}
+import vertexscreen, vertexscreen.cli
+steps["import"] = loaded()
+from vertexscreen import cli, corr
+code = cli.main(["screen", "--graphs", sys.argv[1], "--labels", sys.argv[2],
+                 "--stat", "dcorr", "--out", sys.argv[3]])
+assert code == 0, code
+steps["screen"] = loaded()
+rng = np.random.default_rng(0)
+x, y = rng.normal(size=(12, 2)), rng.normal(size=(12, 1))
+corr.cca_corr(x, y)
+steps["cca"] = loaded()
+corr.mgc(x, y)
+steps["mgc"] = loaded()
+print(json.dumps(steps))
+"""
+
+
+@pytest.fixture(scope="module")
+def steps(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("lazy-scipy")
+    dataset, _ = evaluate.sample_experiment("exp1", 12, 4)
+    graph.save_dataset(dataset, tmp / "graphs.csv", tmp / "labels.csv")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE, tmp / "graphs.csv", tmp / "labels.csv", tmp / "out"],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_importing_the_cli_loads_no_scipy(steps):
+    assert steps["import"] == []
+
+
+def test_dcorr_screen_loads_no_scipy(steps):
+    assert steps["screen"] == []
+
+
+def test_cca_loads_scipy_linalg_only(steps):
+    assert "scipy.linalg" in steps["cca"]
+    assert "scipy.ndimage" not in steps["cca"] and "scipy.stats" not in steps["cca"]
+
+
+def test_mgc_loads_ndimage_and_stats(steps):
+    assert "scipy.ndimage" in steps["mgc"] and "scipy.stats" in steps["mgc"]
