@@ -10,6 +10,7 @@ import numpy as np
 from . import corr
 from .graph import (
     LabeledGraphDataset,
+    _graph_chunks,
     induced_subgraph,
     upper_pairs,
     validate_probability_matrix,
@@ -48,17 +49,23 @@ def fit_plugin(dataset, restrict=None):
     vertices = vertex_set(
         restrict if restrict is not None else np.arange(dataset.n), dataset.n
     )
-    sub = induced_subgraph(dataset.graphs, vertices)
-    if np.any((sub != 0.0) & (sub != 1.0)):
-        raise ValueError("plug-in fitting needs binary adjacency matrices")
     class_labels = tuple(np.unique(dataset.labels).tolist())
+    masks = [dataset.labels == label for label in class_labels]
+    # per-class edge counts, one chunk of graphs at a time: whole numbers,
+    # so count / class size has the bits of the class mean
+    counts = np.zeros((len(class_labels), vertices.size, vertices.size))
+    for rows in _graph_chunks(dataset.graphs):
+        sub = induced_subgraph(dataset.graphs[rows], vertices)
+        if np.count_nonzero(sub) != np.count_nonzero(sub == 1):
+            raise ValueError("plug-in fitting needs binary adjacency matrices")
+        for count, mask in zip(counts, masks):
+            count += sub[mask[rows]].sum(axis=0)
     clamp = 1.0 / (2.0 * dataset.m)
     priors = np.empty(len(class_labels))
     edge_probabilities = []
-    for i, label in enumerate(class_labels):
-        mask = dataset.labels == label
+    for i, (count, mask) in enumerate(zip(counts, masks)):
         priors[i] = mask.sum() / dataset.m
-        p_hat = np.clip(sub[mask].mean(axis=0), clamp, 1.0 - clamp)
+        p_hat = np.clip(count / mask.sum(), clamp, 1.0 - clamp)
         np.fill_diagonal(p_hat, 0.0)
         edge_probabilities.append(p_hat)
     return PluginModel(
@@ -171,15 +178,24 @@ def knn_predict(train, a, k, restrict=None):
     vertices = vertex_set(
         restrict if restrict is not None else np.arange(train.n), train.n
     )
-    target = induced_subgraph(a, vertices)
-    pool = induced_subgraph(train.graphs, vertices)
-    # in float: a uint8 difference would wrap around
-    dists = np.sqrt((np.subtract(pool, target, dtype=float) ** 2).sum(axis=(1, 2)))
-    nearest = np.argsort(dists, kind="stable")[:k]
+    nearest = np.argsort(_distances(train.graphs, a, vertices), kind="stable")[:k]
     votes = train.labels[nearest]
     candidates = np.unique(votes)
     counts = np.asarray([(votes == c).sum() for c in candidates])
     return candidates[int(np.argmax(counts))].item()
+
+
+def _distances(graphs, a, vertices):
+    """Frobenius distance from adjacency ``a`` to each graph of an (m, n, n)
+    stack on the sorted ``vertices``, one chunk of graphs at a time; each
+    graph's squares are summed over its own k x k cells, as in one pass."""
+    target = induced_subgraph(a, vertices)
+    dists = np.empty(graphs.shape[0])
+    for rows in _graph_chunks(graphs):
+        # in float: a uint8 difference would wrap around
+        diff = np.subtract(induced_subgraph(graphs[rows], vertices), target, dtype=float)
+        dists[rows] = np.sqrt(np.square(diff, out=diff).sum(axis=(1, 2)))
+    return dists
 
 
 def loss_from_predictions(predictions, truths):

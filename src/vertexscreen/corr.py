@@ -37,6 +37,10 @@ MGC_REGION_FRACTION = 0.02
 # dcorr of 0/1 blocks, best-of CPU-s, one BLAS thread, 2**23 -> 2**18: 200
 # blocks at m = 600 (one block per chunk from 2**19 down) 1.37 -> 1.08, 400 at
 # m = 100 0.132 -> 0.088, 400 at m = 59 0.055 -> 0.046.
+# The same budget sizes every other pass over a stack: graph._graph_chunks
+# (the dataset's entry checks, classify.fit_plugin and knn distances),
+# classify._log_posteriors' pair rows, and graph._read_edges_bulk's id blocks
+# and file reads.
 _CHUNK_CELLS = 2**18
 
 

@@ -9,12 +9,13 @@ labels.csv).
 from __future__ import annotations
 
 import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import corr
 
 
 def _integers(values, what):
@@ -39,6 +40,14 @@ def vertex_set(indices, n):
 def _graph_positions(rows, m):
     """Positions in [0, m) of integer row indices; a negative one counts from the end."""
     return np.arange(m)[_integers(rows, "graph row indices")]
+
+
+def _graph_chunks(graphs):
+    """Slices of consecutive graphs of an (m, n, n) stack, in order, each of
+    at most ``corr._CHUNK_CELLS`` cells (or one graph), so a pass over the
+    stack allocates per chunk, never per stack."""
+    step = max(1, corr._CHUNK_CELLS // max(1, graphs.shape[1] * graphs.shape[2]))
+    return [slice(start, start + step) for start in range(0, graphs.shape[0], step)]
 
 
 @dataclass(frozen=True)
@@ -67,7 +76,8 @@ class LabeledGraphDataset:
         finite, hollow and symmetric checks of the adjacency stack, which
         rows of an already checked stack pass, and settles its storage:
         uint8 when every entry is 0 or 1, float64 otherwise. Without them
-        the stack keeps its dtype."""
+        the stack keeps its dtype. Each check is one pass over the stack's
+        chunks, in this order, so its temporaries are chunk-sized."""
         graphs = np.asarray(self.graphs)
         labels = np.asarray(self.labels)
         if graphs.ndim != 3 or graphs.shape[1] != graphs.shape[2]:
@@ -78,15 +88,17 @@ class LabeledGraphDataset:
             raise ValueError("need at least 2 graphs")
         if check_entries:
             # an integer stack is finite by its dtype
-            if graphs.dtype.kind not in "biu":
+            integer = graphs.dtype.kind in "biu"
+            if not integer:
                 graphs = np.asarray(graphs, dtype=float)
-                if not np.all(np.isfinite(graphs)):
-                    raise ValueError("adjacency entries must be finite")
+            chunks = [graphs[rows] for rows in _graph_chunks(graphs)]
+            if not integer and not all(np.isfinite(c).all() for c in chunks):
+                raise ValueError("adjacency entries must be finite")
             if np.any(np.diagonal(graphs, axis1=1, axis2=2) != 0):
                 raise ValueError("self-loops are not supported")
-            if not np.array_equal(graphs, np.swapaxes(graphs, 1, 2)):
+            if not all(np.array_equal(c, np.swapaxes(c, 1, 2)) for c in chunks):
                 raise ValueError("undirected graphs must have symmetric adjacency")
-            binary = np.count_nonzero(graphs) == np.count_nonzero(graphs == 1)
+            binary = all(np.count_nonzero(c) == np.count_nonzero(c == 1) for c in chunks)
             graphs = np.asarray(graphs, dtype=np.uint8 if binary else float)
         if self.subject_ids is not None:
             subject_ids = tuple(str(s) for s in self.subject_ids)
@@ -309,31 +321,52 @@ _EDGE_ROW = np.dtype([("gid", np.int64), ("u", np.int64), ("v", np.int64), ("w",
 
 def _read_edges_bulk(graphs_path, sorted_ids):
     """``(lines, gpos, us, vs, weights)`` of a graphs.csv that passes every
-    check of ``_read_edges``, from one ``np.loadtxt`` call; None when the
-    row parser must decide. loadtxt raises or warns on an empty body, ids
-    beyond int64 and every integer spelling but signed digits (``1.0``,
-    ``"1"``, ``1_0``); a blank line it skips would shift the line numbers.
+    check of ``_read_edges``, from one ``np.loadtxt`` call on the open file;
+    None when the row parser must decide. loadtxt raises or warns on an
+    empty body, ids beyond int64 and every integer spelling but signed
+    digits (``1.0``, ``"1"``, ``1_0``); a blank line it skips would shift the
+    line numbers.
     """
     try:
         with open(graphs_path, newline="") as fh:
-            header, _, body = fh.read().partition("\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(io.StringIO(body, newline=""), dtype=_EDGE_ROW, delimiter=",",
-                              comments=None, ndmin=1)
+            # readline splits lines as loadtxt does, at "\r" too; the header
+            # must end in "\n", so the body is everything after the first "\n"
+            if fh.readline() not in ("graph_id,u,v,weight\n", "graph_id,u,v,weight\r\n"):
+                return None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(fh, dtype=_EDGE_ROW, delimiter=",", comments=None, ndmin=1)
+        newlines, last = _newlines(graphs_path)
         known = np.asarray(sorted_ids, dtype=np.int64)
     except Exception:
         return None
     gid, us, vs, weights = (rows[name] for name in _EDGE_ROW.names)
-    gpos = np.searchsorted(known, gid)
+    # an id is listed where it is the id at its position; ids are searched and
+    # gathered corr._CHUNK_CELLS bytes at a time, so no temporary holds them all
+    step = corr._CHUNK_CELLS // known.itemsize
+    gpos = np.empty(rows.size, dtype=np.intp)
+    listed = True
+    for start in range(0, rows.size, step):
+        block = slice(start, start + step)
+        gpos[block] = np.searchsorted(known, gid[block])
+        listed = listed and np.array_equal(known.take(gpos[block], mode="clip"), gid[block])
     clean = (
-        header.removesuffix("\r") == "graph_id,u,v,weight"
+        listed
         # one row per line of the body, the last one with or without its newline
-        and rows.size == body.count("\n") + (not body.endswith("\n"))
-        and np.array_equal(known[np.minimum(gpos, known.size - 1)], gid)
+        and rows.size == newlines - 1 + (last != b"\n")
         and np.all((us >= 0) & (vs >= 0) & ((us != vs) | (weights == 0.0)) & np.isfinite(weights))
     )
-    return (np.arange(2, rows.size + 2), gpos, us, vs, weights) if clean else None
+    return (range(2, rows.size + 2), gpos, us, vs, weights) if clean else None
+
+
+def _newlines(path):
+    """How many newline bytes a file holds, and its last byte; read
+    ``corr._CHUNK_CELLS`` bytes at a time."""
+    count, last = 0, b""
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(corr._CHUNK_CELLS), b""):
+            count, last = count + block.count(b"\n"), block[-1:]
+    return count, last
 
 
 def _read_edges(graphs_path, position):

@@ -1,13 +1,14 @@
 """Tests for the plug-in, Bayes, and nearest-neighbor classifiers."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oracles import class_means, likelihood_oracle, sample_ier
-from vertexscreen import classify, evaluate
-from vertexscreen.graph import LabeledGraphDataset, sample_ier_dataset
+from vertexscreen import classify, corr, evaluate
+from vertexscreen.graph import LabeledGraphDataset, induced_subgraph, sample_ier_dataset
 
 
 def block_parameters(n=12, signal=4, p=(0.2, 0.7)):
@@ -332,6 +333,81 @@ class TestKnn:
             classify.knn_predict(ds, ds.graphs[0], 0)
         with pytest.raises(ValueError):
             classify.knn_predict(ds, ds.graphs[0], 7)
+
+
+CHUNK_CELLS = pytest.mark.parametrize("chunk_cells", [1, 5000, None],
+                                      ids=["one-graph", "a-few-graphs", "default"])
+
+
+class TestChunkedPasses:
+    """fit_plugin and the knn distances read the stack one chunk of graphs at
+    a time; no bit depends on the chunk size."""
+
+    @CHUNK_CELLS
+    def test_fit_gives_the_clamped_class_means(self, monkeypatch, chunk_cells):
+        ds = block_dataset(40, 27, n=30)
+        if chunk_cells is not None:
+            monkeypatch.setattr(corr, "_CHUNK_CELLS", chunk_cells)
+        clamp = 1.0 / (2.0 * ds.m)
+        for restrict in (None, [0, 3, 4, 9, 20]):
+            model = classify.fit_plugin(ds, restrict)
+            for p_hat, mean in zip(model.edge_probabilities, class_means(ds, restrict)):
+                expected = np.clip(mean, clamp, 1.0 - clamp)
+                np.fill_diagonal(expected, 0.0)
+                assert np.array_equal(p_hat, expected)
+
+    @CHUNK_CELLS
+    def test_fit_refuses_a_weight_in_the_last_graph(self, monkeypatch, chunk_cells):
+        graphs = block_dataset(40, 28, n=30).graphs.astype(float)
+        graphs[-1, 0, 1] = graphs[-1, 1, 0] = 0.5
+        ds = LabeledGraphDataset(graphs, np.arange(40) % 2)
+        if chunk_cells is not None:
+            monkeypatch.setattr(corr, "_CHUNK_CELLS", chunk_cells)
+        with pytest.raises(ValueError, match="binary adjacency"):
+            classify.fit_plugin(ds)
+
+    @CHUNK_CELLS
+    def test_knn_distances_match_one_pass_over_the_pool(self, monkeypatch, chunk_cells):
+        # weights over six orders of magnitude, so a sum in another order
+        # would round differently
+        rng = np.random.default_rng(29)
+        w = np.triu(rng.normal(size=(31, 40, 40)) * 10.0 ** rng.uniform(-3, 3, (31, 40, 40)), 1)
+        graphs, a = (w + np.swapaxes(w, 1, 2))[:30], (w + np.swapaxes(w, 1, 2))[30]
+        if chunk_cells is not None:
+            monkeypatch.setattr(corr, "_CHUNK_CELLS", chunk_cells)
+        for vertices in (np.arange(40), np.array([0, 2, 3, 7, 11, 30, 39])):
+            pool, target = induced_subgraph(graphs, vertices), induced_subgraph(a, vertices)
+            expected = np.sqrt((np.subtract(pool, target, dtype=float) ** 2).sum(axis=(1, 2)))
+            assert np.array_equal(classify._distances(graphs, a, vertices), expected)
+
+
+class TestMemory:
+    """A pass over the (300, 60, 60) uint8 stack allocates chunk-sized
+    temporaries, not copies of the stack."""
+
+    @pytest.fixture(scope="class")
+    def ds(self):
+        mats = [np.full((60, 60), p) for p in (0.3, 0.5)]
+        ds = sample_ier_dataset(mats, [0.5, 0.5], 300, np.random.default_rng(30))
+        assert ds.graphs.dtype == np.uint8
+        return ds
+
+    @staticmethod
+    def traced_peak(call, *args):
+        call(*args)  # untraced: a first call may import modules (np.unique loads numpy.ma)
+        tracemalloc.start()
+        try:
+            call(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_fit_plugin_allocates_no_bool_copy_of_the_stack(self, ds):
+        assert self.traced_peak(classify.fit_plugin, ds) < ds.graphs.size
+
+    def test_knn_allocates_no_float64_copy_of_the_pool(self, ds):
+        # every vertex: the pool is the whole stack
+        assert self.traced_peak(classify.knn_predict, ds, ds.graphs[0], 11) < ds.graphs.size * 8
 
 
 class TestEstimateLoss:

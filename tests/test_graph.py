@@ -2,6 +2,7 @@
 sampling, likelihood and feature-row oracles."""
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from vertexscreen import graph
+from vertexscreen import corr, graph
 from vertexscreen.cli import main
 
 
@@ -273,6 +274,46 @@ class TestDataset:
         with pytest.raises(ValueError, match=message):
             graph.LabeledGraphDataset(graphs, ds.labels)
 
+    @pytest.mark.parametrize("chunk_cells", [1, None], ids=["one-graph-chunks", "default-chunks"])
+    @pytest.mark.parametrize("defects, message", [
+        # a late non-finite entry is found before an early asymmetry
+        ((("asymmetric", 0), ("non-finite", 11)), "must be finite"),
+        ((("asymmetric", 0), ("self-loop", 11)), "self-loops"),
+        ((("self-loop", 5), ("asymmetric", 5)), "self-loops"),
+    ], ids=["finite-first", "self-loops-before-symmetry", "self-loop-and-asymmetry"])
+    def test_first_failing_check_wins(self, monkeypatch, chunk_cells, defects, message):
+        # each check is its own pass over the chunks: with one graph a chunk,
+        # checking every property of a chunk before the next would name
+        # graph 0's asymmetry
+        if chunk_cells is not None:
+            monkeypatch.setattr(corr, "_CHUNK_CELLS", chunk_cells)
+        ds = make_dataset(m=12, n=6, seed=4)
+        graphs = ds.graphs.astype(float)
+        for defect, g in defects:
+            if defect == "non-finite":
+                graphs[g, 0, 1] = graphs[g, 1, 0] = np.inf
+            elif defect == "self-loop":
+                graphs[g, 3, 3] = 1.0
+            else:
+                graphs[g, 0, 1] = 1.0 - graphs[g, 1, 0]
+        with pytest.raises(ValueError, match=message):
+            graph.LabeledGraphDataset(graphs, ds.labels)
+
+    def test_checks_allocate_no_copy_of_the_stack(self):
+        # a bool copy of the (300, 60, 60) uint8 stack is as large as the
+        # stack; each check walks it in chunks of about 2**18 cells
+        stack = make_dataset(m=300, n=60, seed=5).graphs.copy()
+        labels = np.arange(300) % 2
+        graph.LabeledGraphDataset(stack.copy(), labels)  # untraced: a first call may import
+        tracemalloc.start()
+        try:
+            ds = graph.LabeledGraphDataset(stack, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.graphs.dtype == np.uint8
+        assert peak < stack.size
+
     @pytest.mark.parametrize("source, stored", [
         ("bool", np.uint8), ("int64", np.uint8), ("float64", np.uint8),
         ("int-with-a-2", np.float64), ("float-with-a-half", np.float64),
@@ -460,6 +501,8 @@ SPELLINGS = {
     "lf": ("0,0,1,1\n1,1,2,0.5\n", LABELS, True, None),
     "crlf": ("0,0,1,1\r\n1,1,2,0.5\r\n", LABELS, True, None),
     "no-trailing-newline": ("0,0,1,1\n1,1,2,0.5", LABELS, True, None),
+    # loadtxt splits lines at a lone "\r" as csv does, so the newline count decides
+    "cr-only": ("0,0,1,1\r1,1,2,0.5\r", LABELS, False, None),
     "header-only": ("", LABELS, False, None),
     "blank-lines": ("\n0,0,1,1\n\n1,1,2,0.5\n\n", LABELS, False, None),
     "blank-crlf-line": ("0,0,1,1\r\n\r\n1,1,2,0.5\r\n", LABELS, False, None),
@@ -550,6 +593,19 @@ class TestCsvBulkPath:
         if source == "save_dataset":
             # a load lists the graphs in ascending id
             assert np.array_equal(loaded.graphs, ds.subset(np.argsort(ds.graph_ids)).graphs)
+
+    def test_bulk_parse_allocates_no_copy_of_the_file(self, tmp_path):
+        # the parse reads the open file: no string or StringIO of its body
+        assert main(["simulate", "exp2", "--m", "60", "--seed", "7", "--out", str(tmp_path)]) == 0
+        graph._read_edges_bulk(tmp_path / "graphs.csv", list(range(60)))  # untraced warm-up
+        tracemalloc.start()
+        try:
+            edges = graph._read_edges_bulk(tmp_path / "graphs.csv", list(range(60)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert edges is not None
+        assert peak < 1.5 * len(edges[0]) * graph._EDGE_ROW.itemsize
 
     @pytest.mark.parametrize("weights, graph_ids", [
         ((0.0, 0.0, 0.0, 1.0, 1.0, 0.0), (0, 1)),
