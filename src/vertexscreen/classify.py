@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import corr
 from .graph import (
     LabeledGraphDataset,
+    _chunks,
     _graph_chunks,
     induced_subgraph,
     upper_pairs,
@@ -85,7 +85,7 @@ def _log_posteriors(priors, probabilities, graphs, vertices):
     a graph contradicting it (an edge where p = 0, a non-edge where p = 1)
     gets log posterior -inf for that class.
 
-    The graphs are read in row chunks of about ``corr._CHUNK_CELLS`` pairs,
+    The graphs are read in row chunks of about ``graph._CHUNK_CELLS`` pairs,
     each gathered and cast to float64 on its own, so neither the (N, n, n)
     stack nor its dense (N, pairs) pairs are ever copied whole. BLAS picks
     its kernel by shape, so a row's sums can differ from those of the whole
@@ -97,14 +97,12 @@ def _log_posteriors(priors, probabilities, graphs, vertices):
     log_p, log_1p = np.where(p > 0.0, log_p, 0.0).T, np.where(p < 1.0, log_1p, 0.0).T
     zero, one = p == 0.0, p == 1.0
     scores = np.empty((graphs.shape[0], p.shape[0]))
-    rows = max(1, corr._CHUNK_CELLS // max(1, p.shape[1]))
-    for start in range(0, graphs.shape[0], rows):
-        stop = start + rows
-        flat = upper_pairs(graphs[start:stop], vertices)
+    for rows in _chunks(graphs.shape[0], p.shape[1]):
+        flat = upper_pairs(graphs[rows], vertices)
         if np.count_nonzero(flat) != np.count_nonzero(flat == 1):
             raise ValueError("adjacency must be binary for likelihood operations")
         flat = np.asarray(flat, dtype=float)
-        chunk = scores[start:stop]
+        chunk = scores[rows]
         chunk[...] = log_prior + flat @ log_p + (1.0 - flat) @ log_1p
         if zero.any() or one.any():
             chunk[flat @ zero.T + (1.0 - flat) @ one.T > 0.0] = -np.inf

@@ -13,11 +13,9 @@ import functools
 
 import numpy as np
 
-# scipy is imported inside the cca and mgc functions that use it, so a dcorr
-# or rv run never loads it. Cold set-up (interpreter, import, a first BLAS and
-# LAPACK call; one BLAS thread, numpy 2.4, scipy 1.17, 2-core x86-64) is
-# 0.14 s and 40 MiB peak RSS with numpy alone, 0.36 s with scipy.linalg, and
-# 0.85 s and 106 MiB with scipy.linalg, .ndimage and .stats imported too.
+from .graph import _chunks
+
+# scipy loads only when cca or mgc first runs, inside the functions using it.
 
 STATISTICS = ("dcorr", "mgc", "rv", "cca")
 
@@ -27,21 +25,6 @@ DEGENERATE_TOL = 1e-14
 # Fraction of the (k, l) scale grid a region must exceed before the smoothed
 # local maximum replaces the global statistic.
 MGC_REGION_FRACTION = 0.02
-
-
-# Cells of one intermediate of a dependence kernel chunk: blocks per chunk are
-# _CHUNK_CELLS // (m * max(m, d)), so a chunk's input copy (m d cells a block)
-# and each of its m x m matrices stay below it. 2**18 float64 cells are 2 MiB,
-# so a chunk's elementwise passes, shift, row means and dots stay in cache
-# instead of streaming through DRAM, as each 64 MiB intermediate of 2**23 did.
-# dcorr of 0/1 blocks, best-of CPU-s, one BLAS thread, 2**23 -> 2**18: 200
-# blocks at m = 600 (one block per chunk from 2**19 down) 1.37 -> 1.08, 400 at
-# m = 100 0.132 -> 0.088, 400 at m = 59 0.055 -> 0.046.
-# The same budget sizes every other pass over a stack: graph._graph_chunks
-# (the dataset's entry checks, classify.fit_plugin and knn distances),
-# classify._log_posteriors' pair rows, and graph._read_edges_bulk's id blocks
-# and file reads.
-_CHUNK_CELLS = 2**18
 
 
 def check_statistic(statistic):
@@ -66,11 +49,6 @@ def _samples(x, stack=False):
     if not integers and not np.all(np.isfinite(x)):
         raise ValueError("samples contain non-finite entries")
     return x
-
-
-def _as_sample_matrix(x, stack=False):
-    """``_samples`` in float64; a stack comes back C-ordered."""
-    return np.asarray(_samples(x, stack), dtype=float, order="C" if stack else "K")
 
 
 def _float32_exact(x, terms=2):
@@ -174,7 +152,8 @@ def double_center(d):
 
 def _gram(x):
     """Gram matrices XsXs' of column-standardised samples (last two axes)."""
-    x = _as_sample_matrix(x, stack=True)
+    # C order: the column means of a transposed view may sum in another order
+    x = np.asarray(_samples(x, stack=True), dtype=float, order="C")
     x = x - x.mean(axis=-2, keepdims=True)
     scale = x.std(axis=-2, keepdims=True)
     x /= np.where(scale > 0.0, scale, 1.0)
@@ -217,9 +196,9 @@ def _dependence_terms(blocks, y_matrix, matrix, samples=None):
     stack of another dtype (uint8 0/1 rows) is never cast whole: dcorr
     builds an exactly-integer chunk's squared distances in float32 and
     roots them in float64, rv's Gram casts to float64. A chunk has at most
-    ``_CHUNK_CELLS`` cells in its input copy and in each m x m matrix, and
-    its matrices are reduced in one batched pass; a degenerate block or y
-    has ratio 0.
+    ``graph._CHUNK_CELLS`` cells in its input copy and in each m x m matrix,
+    and its matrices are reduced in one batched pass; a degenerate block or
+    y has ratio 0.
 
     ``samples``, when given, is a sequence of arrays of row indices in
     [0, m) (each builds flat cell indices), and the terms come back as
@@ -252,10 +231,8 @@ def _dependence_terms(blocks, y_matrix, matrix, samples=None):
     vxy = np.empty((len(subsets), n_blocks))
     vx = np.empty((len(subsets), n_blocks))
     vy = np.empty(len(subsets))
-    chunk = max(1, _CHUNK_CELLS // (m * max(m, d)))
-    for start in range(0, n_blocks, chunk):
-        stop = start + chunk
-        mats = matrix(blocks[start:stop])
+    for chunk in _chunks(n_blocks, m * max(m, d)):
+        mats = matrix(blocks[chunk])
         for s, rows in enumerate(subsets):
             b, row_b, vy[s] = y_terms(s)
             if s == len(subsets) - 1 and last_in_place:
@@ -265,8 +242,8 @@ def _dependence_terms(blocks, y_matrix, matrix, samples=None):
                 sliced = mats.reshape(len(mats), m * m).take(cells, axis=1)
                 sliced = sliced.reshape(len(mats), rows.size, rows.size)
             a, row_a = _shift_to_zero_mean(sliced)
-            vxy[s, start:stop] = _centred_inner(a, row_a, b, row_b)
-            vx[s, start:stop] = _centred_inner(a, row_a, a, row_a)
+            vxy[s, chunk] = _centred_inner(a, row_a, b, row_b)
+            vx[s, chunk] = _centred_inner(a, row_a, a, row_a)
             del sliced, a  # free this sample's slice before the next one's
         del mats  # free this chunk's matrices before the next chunk's
     ratios = np.zeros_like(vxy)
@@ -339,7 +316,7 @@ def local_correlation_grid(x, y, y_metric="euclidean"):
     """
     from scipy.stats import rankdata
 
-    dx = pairwise_distances(_as_sample_matrix(x))
+    dx = pairwise_distances(np.asarray(_samples(x), dtype=float))
     dy = pairwise_distances(y, y_metric)
     if dx.shape != dy.shape:
         raise ValueError(f"sample counts differ: {dx.shape[0]} vs {dy.shape[0]}")
@@ -424,8 +401,8 @@ def cca_corr(x, y):
     """
     from scipy import linalg
 
-    x = _as_sample_matrix(x)
-    y = _as_sample_matrix(y)
+    x = np.asarray(_samples(x), dtype=float)
+    y = np.asarray(_samples(y), dtype=float)
     if x.shape[0] != y.shape[0]:
         raise ValueError(f"sample counts differ: {x.shape[0]} vs {y.shape[0]}")
     m = x.shape[0]

@@ -15,7 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import corr
+# Cells of one chunk of any pass over a stack, read only by ``_chunks`` and
+# ``_newlines``: 2**18 float64 cells are 2 MiB, so a chunk's passes stay in cache.
+_CHUNK_CELLS = 2**18
+
+
+def _chunks(count, cells_each):
+    """Slices of ``count`` consecutive items, in order, each of
+    ``_CHUNK_CELLS // cells_each`` items (at least one)."""
+    step = max(1, _CHUNK_CELLS // max(1, cells_each))
+    return [slice(start, start + step) for start in range(0, count, step)]
 
 
 def _integers(values, what):
@@ -43,11 +52,9 @@ def _graph_positions(rows, m):
 
 
 def _graph_chunks(graphs):
-    """Slices of consecutive graphs of an (m, n, n) stack, in order, each of
-    at most ``corr._CHUNK_CELLS`` cells (or one graph), so a pass over the
+    """``_chunks`` of the graphs of an (m, n, n) stack, so a pass over the
     stack allocates per chunk, never per stack."""
-    step = max(1, corr._CHUNK_CELLS // max(1, graphs.shape[1] * graphs.shape[2]))
-    return [slice(start, start + step) for start in range(0, graphs.shape[0], step)]
+    return _chunks(graphs.shape[0], graphs.shape[1] * graphs.shape[2])
 
 
 @dataclass(frozen=True)
@@ -86,6 +93,8 @@ class LabeledGraphDataset:
             raise ValueError("need one label per graph")
         if graphs.shape[0] < 2:
             raise ValueError("need at least 2 graphs")
+        if graphs.shape[1] < 1:
+            raise ValueError("need at least 1 vertex")
         if check_entries:
             # an integer stack is finite by its dtype
             integer = graphs.dtype.kind in "biu"
@@ -243,6 +252,8 @@ def load_dataset(graphs_path, labels_path, n=None):
     is read row by row, which accepts the same rows with the same values and
     names the line of the first bad one.
     """
+    if n is not None and n < 1:
+        raise ValueError(f"n must be at least 1, not {n}")
     ids = []
     labels = []
     subjects = []
@@ -342,12 +353,10 @@ def _read_edges_bulk(graphs_path, sorted_ids):
         return None
     gid, us, vs, weights = (rows[name] for name in _EDGE_ROW.names)
     # an id is listed where it is the id at its position; ids are searched and
-    # gathered corr._CHUNK_CELLS bytes at a time, so no temporary holds them all
-    step = corr._CHUNK_CELLS // known.itemsize
+    # gathered _CHUNK_CELLS bytes at a time, so no temporary holds them all
     gpos = np.empty(rows.size, dtype=np.intp)
     listed = True
-    for start in range(0, rows.size, step):
-        block = slice(start, start + step)
+    for block in _chunks(rows.size, known.itemsize):
         gpos[block] = np.searchsorted(known, gid[block])
         listed = listed and np.array_equal(known.take(gpos[block], mode="clip"), gid[block])
     clean = (
@@ -361,10 +370,10 @@ def _read_edges_bulk(graphs_path, sorted_ids):
 
 def _newlines(path):
     """How many newline bytes a file holds, and its last byte; read
-    ``corr._CHUNK_CELLS`` bytes at a time."""
+    ``_CHUNK_CELLS`` bytes at a time."""
     count, last = 0, b""
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(corr._CHUNK_CELLS), b""):
+        for block in iter(lambda: fh.read(_CHUNK_CELLS), b""):
             count, last = count + block.count(b"\n"), block[-1:]
     return count, last
 

@@ -49,11 +49,6 @@ def _check_delta(delta):
         raise ValueError("delta must lie in (0, 1)")
 
 
-def _check_threshold(threshold):
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError("threshold must lie in [0, 1]")
-
-
 @dataclass(frozen=True)
 class ScreeningConfig:
     """How ``run`` screens a dataset and sizes the selection.
@@ -83,8 +78,8 @@ class ScreeningConfig:
             raise ValueError(f"unknown size rule {self.size_rule!r}; expected one of {SIZE_RULES}")
         if self.delta is not None:
             _check_delta(self.delta)
-        if self.threshold is not None:
-            _check_threshold(self.threshold)
+        if self.threshold is not None and not 0.0 <= self.threshold <= 1.0:
+            raise ValueError("threshold must lie in [0, 1]")
         if self.size_rule == "fixed" and (self.size is None or self.size < 1):
             raise ValueError("size rule fixed needs a size of at least 1")
         if self.size_rule != "fixed" and self.size is not None:
@@ -151,12 +146,6 @@ def _one_shot(scores, threshold):
         levels=((np.arange(scores.size), float("nan")),),
         selected=np.flatnonzero(scores > threshold),
     )
-
-
-def screen_once(dataset, threshold, statistic="dcorr"):
-    """Keep the vertices whose score strictly exceeds the threshold."""
-    _check_threshold(threshold)
-    return _one_shot(score_vertices(dataset, None, statistic), threshold)
 
 
 def screen_iterative(dataset, delta, statistic="dcorr", *, first_level=None):

@@ -4,8 +4,9 @@ Each oracle computes one concept the slow, literal way: a per-graph
 independent-edge draw, a per-pair log-likelihood, a per-vertex feature row,
 the symmetrised pairwise distances, the triple-loop distance covariance, the
 pairwise Mann-Whitney AUC, the per-graph likelihood argmax, the unclamped
-class means and the ``csv.writer`` save of a dataset. The library has one
-batched implementation of each; nothing under ``src`` imports this module.
+class means, the one-shot screening result and the ``csv.writer`` save of a
+dataset. The library has one batched implementation of each; nothing under
+``src`` imports this module.
 ``rv_coefficient`` instead runs the library's own rv kernel on a general y,
 which the library itself scores only against one-hot labels.
 """
@@ -15,7 +16,7 @@ import itertools
 
 import numpy as np
 
-from vertexscreen import corr
+from vertexscreen import corr, screen
 from vertexscreen.graph import induced_subgraph, validate_probability_matrix, vertex_set
 
 
@@ -110,8 +111,22 @@ def rv_coefficient(x, y):
     unit-variance columns, computed by the dependence kernel as the same
     ratio of the m x m Grams XX' and YY'; 0 when either side is degenerate.
     """
-    return float(corr._dependence_terms(corr._as_sample_matrix(x)[None], corr._gram(y),
-                                        corr._gram)[1][0])
+    x = np.asarray(corr._samples(x), dtype=float)
+    return float(corr._dependence_terms(x[None], corr._gram(y), corr._gram)[1][0])
+
+
+def one_shot_screen(dataset, threshold, statistic="dcorr"):
+    """The one-shot ``ScreeningResult`` built by hand from every vertex's
+    ``score_vertices``: an all-``SURVIVOR`` elimination order, one level of
+    every vertex with a NaN correlation, and the vertices scoring strictly
+    above ``threshold`` selected."""
+    scores = screen.score_vertices(dataset, None, statistic)
+    return screen.ScreeningResult(
+        scores=scores,
+        elimination_order=np.full(scores.size, screen.SURVIVOR),
+        levels=((np.arange(scores.size), float("nan")),),
+        selected=np.flatnonzero(scores > threshold),
+    )
 
 
 def mann_whitney_auc(ranking, true_set, n, keys=None):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import class_means, likelihood_oracle, sample_ier
-from vertexscreen import classify, corr, evaluate
+from vertexscreen import classify, evaluate, graph
 from vertexscreen.graph import LabeledGraphDataset, induced_subgraph, sample_ier_dataset
 
 
@@ -245,10 +245,10 @@ class TestBayesPredict:
                                  sample_ier_dataset([mats[0]], [1.0], 4, rng).graphs])
         vertices = np.arange(graphs.shape[1])
         assert graphs.dtype == np.uint8
-        monkeypatch.setattr(classify.corr, "_CHUNK_CELLS", 2**40)
+        monkeypatch.setattr(graph, "_CHUNK_CELLS", 2**40)
         whole = classify._log_posteriors(priors, mats, graphs, vertices)
         assert np.isneginf(whole).any() and np.isfinite(whole).any()
-        monkeypatch.setattr(classify.corr, "_CHUNK_CELLS", 1)
+        monkeypatch.setattr(graph, "_CHUNK_CELLS", 1)
         chunked = classify._log_posteriors(priors, mats, graphs, vertices)
         assert np.array_equal(np.isneginf(chunked), np.isneginf(whole))
         np.testing.assert_allclose(chunked, whole, rtol=1e-13, atol=0.0)
@@ -347,7 +347,7 @@ class TestChunkedPasses:
     def test_fit_gives_the_clamped_class_means(self, monkeypatch, chunk_cells):
         ds = block_dataset(40, 27, n=30)
         if chunk_cells is not None:
-            monkeypatch.setattr(corr, "_CHUNK_CELLS", chunk_cells)
+            monkeypatch.setattr(graph, "_CHUNK_CELLS", chunk_cells)
         clamp = 1.0 / (2.0 * ds.m)
         for restrict in (None, [0, 3, 4, 9, 20]):
             model = classify.fit_plugin(ds, restrict)
@@ -362,7 +362,7 @@ class TestChunkedPasses:
         graphs[-1, 0, 1] = graphs[-1, 1, 0] = 0.5
         ds = LabeledGraphDataset(graphs, np.arange(40) % 2)
         if chunk_cells is not None:
-            monkeypatch.setattr(corr, "_CHUNK_CELLS", chunk_cells)
+            monkeypatch.setattr(graph, "_CHUNK_CELLS", chunk_cells)
         with pytest.raises(ValueError, match="binary adjacency"):
             classify.fit_plugin(ds)
 
@@ -374,7 +374,7 @@ class TestChunkedPasses:
         w = np.triu(rng.normal(size=(31, 40, 40)) * 10.0 ** rng.uniform(-3, 3, (31, 40, 40)), 1)
         graphs, a = (w + np.swapaxes(w, 1, 2))[:30], (w + np.swapaxes(w, 1, 2))[30]
         if chunk_cells is not None:
-            monkeypatch.setattr(corr, "_CHUNK_CELLS", chunk_cells)
+            monkeypatch.setattr(graph, "_CHUNK_CELLS", chunk_cells)
         for vertices in (np.arange(40), np.array([0, 2, 3, 7, 11, 30, 39])):
             pool, target = induced_subgraph(graphs, vertices), induced_subgraph(a, vertices)
             expected = np.sqrt((np.subtract(pool, target, dtype=float) ** 2).sum(axis=(1, 2)))

@@ -149,6 +149,17 @@ class TestScreen:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "screening.csv").exists()
 
+    @pytest.mark.parametrize("command", ["screen", "classify"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_vertex_count_below_one_rejected(self, tmp_path, capsys, command, n):
+        # an edgeless graphs.csv has no vertex index to contradict n
+        (tmp_path / "graphs.csv").write_text("graph_id,u,v,weight\n")
+        (tmp_path / "labels.csv").write_text("graph_id,label\n0,0\n1,1\n2,0\n3,1\n")
+        argv = [command, "--graphs", tmp_path / "graphs.csv",
+                "--labels", tmp_path / "labels.csv", "--n", n, "--out", tmp_path]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: n must be at least 1, not {n}\n"
+
     def test_cca_dispatch(self, small_dataset, tmp_path):
         code = run(
             ["screen", "--graphs", small_dataset / "graphs.csv",

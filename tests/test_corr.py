@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import subspace_angles
 
 from oracles import pairwise_distances_oracle, rv_coefficient, triple_loop_dcov
-from vertexscreen import corr, evaluate
+from vertexscreen import corr, evaluate, graph
 from vertexscreen.graph import upper_pairs
 
 
@@ -194,7 +194,7 @@ class TestStackedKernel:
     def test_many_equals_per_block_dcorr(self, monkeypatch, y_metric, chunk_cells):
         # 3 * 12 * 12: 7 blocks span 3 chunks of 3; 1: every block is its own chunk
         if chunk_cells is not None:
-            monkeypatch.setattr(corr, "_CHUNK_CELLS", chunk_cells)
+            monkeypatch.setattr(graph, "_CHUNK_CELLS", chunk_cells)
         rng = np.random.default_rng(20)
         labels = rng.integers(0, 3, size=12)
         blocks = rng.normal(size=(7, 12, 4)) + labels[None, :, None] * np.arange(7)[:, None, None]
@@ -210,7 +210,7 @@ class TestStackedKernel:
         # 0/1 entries keep every distance exact, so a slice of the full
         # sample's matrix is the sub-sample's own matrix bit for bit
         if chunk_cells is not None:
-            monkeypatch.setattr(corr, "_CHUNK_CELLS", chunk_cells)
+            monkeypatch.setattr(graph, "_CHUNK_CELLS", chunk_cells)
         rng = np.random.default_rng(21)
         labels = rng.integers(0, 3, size=12)
         # a level of 7 vertices: block i holds row i of every graph
@@ -503,7 +503,7 @@ def test_one_hot_sorted_classes():
 def test_feature_label_correlation_stack_equals_each_sample(monkeypatch, statistic, chunk_cells):
     # 3 * 12 * 12: 7 blocks span 3 chunks of 3; 1: every block is its own chunk
     if chunk_cells is not None:
-        monkeypatch.setattr(corr, "_CHUNK_CELLS", chunk_cells)
+        monkeypatch.setattr(graph, "_CHUNK_CELLS", chunk_cells)
     rng = np.random.default_rng(28)
     labels = rng.integers(0, 3, size=12)
     blocks = rng.normal(size=(7, 12, 4)) + labels[None, :, None] * np.arange(7)[:, None, None]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from vertexscreen import corr, graph
+from vertexscreen import graph
 from vertexscreen.cli import main
 
 
@@ -203,6 +203,12 @@ class TestDataset:
         with pytest.raises(ValueError):
             graph.LabeledGraphDataset(np.zeros((1, 3, 3)), np.array([0]))
 
+    def test_needs_one_vertex(self):
+        with pytest.raises(ValueError, match="need at least 1 vertex"):
+            graph.LabeledGraphDataset(np.zeros((2, 0, 0)), np.array([0, 1]))
+        with pytest.raises(ValueError, match="need at least 1 vertex"):
+            graph.sample_ier_dataset([np.zeros((0, 0))], [1.0], 3, 0)
+
     def test_arrays_frozen(self):
         ds = make_dataset()
         with pytest.raises(ValueError):
@@ -286,7 +292,7 @@ class TestDataset:
         # checking every property of a chunk before the next would name
         # graph 0's asymmetry
         if chunk_cells is not None:
-            monkeypatch.setattr(corr, "_CHUNK_CELLS", chunk_cells)
+            monkeypatch.setattr(graph, "_CHUNK_CELLS", chunk_cells)
         ds = make_dataset(m=12, n=6, seed=4)
         graphs = ds.graphs.astype(float)
         for defect, g in defects:

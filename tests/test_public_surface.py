@@ -1,14 +1,28 @@
 """The library's settable surface, pinned by name: every public function
 outside the CLI with the parameters that have a default, and the fields each
-dataclass declares (a subclass lists only its own). A function, setting or
-field added or removed shows up as an edit of this file in the same diff."""
+dataclass declares (a subclass lists only its own), and the package modules
+each module imports. A function, setting, field or import edge added or
+removed shows up as an edit of this file in the same diff."""
 
+import ast
 import dataclasses
 import inspect
+import pathlib
 
 from vertexscreen import classify, corr, evaluate, graph, screen
 
 MODULES = (classify, corr, evaluate, graph, screen)
+
+# module -> the package modules it imports: each imports only modules listed
+# before it, so ``graph`` is the lowest layer and ``cli`` the highest
+LAYERS = {
+    "graph": set(),
+    "corr": {"graph"},
+    "screen": {"corr", "graph"},
+    "classify": {"graph"},
+    "evaluate": {"classify", "corr", "screen", "graph"},
+    "cli": {"classify", "corr", "evaluate", "screen", "graph"},
+}
 
 # public function -> its optional parameters
 FUNCTIONS = {
@@ -50,7 +64,6 @@ FUNCTIONS = {
     "graph.save_dataset": (),
     "screen.score_vertices": ("restrict", "statistic"),
     "screen.subgraph_correlation": ("statistic",),
-    "screen.screen_once": ("statistic",),
     "screen.screen_iterative": ("statistic", "first_level"),
     "screen.ranking_keys": (),
     "screen.vertex_ranking": (),
@@ -98,3 +111,27 @@ def test_dataclass_fields():
                        if f.name in inspect.get_annotations(cls))
            for name, cls in classes.items()}
     assert got == DATACLASS_FIELDS
+
+
+def package_imports(name):
+    """The package modules that ``vertexscreen/<name>.py`` imports anywhere in
+    its body, function-level imports included, read from its syntax tree."""
+    path = pathlib.Path(graph.__file__).with_name(f"{name}.py")
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # "from . import a" and "from .a import f" both import module a
+            package = "vertexscreen" if node.level == 1 else None
+            module = ".".join(filter(None, (package, node.module)))
+            modules = ([f"{module}.{a.name}" for a in node.names] if module == "vertexscreen"
+                       else [module])
+        else:
+            continue
+        found.update(m.split(".")[1] for m in modules if m.startswith("vertexscreen."))
+    return found
+
+
+def test_module_layering():
+    assert {name: package_imports(name) for name in LAYERS} == LAYERS

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import sample_ier, vertex_feature
+from oracles import one_shot_screen, sample_ier, vertex_feature
 from vertexscreen import classify, corr, evaluate, screen
 from vertexscreen.graph import LabeledGraphDataset, induced_subgraph, sample_ier_dataset
 
@@ -103,11 +103,11 @@ class TestScoreVertices:
 
 class TestScreenOnce:
     def test_threshold_one_selects_nothing(self):
-        result = screen.screen_once(random_dataset(seed=5), 1.0)
+        result, _ = screen_whole(random_dataset(seed=5), screen.ScreeningConfig(threshold=1.0))
         assert result.selected.size == 0
 
     def test_threshold_zero_selects_everything_nondegenerate(self):
-        result = screen.screen_once(random_dataset(seed=6), 0.0)
+        result, _ = screen_whole(random_dataset(seed=6), screen.ScreeningConfig(threshold=0.0))
         if np.all(result.scores > 0):
             assert result.selected.size == result.scores.size
 
@@ -119,13 +119,13 @@ class TestScreenOnce:
         repeats = 20
         for rep in range(repeats):
             ds, signal = evaluate.sample_experiment("exp1", 100, 300 + rep)
-            result = screen.screen_once(ds, 0.003)
+            result, _ = screen_whole(ds, screen.ScreeningConfig(threshold=0.003))
             contained += int(np.all(np.isin(signal, result.selected)))
         assert contained / repeats >= 0.95
 
     def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            screen.screen_once(random_dataset(), 1.5)
+        with pytest.raises(ValueError, match="threshold must lie in"):
+            screen.ScreeningConfig(threshold=1.5)
 
 
 class TestScreenIterative:
@@ -181,7 +181,7 @@ class TestScreenIterative:
 class TestRankingAndSelection:
     def test_once_ranking_is_score_order(self):
         ds = random_dataset(seed=13)
-        result = screen.screen_once(ds, 0.0)
+        result = one_shot_screen(ds, 0.0)
         ranking = screen.vertex_ranking(result)
         assert np.all(np.diff(result.scores[ranking]) <= 0)
 
@@ -314,7 +314,7 @@ class TestRankingAndSelection:
         # an unset threshold or delta screens as threshold 0 or delta 0.5
         ds = random_dataset(seed=22)
         result, selected = screen_whole(ds, screen.ScreeningConfig())
-        assert_same_screening(result, screen.screen_once(ds, 0.0))
+        assert_same_screening(result, one_shot_screen(ds, 0.0))
         assert np.array_equal(selected, result.selected)
         result, selected = screen_whole(ds, screen.ScreeningConfig(iterative=True))
         assert_same_screening(result, screen.screen_iterative(ds, 0.5))
@@ -328,14 +328,14 @@ class TestRankingAndSelection:
         assert replace(screen.ScreeningConfig(size_rule="gap"), statistic="rv").threshold is None
         ds = random_dataset(seed=21)
         _, selected = screen_whole(ds, fixed)
-        assert np.array_equal(selected, screen.select_vertices(screen.screen_once(ds, 0.0),
+        assert np.array_equal(selected, screen.select_vertices(one_shot_screen(ds, 0.0),
                                                                "fixed", 6))
 
     def test_config_defaults_to_one_shot(self):
         ds = random_dataset(seed=19)
         result, selected = screen_whole(ds, screen.ScreeningConfig())
         assert np.all(result.elimination_order == screen.SURVIVOR)
-        assert np.array_equal(selected, screen.screen_once(ds, 0.0).selected)
+        assert np.array_equal(selected, one_shot_screen(ds, 0.0).selected)
 
     @given(st.lists(st.sampled_from([0.0, 0.25, 0.5]), min_size=3, max_size=12), st.data())
     @settings(max_examples=60, deadline=None)
@@ -356,7 +356,7 @@ class TestRankingAndSelection:
         assert np.array_equal(curve.tpr, expected_curve.tpr)
 
     def test_fixed_size_override(self):
-        result = screen.screen_once(random_dataset(seed=15), 0.0)
+        result = one_shot_screen(random_dataset(seed=15), 0.0)
         chosen = screen.select_vertices(result, "fixed", 4)
         assert chosen.size == 4
         with pytest.raises(ValueError):
@@ -423,7 +423,7 @@ def direct_screen(train, config):
         result = screen.screen_iterative(train, delta, config.statistic)
     else:
         threshold = screen.DEFAULT_THRESHOLD if config.threshold is None else config.threshold
-        result = screen.screen_once(train, threshold, config.statistic)
+        result = one_shot_screen(train, threshold, config.statistic)
     return result, screen.select_vertices(result, config.size_rule, config.size)
 
 
@@ -721,7 +721,7 @@ def test_exp1_iterative_beats_one_shot_on_average():
     once_auc, iter_auc = [], []
     for rep in range(8):
         ds, signal = evaluate.sample_experiment("exp1", 100, 600 + rep)
-        r_once = screen.screen_once(ds, 0.0)
+        r_once = one_shot_screen(ds, 0.0)
         r_iter = screen.screen_iterative(ds, delta=0.5)
         _, a1 = evaluate.roc_auc(screen.vertex_ranking(r_once), signal, ds.n)
         _, a2 = evaluate.roc_auc(screen.vertex_ranking(r_iter), signal, ds.n)
