@@ -373,20 +373,111 @@ def mgc(x, y, y_metric="euclidean"):
     return float(np.clip(value, 0.0, 1.0))
 
 
-def _numerical_rank(xc, r):
-    """Rank of ``xc`` from the R of its pivoted QR: the diagonal entries
-    above numpy.linalg.matrix_rank's relative tolerance, max(m, d) * eps
-    times the largest one."""
-    diag = np.abs(np.diag(r))
-    return int(np.sum(diag > diag[0] * max(xc.shape) * np.finfo(float).eps))
-
-
 def _column_basis(xc):
-    """Orthonormal basis of the column span of ``xc``, from pivoted QR."""
+    """Orthonormal basis of the column span of ``xc`` and its numerical
+    rank, from one pivoted QR: the diagonal entries of R above
+    numpy.linalg.matrix_rank's relative tolerance, max(m, d) * eps times the
+    largest one, count."""
     from scipy import linalg
 
     q, r, _ = linalg.qr(xc, mode="economic", pivoting=True)
-    return q[:, :_numerical_rank(xc, r)]
+    diag = np.abs(np.diag(r))
+    rank = int(np.sum(diag > diag[0] * max(xc.shape) * np.finfo(float).eps))
+    return q[:, :rank], rank
+
+
+def _saturates(x):
+    """Whether each (m, d) sample of a (c, m, d) stack surely has a cca of
+    exactly 1 with any y that is not degenerate, decided with no QR: its
+    squared centred norm clears the degenerate bound twice over, and its
+    shifted centred Gram has a Cholesky factor.
+
+    The centred Gram is M = XcXc' = -H D^2 H / 2 for squared row distances
+    D^2, t = tr M, and K = M + (t / m) 11' - 1e-8 t I. Cholesky completes
+    only on a matrix whose smallest eigenvalue is at least about
+    -m^2 eps tr K (Higham 2002, Thm 10.7), so a factor of K proves
+    sigma_{m-1}(Xc) >= about 1e-4 |Xc|_F. Pivoted QR, backward stable
+    (Thm 19.4), then has |R_kk| >= sigma_k / sqrt(d - k + 1) for k <= m - 1
+    (Businger & Golub 1965), far above ``_column_basis``'s rank tolerance of
+    at most max(m, d) eps |Xc|_F, so that rule finds rank m - 1 too. A
+    sample the test cannot settle is False.
+    """
+    if not _float32_exact(x):
+        # centred first: the squared distances of rows far from the origin
+        # would lose the centred Gram's low bits to cancellation
+        x = x - x.mean(axis=1, keepdims=True)
+    d2 = _squared_distances(x)
+    m = d2.shape[-1]
+    # with r the row means of D^2, t = m mean(r) / 2 and the grand means
+    # cancel: 2K = r_i + r_j - D^2_ij - 2e-8 t I, factored in its place
+    rows = d2.mean(axis=-1, dtype=float)
+    trace = m * rows.mean(axis=-1) / 2.0
+    twice = rows[:, :, None] + rows[:, None, :]
+    twice -= d2
+    diag = np.arange(m)
+    twice[:, diag, diag] -= 2e-8 * trace[:, None]
+
+    def factors(mats):
+        try:
+            np.linalg.cholesky(mats)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    if factors(twice):
+        full = np.ones(len(twice), dtype=bool)
+    else:
+        # one failure fails the batch: settle its samples one at a time
+        full = np.array([factors(mat) for mat in twice])
+    return full & (trace / m > 2.0 * DEGENERATE_TOL)
+
+
+def _cca_many(blocks, y):
+    """Largest canonical correlation of every block of a (B, m, d) stack
+    with the (m, k) sample y (``cca_corr``).
+
+    y's centring, degenerate check, rank and basis are worked out once. A
+    block with d >= m - 1 that ``_saturates`` settles scores 1.0 with no QR
+    when y is not degenerate; the test runs on whole chunks of
+    ``graph._chunks``. Every other block takes the exact path: 0 when it
+    or y is degenerate, exactly 1 when the pivoted-QR ranks of centred x
+    and y add up to more than m - 1, else the largest singular value of
+    Qx'Qy. y's QR runs only when a block takes that path, and scipy loads
+    with it.
+    """
+    blocks = np.asarray(blocks)
+    y = np.asarray(_samples(y), dtype=float)
+    n_blocks, m, d = blocks.shape
+    if m != y.shape[0]:
+        raise ValueError(f"sample counts differ: {m} vs {y.shape[0]}")
+    yc = y - y.mean(axis=0)
+    y_degenerate = np.sum(yc * yc) / m <= DEGENERATE_TOL
+    y_basis = functools.cache(lambda: _column_basis(yc))
+
+    def exact(block):
+        x = np.asarray(block, dtype=float)
+        xc = x - x.mean(axis=0)
+        if np.sum(xc * xc) / m <= DEGENERATE_TOL:
+            return 0.0
+        (qx, rank_x), (qy, rank_y) = _column_basis(xc), y_basis()
+        # the centred spans lie in the (m - 1)-dimensional complement of
+        # the ones vector: ranks adding up to more share a direction
+        if rank_x + rank_y > m - 1:
+            return 1.0
+        sigma = np.linalg.svd(qx.T @ qy, compute_uv=False)
+        return np.clip(sigma[0], 0.0, 1.0)
+
+    scores = np.zeros(n_blocks)
+    for chunk in _chunks(n_blocks, m * max(m, d)):
+        # validates the chunk: finite float samples of at least 2 rows
+        stack = _samples(blocks[chunk], stack=True)
+        if y_degenerate:
+            continue
+        settled = _saturates(stack) if d >= m - 1 else np.zeros(len(stack), dtype=bool)
+        scores[chunk][settled] = 1.0
+        for i in chunk.start + np.flatnonzero(~settled):
+            scores[i] = exact(blocks[i])
+    return scores
 
 
 def cca_corr(x, y):
@@ -397,29 +488,10 @@ def cca_corr(x, y):
     spans lie in the (m-1)-dimensional complement of the all-ones vector,
     so when their ranks add up to more than m - 1 they share a direction
     and the value is exactly 1: with d >= m - 1 generic features the
-    statistic saturates and carries no ranking information.
+    statistic saturates and carries no ranking information. A batch of one
+    of ``_cca_many``.
     """
-    from scipy import linalg
-
-    x = np.asarray(_samples(x), dtype=float)
-    y = np.asarray(_samples(y), dtype=float)
-    if x.shape[0] != y.shape[0]:
-        raise ValueError(f"sample counts differ: {x.shape[0]} vs {y.shape[0]}")
-    m = x.shape[0]
-    xc = x - x.mean(axis=0)
-    yc = y - y.mean(axis=0)
-    if np.sum(xc * xc) / m <= DEGENERATE_TOL or np.sum(yc * yc) / m <= DEGENERATE_TOL:
-        return 0.0
-    if min(xc.shape) + min(yc.shape) > m - 1:
-        # the ranks may saturate: R alone decides (the same R the bases
-        # below factor), and Q is formed only when they do not
-        rank = sum(_numerical_rank(c, linalg.qr(c, mode="r", pivoting=True)[0]) for c in (xc, yc))
-        if rank > m - 1:
-            return 1.0
-    qx = _column_basis(xc)
-    qy = _column_basis(yc)
-    sigma = np.linalg.svd(qx.T @ qy, compute_uv=False)
-    return float(np.clip(sigma[0], 0.0, 1.0))
+    return float(_cca_many(_samples(x)[None], y)[0])
 
 
 def one_hot(labels):
@@ -447,6 +519,5 @@ def feature_label_correlation(features, labels, statistic):
     elif statistic == "mgc":
         scores = np.array([mgc(block, labels, y_metric="discrete") for block in blocks])
     else:
-        y = one_hot(labels)
-        scores = np.array([cca_corr(block, y) for block in blocks])
+        scores = _cca_many(blocks, one_hot(labels))
     return float(scores[0]) if single else scores

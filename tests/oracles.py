@@ -4,7 +4,8 @@ Each oracle computes one concept the slow, literal way: a per-graph
 independent-edge draw, a per-pair log-likelihood, a per-vertex feature row,
 the symmetrised pairwise distances, the triple-loop distance covariance, the
 pairwise Mann-Whitney AUC, the per-graph likelihood argmax, the unclamped
-class means, the one-shot screening result and the ``csv.writer`` save of a
+class means, the one-shot screening result, the per-block canonical
+correlation with no saturation certificate and the ``csv.writer`` save of a
 dataset. The library has one batched implementation of each; nothing under
 ``src`` imports this module.
 ``rv_coefficient`` instead runs the library's own rv kernel on a general y,
@@ -196,3 +197,46 @@ def save_dataset_rows(dataset, graphs_path, labels_path):
         else:
             writer.writerow(["graph_id", "label"])
             writer.writerows(zip(ids, labels))
+
+
+def _numerical_rank(xc, r):
+    """Rank of ``xc`` from the R of its pivoted QR: the diagonal entries
+    above numpy.linalg.matrix_rank's relative tolerance, max(m, d) * eps
+    times the largest one."""
+    diag = np.abs(np.diag(r))
+    return int(np.sum(diag > diag[0] * max(xc.shape) * np.finfo(float).eps))
+
+
+def _column_basis(xc):
+    """Orthonormal basis of the column span of ``xc``, from pivoted QR."""
+    from scipy import linalg
+
+    q, r, _ = linalg.qr(xc, mode="economic", pivoting=True)
+    return q[:, :_numerical_rank(xc, r)]
+
+
+def cca_corr(x, y):
+    """Largest canonical correlation between one (m, d) sample x and y,
+    one block at a time with no certificate: 0 for a degenerate x, then
+    for a degenerate y; exactly 1 when the pivoted-QR ranks of centred x
+    and y add up to more than m - 1; else the largest singular value of
+    Qx'Qy from the orthonormal bases of both."""
+    from scipy import linalg
+
+    x = np.asarray(corr._samples(x), dtype=float)
+    y = np.asarray(corr._samples(y), dtype=float)
+    if x.shape[0] != y.shape[0]:
+        raise ValueError(f"sample counts differ: {x.shape[0]} vs {y.shape[0]}")
+    m = x.shape[0]
+    xc = x - x.mean(axis=0)
+    yc = y - y.mean(axis=0)
+    if np.sum(xc * xc) / m <= corr.DEGENERATE_TOL or np.sum(yc * yc) / m <= corr.DEGENERATE_TOL:
+        return 0.0
+    if min(xc.shape) + min(yc.shape) > m - 1:
+        rank = sum(_numerical_rank(c, linalg.qr(c, mode="r", pivoting=True)[0]) for c in (xc, yc))
+        if rank > m - 1:
+            return 1.0
+    qx = _column_basis(xc)
+    qy = _column_basis(yc)
+    sigma = np.linalg.svd(qx.T @ qy, compute_uv=False)
+    return float(np.clip(sigma[0], 0.0, 1.0))

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import subspace_angles
 
+import oracles
 from oracles import pairwise_distances_oracle, rv_coefficient, triple_loop_dcov
-from vertexscreen import corr, evaluate, graph
+from vertexscreen import corr, evaluate, graph, screen
 from vertexscreen.graph import upper_pairs
 
 
@@ -460,6 +461,132 @@ class TestCca:
             y = rng.normal(size=(m, k)) + x[:, :1] * rng.normal()
             angles = subspace_angles(x - x.mean(axis=0), y - y.mean(axis=0))
             assert abs(corr.cca_corr(x, y) - np.cos(angles.min())) <= 1e-12
+
+
+def _check_cca_stack(stack, y):
+    """The batched cca of a (B, m, d) stack against the per-block oracle
+    with no certificate: the same bits on every block, and, for a y that
+    is not constant, no block certified that the oracle does not score
+    exactly 1. Returns the scores and which blocks the certificate settles
+    (None when d < m - 1)."""
+    stack = np.asarray(stack)
+    scores = corr._cca_many(stack, y)
+    expected = np.array([oracles.cca_corr(block, y) for block in stack])
+    assert np.array_equal(scores, expected)
+    certified = None
+    if stack.shape[2] >= stack.shape[1] - 1:
+        certified = corr._saturates(corr._samples(stack, stack=True))
+        if np.ptp(y, axis=0).any():
+            assert np.all(expected[certified] == 1.0)
+    return scores, certified
+
+
+def _near_duplicates(rng, m, d, eps, offset=0.0):
+    """One (m, d) normal sample whose row 1 is row 0 plus eps noise, and
+    whose last row repeats row 2 up to eps, shifted by ``offset``."""
+    x = rng.normal(size=(m, d))
+    x[1] = x[0] + eps * rng.normal(size=d)
+    x[-1] = x[2] + eps * rng.normal(size=d)
+    return x + offset
+
+
+class TestCcaCertificate:
+    @pytest.mark.parametrize("name", ["exp1", "exp2"])
+    @pytest.mark.parametrize("m", [2, 3, 12, 40, 100])
+    def test_experiment_draws_match_the_oracle(self, name, m):
+        for seed in (0, 1):
+            dataset, _ = evaluate.sample_experiment(name, m, seed)
+            stack = screen._row_features(dataset, None)
+            scores, certified = _check_cca_stack(stack, corr.one_hot(dataset.labels))
+            assert np.array_equal(corr.feature_label_correlation(stack, dataset.labels, "cca"),
+                                  scores)
+            if m >= 12:
+                # 200 generic 0/1 features on m graphs: every block saturates
+                # and the certificate settles every one
+                assert certified.all()
+
+    @pytest.mark.parametrize("k", [10, 14, 30, 200])
+    def test_whole_subgraph_matches_the_oracle(self, k):
+        dataset, _ = evaluate.sample_experiment("exp1", 40, 2)
+        features = upper_pairs(dataset.graphs, np.arange(k))
+        value = corr.feature_label_correlation(features, dataset.labels, "cca")
+        assert value == oracles.cca_corr(features, corr.one_hot(dataset.labels))
+
+    @pytest.mark.parametrize("m", [3, 12, 40])
+    def test_weighted_stacks_match_the_oracle(self, m):
+        rng = np.random.default_rng(m)
+        labels = corr.one_hot(rng.integers(0, 2, size=m))
+        for d in (m - 2, m - 1, m, 3 * m):
+            if d < 1:
+                continue
+            counts = rng.integers(0, 6, size=(6, m, d))
+            # integer weights 0-5: exact in float32 as uint8, float64 otherwise
+            _check_cca_stack(counts.astype(np.uint8), labels)
+            _check_cca_stack(counts.astype(float), labels)
+            _check_cca_stack(counts * rng.uniform(0.5, 1.5, size=counts.shape), labels)
+            _check_cca_stack(rng.normal(size=(6, m, d)), labels)
+
+    @pytest.mark.parametrize("exponent", range(6, 16))
+    def test_scaled_blocks_match_the_oracle(self, exponent):
+        dataset, _ = evaluate.sample_experiment("exp1", 40, 3)
+        stack = screen._row_features(dataset, None)[:20] * 10.0 ** -exponent
+        scores, _ = _check_cca_stack(stack, corr.one_hot(dataset.labels))
+        if exponent >= 8:
+            # a squared centred norm of at most 1e-14 per graph is degenerate
+            assert np.all(scores == 0.0)
+
+    def test_one_class_labels_score_zero(self):
+        dataset, _ = evaluate.sample_experiment("exp1", 12, 4)
+        stack = screen._row_features(dataset, None)
+        scores, _ = _check_cca_stack(stack, corr.one_hot(np.zeros(12, dtype=int)))
+        assert np.all(scores == 0.0)
+
+    @pytest.mark.parametrize("m", [3, 12, 40])
+    def test_rank_deficient_blocks_are_never_certified(self, m):
+        rng = np.random.default_rng(40 + m)
+        labels = corr.one_hot(np.arange(m) % 2)
+        # d = m - 2: too few features to reach rank m - 1
+        _check_cca_stack(rng.normal(size=(4, m, m - 2)), labels)
+        for d in (m - 1, m, 3 * m):
+            # a duplicated row leaves the centred rank at most m - 2
+            stack = rng.normal(size=(4, m, d))
+            stack[:, 1] = stack[:, 0]
+            scores, certified = _check_cca_stack(stack, labels)
+            assert not certified.any()
+            binary = rng.integers(0, 2, size=(4, m, d)).astype(np.uint8)
+            binary[:, -1] = binary[:, 0]
+            _, certified = _check_cca_stack(binary, labels)
+            assert not certified.any()
+
+    def test_one_uncertified_block_leaves_the_rest_of_its_chunk_certified(self):
+        dataset, _ = evaluate.sample_experiment("exp1", 40, 5)
+        stack = np.array(screen._row_features(dataset, None)[:10])
+        stack[3, 1] = stack[3, 0]
+        _, certified = _check_cca_stack(stack, corr.one_hot(dataset.labels))
+        assert np.array_equal(certified, np.arange(10) != 3)
+
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_duplicate_rows_far_from_the_origin_are_never_certified(self, m):
+        # small integers shifted by 2**26 centre exactly over a power-of-two
+        # m, so the oracle sees the duplicate; squared distances of the raw
+        # rows (norms near d 2**52) would bury the centred Gram in rounding
+        rng = np.random.default_rng(m)
+        labels = corr.one_hot(np.arange(m) % 2)
+        for d in (m - 1, 40):
+            stack = rng.integers(-8, 9, size=(50, m, d)) + 2.0**26
+            stack[:, 1] = stack[:, 0]
+            _, certified = _check_cca_stack(stack, labels)
+            assert not certified.any()
+
+    @pytest.mark.parametrize("exponent", range(1, 16))
+    def test_near_duplicate_rows_are_certified_only_when_saturated(self, exponent):
+        rng = np.random.default_rng(exponent)
+        for m, d in ((3, 2), (12, 11), (12, 40), (40, 39), (40, 80)):
+            labels = corr.one_hot(np.arange(m) % 3)
+            for offset in (0.0, 1e6):
+                stack = [_near_duplicates(rng, m, d, 10.0 ** -exponent, offset)
+                         for _ in range(3)]
+                _check_cca_stack(stack, labels)
 
 
 class TestRangeProperties:

@@ -1,5 +1,6 @@
 """scipy is loaded only by the statistics that use it (cca and mgc): importing
-the package and running a dcorr screen in a fresh interpreter load none of it."""
+the package and running a dcorr screen in a fresh interpreter load none of it,
+nor does a cca screen whose every block the Cholesky certificate settles."""
 
 import json
 import os
@@ -29,6 +30,10 @@ code = cli.main(["screen", "--graphs", sys.argv[1], "--labels", sys.argv[2],
                  "--stat", "dcorr", "--out", sys.argv[3]])
 assert code == 0, code
 steps["screen"] = loaded()
+code = cli.main(["screen", "--graphs", sys.argv[1], "--labels", sys.argv[2],
+                 "--stat", "cca", "--out", sys.argv[3] + "-cca"])
+assert code == 0, code
+steps["cca-screen"] = loaded()
 rng = np.random.default_rng(0)
 x, y = rng.normal(size=(12, 2)), rng.normal(size=(12, 1))
 corr.cca_corr(x, y)
@@ -58,6 +63,12 @@ def test_importing_the_cli_loads_no_scipy(steps):
 
 def test_dcorr_screen_loads_no_scipy(steps):
     assert steps["screen"] == []
+
+
+def test_certified_cca_screen_loads_no_scipy(steps):
+    # 200 vertex rows of 200 features on 12 graphs: every block saturates
+    # and is certified, so no QR runs
+    assert steps["cca-screen"] == []
 
 
 def test_cca_loads_scipy_linalg_only(steps):
