@@ -1,10 +1,10 @@
 """Dependence statistics between multivariate samples.
 
-Distance-based correlation (global and multiscale/local) plus the RV and
-canonical-correlation baselines. Conventions shared by every statistic:
-samples are (m, d) matrices with rows as observations (1-d inputs are read
-as a single column), returned values lie in [0, 1] after clamping, and
-degenerate inputs (a constant X or Y) yield 0.
+Distance correlation plus the RV and canonical-correlation baselines.
+Conventions shared by every statistic: samples are (m, d) matrices with
+rows as observations (1-d inputs are read as a single column), returned
+values lie in [0, 1] after clamping, and degenerate inputs (a constant X
+or Y) yield 0.
 """
 
 from __future__ import annotations
@@ -15,16 +15,12 @@ import numpy as np
 
 from .graph import _chunks
 
-# scipy loads only when cca or mgc first runs, inside the functions using it.
+# scipy loads only when cca first takes its exact path, inside _column_basis.
 
-STATISTICS = ("dcorr", "mgc", "rv", "cca")
+STATISTICS = ("dcorr", "rv", "cca")
 
 # Denominators at or below this are treated as degenerate (constant input).
 DEGENERATE_TOL = 1e-14
-
-# Fraction of the (k, l) scale grid a region must exceed before the smoothed
-# local maximum replaces the global statistic.
-MGC_REGION_FRACTION = 0.02
 
 
 def check_statistic(statistic):
@@ -133,21 +129,6 @@ def pairwise_distances(samples, metric="euclidean"):
             raise ValueError("labels contain non-finite entries")
         return (y[:, None] != y[None, :]).astype(float)
     raise ValueError(f"unknown metric {metric!r}")
-
-
-def double_center(d):
-    """Subtract row and column means and add back the grand mean.
-
-    Works on the last two axes, so a (..., m, m) stack is centred matrix by
-    matrix. Every row and column of the result sums to zero, which makes
-    the mean of an entrywise product of two centered matrices a
-    covariance-like quantity.
-    """
-    d = np.asarray(d, dtype=float)
-    if d.ndim < 2 or d.shape[-1] != d.shape[-2]:
-        raise ValueError("distance matrix must be square")
-    rows, cols = d.mean(axis=-1, keepdims=True), d.mean(axis=-2, keepdims=True)
-    return d - rows - cols + d.mean(axis=(-2, -1), keepdims=True)
 
 
 def _gram(x):
@@ -305,84 +286,18 @@ def dcorr(x, y, y_metric="euclidean"):
     return float(dcorr_many(_samples(x)[None], y, y_metric)[0])
 
 
-def local_correlation_grid(x, y, y_metric="euclidean"):
-    """Local distance correlations at every neighborhood scale.
-
-    Entry [k-1, l-1] restricts the centered-product sums to sample pairs
-    whose distance rank within their row is at most k in x and at most l in
-    y (average ranks on ties). The [m-1, m-1] entry uses every pair and
-    equals the global dcorr. Cells whose local variances are degenerate are
-    set to 0.
-    """
-    from scipy.stats import rankdata
-
-    dx = pairwise_distances(np.asarray(_samples(x), dtype=float))
-    dy = pairwise_distances(y, y_metric)
-    if dx.shape != dy.shape:
-        raise ValueError(f"sample counts differ: {dx.shape[0]} vs {dy.shape[0]}")
-    m = dx.shape[0]
-    cx = double_center(dx)
-    cy = double_center(dy)
-
-    # 1{rank <= k} for integer k is 1{ceil(rank) <= k}, so each pair lands
-    # in one bucket of a cumulative-sum grid.
-    bx = np.ceil(rankdata(dx, method="average", axis=1)).astype(int) - 1
-    by = np.ceil(rankdata(dy, method="average", axis=1)).astype(int) - 1
-
-    cov = np.zeros((m, m))
-    np.add.at(cov, (bx, by), cx * cy)
-    varx = np.zeros(m)
-    np.add.at(varx, bx, cx * cx)
-    vary = np.zeros(m)
-    np.add.at(vary, by, cy * cy)
-
-    cov = np.cumsum(np.cumsum(cov, axis=0), axis=1)
-    varx = np.cumsum(varx)
-    vary = np.cumsum(vary)
-
-    grid = np.zeros((m, m))
-    ok = (varx[:, None] > DEGENERATE_TOL) & (vary[None, :] > DEGENERATE_TOL)
-    denom = np.sqrt(np.outer(np.maximum(varx, 0.0), np.maximum(vary, 0.0)))
-    np.divide(cov, denom, out=grid, where=ok)
-    return grid
-
-
-def mgc(x, y, y_metric="euclidean"):
-    """Smoothed maximum of the local distance correlations.
-
-    Among the cells of the scale grid that strictly exceed the global
-    statistic, take connected regions (4-connectivity); if the biggest
-    region covers more than MGC_REGION_FRACTION of the grid, return its
-    largest value, otherwise fall back to the global statistic (= dcorr).
-    """
-    from scipy import ndimage
-
-    grid = local_correlation_grid(x, y, y_metric)
-    m = grid.shape[0]
-    if m < 4:
-        raise ValueError("mgc needs at least 4 samples")
-    global_stat = grid[-1, -1]
-    value = global_stat
-    mask = grid > global_stat
-    if mask.any():
-        labeled, _ = ndimage.label(mask)
-        sizes = np.bincount(labeled.ravel())[1:]
-        biggest = int(np.argmax(sizes)) + 1
-        if sizes[biggest - 1] > MGC_REGION_FRACTION * m * m:
-            value = float(grid[labeled == biggest].max())
-    return float(np.clip(value, 0.0, 1.0))
-
-
-def _column_basis(xc):
-    """Orthonormal basis of the column span of ``xc`` and its numerical
-    rank, from one pivoted QR: the diagonal entries of R above
-    numpy.linalg.matrix_rank's relative tolerance, max(m, d) * eps times the
-    largest one, count."""
+def _column_basis(x, xc):
+    """Orthonormal basis of the column span of ``xc``, the centred sample
+    ``x``, and its numerical rank from one pivoted QR: the diagonal entries
+    of R above max(m, d) eps times the larger of the largest one and x's
+    largest column norm. The second term keeps centring's rounding noise
+    (about eps times x's entries) from counting as rank far from the origin."""
     from scipy import linalg
 
     q, r, _ = linalg.qr(xc, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
-    rank = int(np.sum(diag > diag[0] * max(xc.shape) * np.finfo(float).eps))
+    scale = max(diag[0], np.linalg.norm(x, axis=0).max())
+    rank = int(np.sum(diag > scale * max(xc.shape) * np.finfo(float).eps))
     return q[:, :rank], rank
 
 
@@ -398,16 +313,23 @@ def _saturates(x):
     -m^2 eps tr K (Higham 2002, Thm 10.7), so a factor of K proves
     sigma_{m-1}(Xc) >= about 1e-4 |Xc|_F. Pivoted QR, backward stable
     (Thm 19.4), then has |R_kk| >= sigma_k / sqrt(d - k + 1) for k <= m - 1
-    (Businger & Golub 1965), far above ``_column_basis``'s rank tolerance of
-    at most max(m, d) eps |Xc|_F, so that rule finds rank m - 1 too. A
-    sample the test cannot settle is False.
+    (Businger & Golub 1965). ``_column_basis``'s rank tolerance, max(m, d)
+    eps c for c the larger of |R_00| and X's largest column norm, is ten
+    times below that where d (1e5 max(m, d) eps c)^2 < t, so that rule finds
+    rank m - 1 too. Integer samples float32 holds exactly meet this (t >=
+    1/2, c^2 < m 2^23 / d) for m, d below about 4e4; a float sample is
+    checked, and fails some 1e8 spreads from the origin. A sample the test
+    cannot settle is False.
     """
+    m, d = x.shape[-2:]
+    tolerance = 0.0
     if not _float32_exact(x):
+        columns = np.einsum("...ij,...ij->...j", x, x).max(axis=-1)
+        tolerance = d * (1e5 * max(m, d) * np.finfo(float).eps) ** 2 * columns
         # centred first: the squared distances of rows far from the origin
         # would lose the centred Gram's low bits to cancellation
         x = x - x.mean(axis=1, keepdims=True)
     d2 = _squared_distances(x)
-    m = d2.shape[-1]
     # with r the row means of D^2, t = m mean(r) / 2 and the grand means
     # cancel: 2K = r_i + r_j - D^2_ij - 2e-8 t I, factored in its place
     rows = d2.mean(axis=-1, dtype=float)
@@ -429,7 +351,7 @@ def _saturates(x):
     else:
         # one failure fails the batch: settle its samples one at a time
         full = np.array([factors(mat) for mat in twice])
-    return full & (trace / m > 2.0 * DEGENERATE_TOL)
+    return full & (trace / m > 2.0 * DEGENERATE_TOL) & (trace > tolerance)
 
 
 def _cca_many(blocks, y):
@@ -452,20 +374,21 @@ def _cca_many(blocks, y):
         raise ValueError(f"sample counts differ: {m} vs {y.shape[0]}")
     yc = y - y.mean(axis=0)
     y_degenerate = np.sum(yc * yc) / m <= DEGENERATE_TOL
-    y_basis = functools.cache(lambda: _column_basis(yc))
+    y_basis = functools.cache(lambda: _column_basis(y, yc))
 
     def exact(block):
         x = np.asarray(block, dtype=float)
         xc = x - x.mean(axis=0)
         if np.sum(xc * xc) / m <= DEGENERATE_TOL:
             return 0.0
-        (qx, rank_x), (qy, rank_y) = _column_basis(xc), y_basis()
+        (qx, rank_x), (qy, rank_y) = _column_basis(x, xc), y_basis()
         # the centred spans lie in the (m - 1)-dimensional complement of
         # the ones vector: ranks adding up to more share a direction
         if rank_x + rank_y > m - 1:
             return 1.0
+        # a side of numerical rank 0 has no direction, and scores 0
         sigma = np.linalg.svd(qx.T @ qy, compute_uv=False)
-        return np.clip(sigma[0], 0.0, 1.0)
+        return np.clip(sigma.max(initial=0.0), 0.0, 1.0)
 
     scores = np.zeros(n_blocks)
     for chunk in _chunks(n_blocks, m * max(m, d)):
@@ -505,8 +428,8 @@ def feature_label_correlation(features, labels, statistic):
     """Dependence between numeric feature samples and a label vector.
 
     ``features`` is one (m, d) sample, which gives a float, or a (B, m, d)
-    stack, which gives B scores. dcorr and mgc use the 0/1 mismatch metric
-    on the labels; rv and cca see the labels as one-hot columns.
+    stack, which gives B scores. dcorr uses the 0/1 mismatch metric on the
+    labels; rv and cca see the labels as one-hot columns.
     """
     check_statistic(statistic)
     single = np.ndim(features) < 3
@@ -516,8 +439,6 @@ def feature_label_correlation(features, labels, statistic):
         scores = dcorr_many(blocks, labels, y_metric="discrete")
     elif statistic == "rv":
         scores = _dependence_terms(blocks, _gram(one_hot(labels)), _gram)[1]
-    elif statistic == "mgc":
-        scores = np.array([mgc(block, labels, y_metric="discrete") for block in blocks])
     else:
         scores = _cca_many(blocks, one_hot(labels))
     return float(scores[0]) if single else scores

@@ -261,7 +261,7 @@ def run(dataset, configs, train_indices):
     dataset's distance matrices made by this call: a distance depends on
     its two graphs alone, so no held-out graph or label enters a fold's
     first level. rv standardises its features over the fold's own graphs,
-    and cca and mgc run per sample, so they score each fold's subset. A
+    and cca runs per sample, so they score each fold's subset. A
     fixed size above the vertex count, a row index outside the dataset or
     not an integer, or a fold of fewer than 2 graphs is refused by this
     call, before any scoring.

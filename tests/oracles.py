@@ -2,12 +2,14 @@
 
 Each oracle computes one concept the slow, literal way: a per-graph
 independent-edge draw, a per-pair log-likelihood, a per-vertex feature row,
-the symmetrised pairwise distances, the triple-loop distance covariance, the
-pairwise Mann-Whitney AUC, the per-graph likelihood argmax, the unclamped
-class means, the one-shot screening result, the per-block canonical
-correlation with no saturation certificate and the ``csv.writer`` save of a
-dataset. The library has one batched implementation of each; nothing under
-``src`` imports this module.
+the symmetrised pairwise distances, the triple-loop distance covariance,
+the pairwise Mann-Whitney AUC, the per-graph likelihood argmax, the
+unclamped class means, the one-shot screening result, the per-block
+canonical correlation with no saturation certificate and the
+``csv.writer`` save of a dataset. The library has one batched
+implementation of each; nothing under ``src`` imports this module.
+``double_center`` has no library twin: the dependence kernel reaches the
+centred inner products from the matrices and their row means alone.
 ``rv_coefficient`` instead runs the library's own rv kernel on a general y,
 which the library itself scores only against one-hot labels.
 """
@@ -86,6 +88,21 @@ def pairwise_distances_oracle(x):
     diag = np.arange(d.shape[-1])
     d[..., diag, diag] = 0.0
     return d
+
+
+def double_center(d):
+    """Subtract row and column means and add back the grand mean.
+
+    Works on the last two axes, so a (..., m, m) stack is centred matrix by
+    matrix. Every row and column of the result sums to zero, which makes
+    the mean of an entrywise product of two centered matrices a
+    covariance-like quantity.
+    """
+    d = np.asarray(d, dtype=float)
+    if d.ndim < 2 or d.shape[-1] != d.shape[-2]:
+        raise ValueError("distance matrix must be square")
+    rows, cols = d.mean(axis=-1, keepdims=True), d.mean(axis=-2, keepdims=True)
+    return d - rows - cols + d.mean(axis=(-2, -1), keepdims=True)
 
 
 def triple_loop_dcov(x, y):
@@ -199,20 +216,24 @@ def save_dataset_rows(dataset, graphs_path, labels_path):
             writer.writerows(zip(ids, labels))
 
 
-def _numerical_rank(xc, r):
-    """Rank of ``xc`` from the R of its pivoted QR: the diagonal entries
-    above numpy.linalg.matrix_rank's relative tolerance, max(m, d) * eps
-    times the largest one."""
+def _numerical_rank(x, xc, r):
+    """Rank of ``xc``, the centred sample ``x``, from the R of its pivoted
+    QR: the diagonal entries above numpy.linalg.matrix_rank's relative
+    tolerance, max(m, d) * eps times the larger of the largest one and x's
+    largest column norm, so that centring noise far from the origin does
+    not count."""
     diag = np.abs(np.diag(r))
-    return int(np.sum(diag > diag[0] * max(xc.shape) * np.finfo(float).eps))
+    scale = max(diag[0], np.linalg.norm(x, axis=0).max())
+    return int(np.sum(diag > scale * max(xc.shape) * np.finfo(float).eps))
 
 
-def _column_basis(xc):
-    """Orthonormal basis of the column span of ``xc``, from pivoted QR."""
+def _column_basis(x, xc):
+    """Orthonormal basis of the column span of ``xc``, the centred sample
+    ``x``, from pivoted QR."""
     from scipy import linalg
 
     q, r, _ = linalg.qr(xc, mode="economic", pivoting=True)
-    return q[:, :_numerical_rank(xc, r)]
+    return q[:, :_numerical_rank(x, xc, r)]
 
 
 def cca_corr(x, y):
@@ -220,7 +241,7 @@ def cca_corr(x, y):
     one block at a time with no certificate: 0 for a degenerate x, then
     for a degenerate y; exactly 1 when the pivoted-QR ranks of centred x
     and y add up to more than m - 1; else the largest singular value of
-    Qx'Qy from the orthonormal bases of both."""
+    Qx'Qy from the orthonormal bases of both, 0 when either has none."""
     from scipy import linalg
 
     x = np.asarray(corr._samples(x), dtype=float)
@@ -233,10 +254,11 @@ def cca_corr(x, y):
     if np.sum(xc * xc) / m <= corr.DEGENERATE_TOL or np.sum(yc * yc) / m <= corr.DEGENERATE_TOL:
         return 0.0
     if min(xc.shape) + min(yc.shape) > m - 1:
-        rank = sum(_numerical_rank(c, linalg.qr(c, mode="r", pivoting=True)[0]) for c in (xc, yc))
+        rank = sum(_numerical_rank(a, c, linalg.qr(c, mode="r", pivoting=True)[0])
+                   for a, c in ((x, xc), (y, yc)))
         if rank > m - 1:
             return 1.0
-    qx = _column_basis(xc)
-    qy = _column_basis(yc)
+    qx = _column_basis(x, xc)
+    qy = _column_basis(y, yc)
     sigma = np.linalg.svd(qx.T @ qy, compute_uv=False)
-    return float(np.clip(sigma[0], 0.0, 1.0))
+    return float(np.clip(sigma.max(initial=0.0), 0.0, 1.0))

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +169,21 @@ class TestScreen:
              "--stat", "cca", "--out", tmp_path]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_deleted_mgc_statistic_refused_with_the_list(self, small_dataset, tmp_path, capsys,
+                                                         source):
+        argv = ["screen", "--graphs", small_dataset / "graphs.csv",
+                "--labels", small_dataset / "labels.csv", "--n", 200, "--out", tmp_path]
+        if source == "flags":
+            argv += ["--stat", "mgc"]
+        else:
+            (tmp_path / "run.cfg").write_text("stat=mgc\n")
+            argv += ["--config", tmp_path / "run.cfg"]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert "'mgc'" in err and "'dcorr', 'rv', 'cca'" in err
+        assert not (tmp_path / "screening.csv").exists()
 
     def test_size_rule_conflict(self, small_dataset, tmp_path):
         code = run(
@@ -537,3 +554,21 @@ def test_internal_error_exit_code(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(cli.evaluate, "run_experiment", boom)
     assert run(["replicate", "exp1", "--repeats", 1, "--out", tmp_path]) == 3
     assert "internal error" in capsys.readouterr().err
+
+
+def test_readme_common_flags_list_the_parser_choices():
+    from vertexscreen import cli
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    common = readme[readme.index("Common flags:"):]
+    common = common[:common.index("\n\n")]
+    listed = {flag: tuple(choices.split(","))
+              for flag, choices in re.findall(r"`(--[\w-]+) \{([\w,]+)\}`", common)}
+    (subparsers,) = (action for action in cli.build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction))
+    # classify has every flag with choices: screen's, --classifier and --group
+    choices = {action.option_strings[0]: tuple(action.choices)
+               for action in subparsers.choices["classify"]._actions
+               if action.option_strings and action.choices}
+    assert {"--stat", "--size-rule", "--classifier"} <= set(listed)
+    assert listed == {flag: choices[flag] for flag in listed}

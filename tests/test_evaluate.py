@@ -410,7 +410,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "name, options",
         [("exp1", {"m": 30, "methods": ("dcorr", "itfoo-0.5")}),
-         ("exp2", {"m": 12, "methods": ("bayes", "itfoo")})],
+         ("exp2", {"m": 12, "methods": ("bayes", "itfoo")}),
+         ("exp1", {"methods": ("itmgc-0.05",)})],
     )
     def test_parses_every_method_before_drawing(self, monkeypatch, name, options):
         draws = []
@@ -421,7 +422,7 @@ class TestRunExperiment:
             return real_sample(*args)
 
         monkeypatch.setattr(evaluate, "sample_experiment", counting_sample)
-        unknown = options["methods"][1]
+        unknown = options["methods"][-1]
         with pytest.raises(ValueError, match=f"unknown screening method '{unknown}'"):
             evaluate.run_experiment(name, repeats=3, **options)
         assert draws == []
@@ -561,7 +562,7 @@ def test_summary_text_layout():
 def test_parse_method():
     assert evaluate.parse_method("dcorr") == ("dcorr", False, None)
     assert evaluate.parse_method("itdcorr-0.5") == ("dcorr", True, 0.5)
-    assert evaluate.parse_method("itmgc-0.05") == ("mgc", True, 0.05)
+    assert evaluate.parse_method("itrv-0.05") == ("rv", True, 0.05)
     assert evaluate.parse_method("itrv") == ("rv", True, 0.5)
     with pytest.raises(ValueError):
         evaluate.parse_method("pearson")

@@ -35,12 +35,9 @@ FUNCTIONS = {
     "classify.loss_from_predictions": (),
     "corr.check_statistic": (),
     "corr.pairwise_distances": ("metric",),
-    "corr.double_center": (),
     "corr.dcorr_many": ("y_metric",),
     "corr.dcov_sq": ("y_metric",),
     "corr.dcorr": ("y_metric",),
-    "corr.local_correlation_grid": ("y_metric",),
-    "corr.mgc": ("y_metric",),
     "corr.cca_corr": (),
     "corr.one_hot": (),
     "corr.feature_label_correlation": (),

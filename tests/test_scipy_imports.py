@@ -1,6 +1,8 @@
-"""scipy is loaded only by the statistics that use it (cca and mgc): importing
-the package and running a dcorr screen in a fresh interpreter load none of it,
-nor does a cca screen whose every block the Cholesky certificate settles."""
+"""scipy is loaded only by the one statistic that uses it, cca, and only its
+``scipy.linalg``. In a fresh interpreter, importing the package, a dcorr or
+rv screen, a plug-in ``classify`` run and a cca screen whose every block the
+Cholesky certificate settles load none of it; no step loads
+``scipy.ndimage`` or ``scipy.stats``."""
 
 import json
 import os
@@ -31,6 +33,14 @@ code = cli.main(["screen", "--graphs", sys.argv[1], "--labels", sys.argv[2],
 assert code == 0, code
 steps["screen"] = loaded()
 code = cli.main(["screen", "--graphs", sys.argv[1], "--labels", sys.argv[2],
+                 "--stat", "rv", "--out", sys.argv[3] + "-rv"])
+assert code == 0, code
+steps["rv-screen"] = loaded()
+code = cli.main(["classify", "--graphs", sys.argv[1], "--labels", sys.argv[2],
+                 "--classifier", "plugin", "--out", sys.argv[3] + "-classify"])
+assert code == 0, code
+steps["classify"] = loaded()
+code = cli.main(["screen", "--graphs", sys.argv[1], "--labels", sys.argv[2],
                  "--stat", "cca", "--out", sys.argv[3] + "-cca"])
 assert code == 0, code
 steps["cca-screen"] = loaded()
@@ -38,8 +48,6 @@ rng = np.random.default_rng(0)
 x, y = rng.normal(size=(12, 2)), rng.normal(size=(12, 1))
 corr.cca_corr(x, y)
 steps["cca"] = loaded()
-corr.mgc(x, y)
-steps["mgc"] = loaded()
 print(json.dumps(steps))
 """
 
@@ -65,6 +73,14 @@ def test_dcorr_screen_loads_no_scipy(steps):
     assert steps["screen"] == []
 
 
+def test_rv_screen_loads_no_scipy(steps):
+    assert steps["rv-screen"] == []
+
+
+def test_plugin_classify_loads_no_scipy(steps):
+    assert steps["classify"] == []
+
+
 def test_certified_cca_screen_loads_no_scipy(steps):
     # 200 vertex rows of 200 features on 12 graphs: every block saturates
     # and is certified, so no QR runs
@@ -76,5 +92,6 @@ def test_cca_loads_scipy_linalg_only(steps):
     assert "scipy.ndimage" not in steps["cca"] and "scipy.stats" not in steps["cca"]
 
 
-def test_mgc_loads_ndimage_and_stats(steps):
-    assert "scipy.ndimage" in steps["mgc"] and "scipy.stats" in steps["mgc"]
+def test_no_step_loads_ndimage_or_stats(steps):
+    assert all("scipy.ndimage" not in loaded and "scipy.stats" not in loaded
+               for loaded in steps.values())
