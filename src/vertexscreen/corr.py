@@ -53,7 +53,7 @@ def _float32_exact(x, terms=2):
     ``terms`` of them: so for integer entries in [0, M] with
     terms * d * M^2 < 2^24, as each is an integer of at most d M^2. Float
     samples, float32 included, never qualify."""
-    if x.dtype.kind not in "biu" or x.size == 0 or (x.dtype.kind == "i" and x.min() < 0):
+    if x.dtype.kind not in "biu" or 0 in x.shape or (x.dtype.kind == "i" and x.min() < 0):
         return False
     return terms * x.shape[-1] * int(x.max()) ** 2 < 2**24
 
@@ -191,23 +191,22 @@ def _dependence_terms(blocks, y_matrix, matrix, samples=None):
     matrix only when an entry depends on its two rows alone, as a distance
     does and a standardised Gram does not.
     """
-    blocks = np.asarray(blocks)
-    if blocks.ndim != 3:
+    if len(blocks.shape) != 3:
         raise ValueError(f"expected a (B, m, d) stack of samples, got shape {blocks.shape}")
     n_blocks, m, d = blocks.shape
     if y_matrix.shape != (m, m):
         raise ValueError(f"y must be one sample of {m} observations, not {y_matrix.shape}")
     every_row = np.arange(m)
     subsets = [every_row] if samples is None else [np.asarray(rows, dtype=int) for rows in samples]
-    # every row, in order, last: reduced (and shifted) in place, as no later
-    # sample reads a chunk's matrices
-    last_in_place = np.array_equal(subsets[-1], every_row)
+    # a sample of every row, in order, reads y's matrix, not a copy; the last
+    # one reduces (and shifts) a chunk's matrices in place: no later one reads them
+    whole = [np.array_equal(rows, every_row) for rows in subsets]
 
     # one sample's y terms at a time: a single sample's are built once per
     # call, and memory holds one sample's y matrix however many there are
     @functools.lru_cache(maxsize=1)
     def y_terms(s):
-        return _zero_mean_terms(y_matrix[np.ix_(subsets[s], subsets[s])])
+        return _zero_mean_terms(y_matrix if whole[s] else y_matrix[np.ix_(subsets[s], subsets[s])])
 
     vxy = np.empty((len(subsets), n_blocks))
     vx = np.empty((len(subsets), n_blocks))
@@ -216,7 +215,7 @@ def _dependence_terms(blocks, y_matrix, matrix, samples=None):
         mats = matrix(blocks[chunk])
         for s, rows in enumerate(subsets):
             b, row_b, vy[s] = y_terms(s)
-            if s == len(subsets) - 1 and last_in_place:
+            if s == len(subsets) - 1 and whole[s]:
                 sliced = mats
             else:
                 cells = (rows[:, None] * m + rows).ravel()
@@ -241,7 +240,8 @@ def dcorr_many(blocks, y, y_metric="euclidean"):
     ``dcorr`` is a batch of one. A degenerate (constant) block or y
     scores 0.
     """
-    return _dependence_terms(blocks, pairwise_distances(y, y_metric), _distance_matrix())[1]
+    return _dependence_terms(np.asarray(blocks), pairwise_distances(y, y_metric),
+                             _distance_matrix())[1]
 
 
 def _label_dcorr_level(blocks, labels, samples=None):
@@ -253,10 +253,11 @@ def _label_dcorr_level(blocks, labels, samples=None):
     on 0/1 entries that sum is exact, and bit for bit the upper-pair one.
     The sum is float32 while float32 holds it exactly (a 0/1 level's
     entries are at most k(k - 1)), and then each block's squared distances
-    are float32 too.
+    are float32 too; any max at least the level's keeps the bits, as the
+    sums are exact integers in either dtype. ``blocks`` is an array or, as
+    ``screen._LevelRows``, has its dtype, shape and max and gives slices.
     """
     y = pairwise_distances(labels, "discrete")
-    blocks = np.asarray(blocks)
     k, m = blocks.shape[:2]
     total = np.zeros((m, m), np.float32 if _float32_exact(blocks, max(k, 2)) else float)
     scores = _dependence_terms(blocks, y, _distance_matrix(total), samples)[1]

@@ -9,6 +9,7 @@ out pipelines, and seeded replication of the two simulation experiments
 from __future__ import annotations
 
 import csv
+import functools
 import os
 from dataclasses import dataclass, field, fields
 
@@ -174,16 +175,17 @@ def _neighbours(pipeline):
     return DEFAULT_K if pipeline.k is None else pipeline.k
 
 
-def _fit_predict(train, graphs, pipeline, selected):
-    """The pipeline's classifier, fitted on ``train`` restricted to the
-    ``selected`` vertices, predicts each adjacency of the stack ``graphs``."""
+def _fit(train, pipeline, selected):
+    """The pipeline's classifier fitted on ``train`` restricted to the
+    ``selected`` vertices, as a function that predicts each adjacency of a
+    stack. The plug-in keeps its model alone, knn keeps ``train``."""
     if selected.size == 0:
         raise ValueError("screening selected no vertices; lower the threshold")
     if pipeline.classifier == "plugin":
         model = classify.fit_plugin(train, restrict=selected)
-        return classify.plugin_predict_many(model, graphs)
+        return functools.partial(classify.plugin_predict_many, model)
     k = _neighbours(pipeline)
-    return np.asarray([classify.knn_predict(train, a, k, selected) for a in graphs])
+    return lambda graphs: np.asarray([classify.knn_predict(train, a, k, selected) for a in graphs])
 
 
 def cross_validate(dataset, pipeline, grouping="none"):
@@ -215,7 +217,7 @@ def cross_validate(dataset, pipeline, grouping="none"):
         # drawn here, not through zip or enumerate, whose reused result tuple
         # would hold the last fold's training stack while this one is built
         train, [(_, selected)] = next(screened)
-        predictions = _fit_predict(train, dataset.graphs[test_idx], pipeline, selected).tolist()
+        predictions = _fit(train, pipeline, selected)(dataset.graphs[test_idx]).tolist()
         train_classes = set(np.unique(train.labels).tolist())
         unseen = any(
             dataset.labels[i].item() not in train_classes for i in test_idx
@@ -309,8 +311,9 @@ def run_experiment(name, repeats, seed=0, m=None, m_grid=None, methods=None, tes
     graphs, then the test graphs) from one generator seeded with
     ``numpy.random.SeedSequence([seed, i])`` (i counts repeats across the
     whole m grid), so reports are reproducible and no two base seeds share
-    a draw. Every setting, the whole m grid and every method name
-    included, is checked before the first draw.
+    a draw. exp2 fits every method before it draws the test graphs, so it
+    holds one graph stack at a time. Every setting, the whole m grid and
+    every method name included, is checked before the first draw.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
@@ -347,6 +350,7 @@ def run_experiment(name, repeats, seed=0, m=None, m_grid=None, methods=None, tes
             raise ValueError(f"m too small to cover every class: {m_key} needs at least "
                              f"{len(priors)} graphs, not {m_value}")
     pipelines = {method: _method_pipeline(name, method, signal) for method in methods}
+    bayes = functools.partial(classify.bayes_predict_many, priors, params)
     screened = [method for method, pipeline in pipelines.items()
                 if pipeline is not None and pipeline.fixed_vertices is None]
     report = EvalReport(methods)
@@ -355,27 +359,29 @@ def run_experiment(name, repeats, seed=0, m=None, m_grid=None, methods=None, tes
             rng = np.random.default_rng(_repeat_seed(seed, m_index * repeats + repeat))
             train, _ = sample_experiment(name, m_value, rng)
             # one batch per draw: each statistic scores every vertex once
-            _, runs = next(screen.run(train, [pipelines[method] for method in screened],
-                                      [np.arange(m_value)]))
+            runs = next(screen.run(train, [pipelines[method] for method in screened],
+                                   [np.arange(m_value)]))[1]
             screenings = dict(zip(screened, runs))
             if name == "exp1":
                 for method, (result, selected) in screenings.items():
                     _record_ranking(report, method, repeat, result, selected, signal)
                 continue
-            test, _ = sample_experiment(name, test_draws, rng)
+            predictors = {}
             for method, pipeline in pipelines.items():
-                if pipeline is None:
-                    predictions = classify.bayes_predict_many(priors, params, test.graphs)
-                else:
-                    if method in screenings:
-                        selected = screenings[method][1]
-                        fpr = fpr_at_size(selected, signal, train.n)
-                        report.fpr_records.append((method, m_value, repeat, fpr))
-                    else:
-                        selected = vertex_set(pipeline.fixed_vertices, train.n)
-                    predictions = _fit_predict(train, test.graphs, pipeline, selected)
-                error = classify.loss_from_predictions(predictions, test.labels).error
+                if method in screenings:
+                    selected = screenings[method][1]
+                    fpr = fpr_at_size(selected, signal, train.n)
+                    report.fpr_records.append((method, m_value, repeat, fpr))
+                elif pipeline is not None:
+                    selected = vertex_set(pipeline.fixed_vertices, train.n)
+                predictors[method] = bayes if pipeline is None else _fit(train, pipeline, selected)
+            # every model is fitted: free the training stack before the test draw
+            del train
+            test, _ = sample_experiment(name, test_draws, rng)
+            for method, predict in predictors.items():
+                error = classify.loss_from_predictions(predict(test.graphs), test.labels).error
                 report.loss_records.append((method, m_value, repeat, error))
+            del test  # and the test stack before the next training draw
     return report
 
 

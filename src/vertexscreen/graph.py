@@ -208,7 +208,8 @@ def induced_subgraph(a, vertices):
 
     ``a`` is one (n, n) adjacency or a (..., n, n) stack; every matrix of a
     stack is restricted to the same vertices. Every vertex returns ``a``
-    itself, not a copy, so callers must not write into the result.
+    itself, not a copy, so callers must not write into the result; a subset
+    is a C-ordered copy, filled one ``_graph_chunks`` chunk at a time.
     """
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -216,9 +217,12 @@ def induced_subgraph(a, vertices):
     idx = vertex_set(vertices, a.shape[-1])
     if idx.size == a.shape[-1]:
         return a
-    # two takes, rows then columns, return a C-ordered copy several times
-    # faster than one np.ix_ gather over every axis
-    return a.take(idx, axis=-2).take(idx, axis=-1)
+    flat = a.reshape(-1, *a.shape[-2:])
+    sub = np.empty((len(flat), idx.size, idx.size), a.dtype)
+    for rows in _graph_chunks(flat):
+        # two takes, rows then columns, beat one np.ix_ gather several times over
+        sub[rows] = flat[rows].take(idx, axis=1).take(idx, axis=2)
+    return sub.reshape(*a.shape[:-2], idx.size, idx.size)
 
 
 def upper_pairs(graphs, vertices):

@@ -11,6 +11,7 @@ the first level, every vertex's scores, once per fold and statistic.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -99,7 +100,7 @@ class ScreeningConfig:
 def _row_features(dataset, restrict):
     """The (k, m, k) features of ``score_vertices``: the (n, m, n) view of
     the stack for every vertex, or of the induced subgraph's one copy for a
-    subset."""
+    subset, which ``induced_subgraph`` fills one chunk of graphs at a time."""
     graphs = dataset.graphs
     if restrict is not None:
         graphs = induced_subgraph(graphs, restrict)
@@ -127,14 +128,26 @@ def subgraph_correlation(dataset, vertices, statistic="dcorr"):
     return corr.feature_label_correlation(features, dataset.labels, statistic)
 
 
-def _score_level(dataset, vertices, statistic):
+class _LevelRows:
+    """A level's ``_row_features``, each slice of blocks gathered from the
+    stack as ``corr._label_dcorr_level`` reads it; its max is the stack's."""
+
+    def __init__(self, graphs, vertices, top):
+        self.graphs, self.vertices, self.max, self.dtype = graphs, vertices, top, graphs.dtype
+        self.shape = (vertices.size, graphs.shape[0], vertices.size)
+
+    def __getitem__(self, chunk):
+        return self.graphs[:, self.vertices[chunk]].take(self.vertices, axis=2).transpose(1, 0, 2)
+
+
+def _score_level(dataset, vertices, statistic, top):
     """A level's per-vertex scores, aligned with the sorted ``vertices``,
     and its whole-subgraph correlation. dcorr takes both from one build of
     the level's distances; the other statistics score and correlate apart."""
     if statistic != "dcorr":
         return (score_vertices(dataset, vertices, statistic),
                 subgraph_correlation(dataset, vertices, statistic))
-    level = corr._label_dcorr_level(_row_features(dataset, vertices), dataset.labels)
+    level = corr._label_dcorr_level(_LevelRows(dataset.graphs, vertices, top), dataset.labels)
     return level[:-1], float(level[-1])
 
 
@@ -161,7 +174,8 @@ def screen_iterative(dataset, delta, statistic="dcorr", *, first_level=None):
     _check_delta(delta)
     n = dataset.n
     current = np.arange(n)
-    first_level = _score_level(dataset, current, statistic) if first_level is None else first_level
+    top = functools.cache(dataset.graphs.max)  # the stack's max, read once by dcorr levels
+    first_level = _score_level(dataset, current, statistic, top) if first_level is None else first_level
     level_scores, level_corr = first_level
     if np.shape(level_scores) != (n,):
         raise ValueError(f"scores must hold one value per vertex, {n} in all")
@@ -171,7 +185,7 @@ def screen_iterative(dataset, delta, statistic="dcorr", *, first_level=None):
     levels = []
     while current.size > 1:
         if levels:
-            level_scores, level_corr = _score_level(dataset, current, statistic)
+            level_scores, level_corr = _score_level(dataset, current, statistic, top)
             scores[current] = level_scores
         levels.append((current, level_corr))
         target = min(int(np.ceil((1.0 - delta) * current.size)), current.size - 1)

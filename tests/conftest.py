@@ -1,3 +1,17 @@
+import tracemalloc
+
+
+def traced_peak(call):
+    """The tracemalloc peak, in bytes, of one ``call()``; tracing stops even
+    when the call raises."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def pytest_terminal_summary(terminalreporter):
     """Echo the acceptance scoreboard after the run (stdout capture would
     otherwise swallow the PASS lines)."""

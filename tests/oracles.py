@@ -12,6 +12,8 @@ implementation of each; nothing under ``src`` imports this module.
 centred inner products from the matrices and their row means alone.
 ``rv_coefficient`` instead runs the library's own rv kernel on a general y,
 which the library itself scores only against one-hot labels.
+``exp2_records`` replays exp2 in the order that draws both graph stacks
+before any fit, which the harness no longer does.
 """
 
 import csv
@@ -19,7 +21,7 @@ import itertools
 
 import numpy as np
 
-from vertexscreen import corr, screen
+from vertexscreen import classify, corr, evaluate, screen
 from vertexscreen.graph import induced_subgraph, validate_probability_matrix, vertex_set
 
 
@@ -165,6 +167,38 @@ def mann_whitney_auc(ranking, true_set, n, keys=None):
         for u in noise
     )
     return wins / (len(signal) * len(noise))
+
+
+def exp2_records(repeats, m_grid, test_draws, seed=0):
+    """The loss and fpr records of ``evaluate.run_experiment("exp2", ...)``
+    with its default methods, in the order that holds both stacks at once:
+    per repeat, draw the training graphs, screen them, draw the test graphs,
+    then fit and predict each method in turn."""
+    params, priors, signal = evaluate.experiment_parameters("exp2")
+    configs = {method: screen.ScreeningConfig(iterative=iterative, delta=delta, size_rule="fixed",
+                                              size=evaluate.SIGNAL_SIZE)
+               for method, iterative, delta in (("dcorr", False, None),
+                                                ("itdcorr-0.5", True, 0.5))}
+    loss, fpr = [], []
+    for m_index, m in enumerate(m_grid):
+        for repeat in range(repeats):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, m_index * repeats + repeat]))
+            train, _ = evaluate.sample_experiment("exp2", m, rng)
+            (_, pairs), = screen.run(train, list(configs.values()), [np.arange(m)])
+            vertices = dict(zip(configs, (selected for _, selected in pairs)))
+            test, _ = evaluate.sample_experiment("exp2", test_draws, rng)
+            vertices.update({"full": np.arange(train.n), "true-signal": signal})
+            for method in evaluate.DEFAULT_EXP2_METHODS:
+                if method == "bayes":
+                    predictions = classify.bayes_predict_many(priors, params, test.graphs)
+                else:
+                    model = classify.fit_plugin(train, restrict=vertices[method])
+                    predictions = classify.plugin_predict_many(model, test.graphs)
+                if method in configs:
+                    noise = np.setdiff1d(vertices[method], signal).size
+                    fpr.append((method, m, repeat, noise / (train.n - signal.size)))
+                loss.append((method, m, repeat, float(np.mean(predictions != test.labels))))
+    return loss, fpr
 
 
 def likelihood_oracle(priors, mats, graphs, class_labels):

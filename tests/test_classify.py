@@ -1,11 +1,11 @@
 """Tests for the plug-in, Bayes, and nearest-neighbor classifiers."""
 
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from oracles import class_means, likelihood_oracle, sample_ier
 from vertexscreen import classify, evaluate, graph
 from vertexscreen.graph import LabeledGraphDataset, induced_subgraph, sample_ier_dataset
@@ -393,21 +393,17 @@ class TestMemory:
         return ds
 
     @staticmethod
-    def traced_peak(call, *args):
-        call(*args)  # untraced: a first call may import modules (np.unique loads numpy.ma)
-        tracemalloc.start()
-        try:
-            call(*args)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    def warm_peak(call):
+        call()  # untraced: a first call may import modules (np.unique loads numpy.ma)
+        return traced_peak(call)
 
     def test_fit_plugin_allocates_no_bool_copy_of_the_stack(self, ds):
-        assert self.traced_peak(classify.fit_plugin, ds) < ds.graphs.size
+        assert self.warm_peak(lambda: classify.fit_plugin(ds)) < ds.graphs.size
 
     def test_knn_allocates_no_float64_copy_of_the_pool(self, ds):
         # every vertex: the pool is the whole stack
-        assert self.traced_peak(classify.knn_predict, ds, ds.graphs[0], 11) < ds.graphs.size * 8
+        peak = self.warm_peak(lambda: classify.knn_predict(ds, ds.graphs[0], 11))
+        assert peak < ds.graphs.size * 8
 
 
 class TestEstimateLoss:

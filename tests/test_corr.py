@@ -1,6 +1,5 @@
 """Tests for the dependence statistics."""
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import subspace_angles
 
 import oracles
+from conftest import traced_peak
 from oracles import double_center, pairwise_distances_oracle, rv_coefficient, triple_loop_dcov
 from vertexscreen import corr, evaluate, graph, screen
 from vertexscreen.graph import upper_pairs
@@ -381,14 +381,8 @@ class TestRv:
         rng = np.random.default_rng(27)
         x = rng.normal(size=(30, 4000))
         y = corr.one_hot(rng.integers(0, 2, size=30))
-        tracemalloc.start()
-        try:
-            value = rv_coefficient(x, y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert 0.0 <= value <= 1.0
-        assert peak < 8 * 2**20
+        assert traced_peak(lambda: rv_coefficient(x, y)) < 8 * 2**20
+        assert 0.0 <= rv_coefficient(x, y) <= 1.0
 
 
 class TestCca:

@@ -2,7 +2,6 @@
 sampling, likelihood and feature-row oracles."""
 
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import traced_peak
 from vertexscreen import graph
 from vertexscreen.cli import main
 
@@ -311,14 +311,8 @@ class TestDataset:
         stack = make_dataset(m=300, n=60, seed=5).graphs.copy()
         labels = np.arange(300) % 2
         graph.LabeledGraphDataset(stack.copy(), labels)  # untraced: a first call may import
-        tracemalloc.start()
-        try:
-            ds = graph.LabeledGraphDataset(stack, labels)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert ds.graphs.dtype == np.uint8
-        assert peak < stack.size
+        assert traced_peak(lambda: graph.LabeledGraphDataset(stack, labels)) < stack.size
+        assert graph.LabeledGraphDataset(stack, labels).graphs.dtype == np.uint8
 
     @pytest.mark.parametrize("source, stored", [
         ("bool", np.uint8), ("int64", np.uint8), ("float64", np.uint8),
@@ -603,14 +597,10 @@ class TestCsvBulkPath:
     def test_bulk_parse_allocates_no_copy_of_the_file(self, tmp_path):
         # the parse reads the open file: no string or StringIO of its body
         assert main(["simulate", "exp2", "--m", "60", "--seed", "7", "--out", str(tmp_path)]) == 0
-        graph._read_edges_bulk(tmp_path / "graphs.csv", list(range(60)))  # untraced warm-up
-        tracemalloc.start()
-        try:
-            edges = graph._read_edges_bulk(tmp_path / "graphs.csv", list(range(60)))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        path = tmp_path / "graphs.csv"
+        edges = graph._read_edges_bulk(path, list(range(60)))  # untraced warm-up
         assert edges is not None
+        peak = traced_peak(lambda: graph._read_edges_bulk(path, list(range(60))))
         assert peak < 1.5 * len(edges[0]) * graph._EDGE_ROW.itemsize
 
     @pytest.mark.parametrize("weights, graph_ids", [
