@@ -240,6 +240,11 @@ def cmd_classify(args):
             raise CliError(
                 f"dataset has {dataset.n} vertices but {args.experiment} expects {params[0].shape[0]}"
             )
+        foreign = np.flatnonzero(~np.isin(dataset.labels, np.arange(len(priors))))
+        if foreign.size:
+            i = foreign[0]
+            raise CliError(f"graph {dataset.graph_ids[i]} has label {dataset.labels[i]}, not one "
+                           f"of {args.experiment}'s classes 0..{len(priors) - 1}")
         predictions = classify.bayes_predict_many(priors, params, dataset.graphs)
         loss = classify.loss_from_predictions(predictions, dataset.labels)
         rows = [[i, gid, dataset.labels[i], predictions[i], 0]

@@ -115,19 +115,12 @@ def pairwise_distances(samples, metric="euclidean"):
     them and works on the last two axes; integer samples that float32 holds
     exactly (``_float32_exact``) get their squared distances in float32 and
     the same float64 distances as their float64 cast. ``discrete`` is the
-    0/1 mismatch indicator and only applies to 1-d label vectors.
+    0/1 mismatch indicator of a 1-d label vector, dcorr's ``_label_side``.
     """
     if metric == "euclidean":
         return _distance_matrix()(samples)
     if metric == "discrete":
-        y = np.asarray(samples)
-        if y.ndim != 1:
-            raise ValueError("discrete metric expects a 1-d label vector")
-        if y.shape[0] < 2:
-            raise ValueError("need at least 2 samples")
-        if y.dtype.kind in "fc" and not np.all(np.isfinite(y)):
-            raise ValueError("labels contain non-finite entries")
-        return (y[:, None] != y[None, :]).astype(float)
+        return _label_side(samples, "dcorr")
     raise ValueError(f"unknown metric {metric!r}")
 
 
@@ -139,6 +132,25 @@ def _gram(x):
     scale = x.std(axis=-2, keepdims=True)
     x /= np.where(scale > 0.0, scale, 1.0)
     return x @ np.swapaxes(x, -1, -2)
+
+
+def _label_side(labels, statistic):
+    """What ``statistic``'s kernel reads of the labels, checked and built
+    here alone so every statistic refuses the same labels (not 1-d, fewer
+    than 2, not finite): dcorr's float64 m x m 0/1 mismatch matrix, rv's
+    ``_gram`` of the one-hot columns, cca's one-hot columns. The folds of
+    ``_dependence_terms`` slice the mismatch matrix, valid as each entry
+    depends on its two labels alone; rv's Gram does not, so rv screens per fold."""
+    y = np.asarray(labels)
+    if y.ndim != 1:
+        raise ValueError("discrete metric expects a 1-d label vector")
+    if y.shape[0] < 2:
+        raise ValueError("need at least 2 samples")
+    if y.dtype.kind in "fc" and not np.all(np.isfinite(y)):
+        raise ValueError("labels contain non-finite entries")
+    if statistic == "dcorr":
+        return (y[:, None] != y[None, :]).astype(float)
+    return _gram(one_hot(y)) if statistic == "rv" else one_hot(y)
 
 
 def _shift_to_zero_mean(mats):
@@ -189,7 +201,7 @@ def _dependence_terms(blocks, y_matrix, matrix, samples=None):
     all m rows, and each sample reduces their slice on its rows and
     columns, with the same slice of y's matrix. That is the sample's own
     matrix only when an entry depends on its two rows alone, as a distance
-    does and a standardised Gram does not.
+    and ``_label_side``'s label mismatch do and a standardised Gram does not.
     """
     if len(blocks.shape) != 3:
         raise ValueError(f"expected a (B, m, d) stack of samples, got shape {blocks.shape}")
@@ -245,7 +257,7 @@ def dcorr_many(blocks, y, y_metric="euclidean"):
 
 
 def _label_dcorr_level(blocks, labels, samples=None):
-    """dcorr with the labels (0/1 mismatch metric) of each block of a
+    """dcorr with the labels (``_label_side``'s mismatch) of each block of a
     level's (k, m, k) stack of vertex rows, then of the whole level
     subgraph: k + 1 values per row sample, ``samples`` as in
     ``_dependence_terms``. Each vertex pair u < v lies in row u and row v,
@@ -257,7 +269,7 @@ def _label_dcorr_level(blocks, labels, samples=None):
     sums are exact integers in either dtype. ``blocks`` is an array or, as
     ``screen._LevelRows``, has its dtype, shape and max and gives slices.
     """
-    y = pairwise_distances(labels, "discrete")
+    y = _label_side(labels, "dcorr")
     k, m = blocks.shape[:2]
     total = np.zeros((m, m), np.float32 if _float32_exact(blocks, max(k, 2)) else float)
     scores = _dependence_terms(blocks, y, _distance_matrix(total), samples)[1]
@@ -429,17 +441,15 @@ def feature_label_correlation(features, labels, statistic):
     """Dependence between numeric feature samples and a label vector.
 
     ``features`` is one (m, d) sample, which gives a float, or a (B, m, d)
-    stack, which gives B scores. dcorr uses the 0/1 mismatch metric on the
-    labels; rv and cca see the labels as one-hot columns.
+    stack, which gives B scores; the kernel reads its y from ``_label_side``.
     """
     check_statistic(statistic)
     single = np.ndim(features) < 3
     # a stack keeps its dtype: each statistic casts one block or chunk at a time
     blocks = _samples(features)[None] if single else np.asarray(features)
-    if statistic == "dcorr":
-        scores = dcorr_many(blocks, labels, y_metric="discrete")
-    elif statistic == "rv":
-        scores = _dependence_terms(blocks, _gram(one_hot(labels)), _gram)[1]
+    y = _label_side(labels, statistic)
+    if statistic == "cca":
+        scores = _cca_many(blocks, y)
     else:
-        scores = _cca_many(blocks, one_hot(labels))
+        scores = _dependence_terms(blocks, y, _distance_matrix() if statistic == "dcorr" else _gram)[1]
     return float(scores[0]) if single else scores

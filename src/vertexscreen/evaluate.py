@@ -363,6 +363,7 @@ def run_experiment(name, repeats, seed=0, m=None, m_grid=None, methods=None, tes
                                    [np.arange(m_value)]))[1]
             screenings = dict(zip(screened, runs))
             if name == "exp1":
+                del train  # free the training stack before the next repeat's draw
                 for method, (result, selected) in screenings.items():
                     _record_ranking(report, method, repeat, result, selected, signal)
                 continue

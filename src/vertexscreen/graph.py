@@ -59,7 +59,7 @@ def _graph_chunks(graphs):
 
 @dataclass(frozen=True)
 class LabeledGraphDataset:
-    """m adjacency matrices on a shared vertex set with per-graph labels.
+    """m adjacency matrices on a shared vertex set with finite per-graph labels.
 
     Graphs are undirected: hollow (no self-loops) and symmetric. A stack
     whose entries are all 0 or 1 is stored as uint8, any other as float64;
@@ -91,6 +91,8 @@ class LabeledGraphDataset:
             raise ValueError("graphs must form an (m, n, n) array")
         if labels.ndim != 1 or labels.shape[0] != graphs.shape[0]:
             raise ValueError("need one label per graph")
+        if labels.dtype.kind in "fc" and not np.all(np.isfinite(labels)):
+            raise ValueError("labels must be finite")
         if graphs.shape[0] < 2:
             raise ValueError("need at least 2 graphs")
         if graphs.shape[1] < 1:

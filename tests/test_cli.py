@@ -326,6 +326,23 @@ class TestClassify:
         )
         assert code == 1
 
+    def test_bayes_refuses_labels_that_are_not_the_experiment_classes(self, tmp_path, capsys):
+        # every label shifted by 5: no graph is of a class the parameters know
+        assert run(["simulate", "exp1", "--m", 20, "--seed", 3, "--out", tmp_path]) == 0
+        rows = (tmp_path / "labels.csv").read_text().splitlines()
+        shifted = [f"{gid},{int(label) + 5}" for gid, label in (r.split(",") for r in rows[1:])]
+        (tmp_path / "labels.csv").write_text("\n".join(rows[:1] + shifted) + "\n")
+        capsys.readouterr()
+        code = run(
+            ["classify", "--graphs", tmp_path / "graphs.csv", "--labels", tmp_path / "labels.csv",
+             "--n", 200, "--classifier", "bayes", "--experiment", "exp1", "--out", tmp_path]
+        )
+        assert code == 1
+        first_gid, first_label = shifted[0].split(",")
+        assert capsys.readouterr().err == (
+            f"error: graph {first_gid} has label {first_label}, not one of exp1's classes 0..1\n")
+        assert not (tmp_path / "loss.csv").exists()
+
     def test_bayes_with_experiment(self, small_dataset, tmp_path, capsys):
         code = run(
             ["classify", "--graphs", small_dataset / "graphs.csv",

@@ -12,6 +12,7 @@ from scipy.linalg import subspace_angles
 import oracles
 from conftest import traced_peak
 from oracles import double_center, pairwise_distances_oracle, rv_coefficient, triple_loop_dcov
+from test_screen import ENTRY_BATCH, leave_one_out, random_dataset
 from vertexscreen import corr, evaluate, graph, screen
 from vertexscreen.graph import upper_pairs
 
@@ -86,6 +87,69 @@ class TestPairwiseDistances:
     def test_unknown_metric(self):
         with pytest.raises(ValueError):
             corr.pairwise_distances([[0], [1]], metric="chebyshev")
+
+
+class TestLabelSide:
+    LABELS = [np.array([0, 1, 1, 0, 2, 2, 1]), [0.5, 0.5, 1.5], np.array(["a", "b", "a", "a"])]
+
+    @pytest.mark.parametrize("labels", LABELS, ids=["int", "float", "str"])
+    def test_discrete_metric_is_the_dcorr_label_side(self, labels):
+        d = corr.pairwise_distances(labels, "discrete")
+        y = corr._label_side(labels, "dcorr")
+        assert d.dtype == y.dtype == np.float64
+        assert d.tobytes() == y.tobytes()
+        labels = np.asarray(labels)
+        assert np.array_equal(y, labels[:, None] != labels[None, :])
+
+    @pytest.mark.parametrize("labels", LABELS, ids=["int", "float", "str"])
+    def test_rv_and_cca_read_the_one_hot_columns(self, labels):
+        assert corr._label_side(labels, "cca").tobytes() == corr.one_hot(labels).tobytes()
+        assert corr._label_side(labels, "rv").tobytes() == corr._gram(corr.one_hot(labels)).tobytes()
+
+    @pytest.mark.parametrize("labels, message", [
+        ([0, 1, np.nan, 1, 0, 1, 0, 1, 0, 1], "labels contain non-finite entries"),
+        ([0, 1, 1, np.inf, 0, 1, 0, 1, 0, 1], "labels contain non-finite entries"),
+        (np.zeros((10, 2)), "discrete metric expects a 1-d label vector"),
+        ([1], "need at least 2 samples"),
+    ], ids=["nan", "inf", "2-d", "one-sample"])
+    def test_every_statistic_refuses_the_same_labels(self, labels, message):
+        x = np.random.default_rng(41).normal(size=(10, 3))
+        for statistic in corr.STATISTICS:
+            for features in (x, x[None]):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    corr.feature_label_correlation(features, labels, statistic)
+
+    @pytest.mark.parametrize("m", [6, 9])
+    def test_built_once_per_dcorr_level_and_per_correlation_call(self, monkeypatch, m):
+        # leave-one-out: m folds share one dcorr first level, so the
+        # whole dataset's labels are built once whatever the fold count
+        log = []
+
+        def logging(name, entry):
+            real = getattr(corr, name)
+
+            def call(*args):
+                log.append(entry(*args))
+                return real(*args)
+
+            monkeypatch.setattr(corr, name, call)
+
+        logging("_label_side", lambda labels, statistic: ("built", statistic, len(labels)))
+        logging("_label_dcorr_level", lambda blocks, labels, samples=None:
+                ("level", "dcorr", len(labels)))
+        logging("feature_label_correlation", lambda features, labels, statistic:
+                ("correlation", statistic, len(labels)))
+        ds = random_dataset(m=m, n=8, seed=40, classes=3)
+        folds = list(screen.run(ds, ENTRY_BATCH, leave_one_out(m)))
+        assert len(folds) == m
+        # every level and correlation call builds its labels once, first
+        callers, built = log[0::2], log[1::2]
+        assert len(callers) == len(built) and log[-1][0] == "built"
+        assert [("built", *call[1:]) for call in callers] == built
+        assert {call[0] for call in callers} == {"level", "correlation"}
+        assert log[0] == ("level", "dcorr", m)
+        assert log.count(("built", "dcorr", m)) == 1
+        assert {statistic for _, statistic, _ in built} == set(corr.STATISTICS)
 
 
 class TestDoubleCenter:

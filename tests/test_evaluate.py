@@ -363,6 +363,16 @@ class TestRunExperiment:
                                                            test_draws=300))
         assert peak < 2 * 300 * evaluate.GRAPH_SIZE**2
 
+    def test_exp1_holds_one_graph_stack_at_a_time(self):
+        # each uint8 stack of 600 graphs is 22.9 MiB. Two repeats peaked at
+        # 47.5 MiB when a repeat's training stack stayed alive through the
+        # next repeat's draw (35.0 MiB for one repeat), 35.0 MiB once it is freed.
+        # untraced: a first call may import modules
+        evaluate.run_experiment("exp1", repeats=1, m=30, methods=("dcorr",))
+        peak = traced_peak(lambda: evaluate.run_experiment("exp1", repeats=2, m=600,
+                                                           methods=("dcorr",)))
+        assert peak < 2 * 600 * evaluate.GRAPH_SIZE**2
+
     def test_exp2_screens_share_a_draw_like_single_method_runs(self):
         # dcorr and itdcorr-0.5 screen each draw in one batch; their records
         # are those of the two single-method runs, interleaved per draw

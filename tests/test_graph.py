@@ -203,6 +203,12 @@ class TestDataset:
         with pytest.raises(ValueError):
             graph.LabeledGraphDataset(np.zeros((1, 3, 3)), np.array([0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_labels(self, bad):
+        # as load_dataset does: a NaN label would become a class of its own
+        with pytest.raises(ValueError, match="labels must be finite"):
+            graph.LabeledGraphDataset(np.zeros((4, 3, 3)), [0.0, bad, 1.0, 1.0])
+
     def test_needs_one_vertex(self):
         with pytest.raises(ValueError, match="need at least 1 vertex"):
             graph.LabeledGraphDataset(np.zeros((2, 0, 0)), np.array([0, 1]))
