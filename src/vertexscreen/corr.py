@@ -143,7 +143,7 @@ def _label_side(labels, statistic):
     depends on its two labels alone; rv's Gram does not, so rv screens per fold."""
     y = np.asarray(labels)
     if y.ndim != 1:
-        raise ValueError("discrete metric expects a 1-d label vector")
+        raise ValueError("labels must be a 1-d vector")
     if y.shape[0] < 2:
         raise ValueError("need at least 2 samples")
     if y.dtype.kind in "fc" and not np.all(np.isfinite(y)):

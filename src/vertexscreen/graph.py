@@ -9,14 +9,16 @@ labels.csv).
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-# Cells of one chunk of any pass over a stack, read only by ``_chunks`` and
-# ``_newlines``: 2**18 float64 cells are 2 MiB, so a chunk's passes stay in cache.
+# Cells of one chunk of any pass over a stack (``_chunks``), and characters of
+# one text chunk of graphs.csv: 2**18 float64 cells are 2 MiB, so a chunk's
+# passes stay in cache.
 _CHUNK_CELLS = 2**18
 
 
@@ -254,9 +256,18 @@ def load_dataset(graphs_path, labels_path, n=None):
     are skipped. Vertex count is ``n`` if given, otherwise 1 + the largest
     vertex index seen.
 
-    A clean graphs.csv is parsed in one ``np.loadtxt`` call; any other file
-    is read row by row, which accepts the same rows with the same values and
-    names the line of the first bad one.
+    graphs.csv is read in one pass, in text chunks of about 2**18
+    characters cut at line ends, one ``np.loadtxt`` call each; a file that
+    fails a check on the way is read again row by row, which accepts the
+    same rows with the same values and names the line of the first bad one.
+    Either source hands its edges to one builder chunk by chunk, each
+    column in the smallest dtype that holds it (4 bytes an edge for 0/1
+    weights on fewer than 256 graphs and vertices). The stack is allocated
+    once, after the last chunk, and is the seen mask of the listed pairs
+    before it takes the weights (one byte a cell when they are 0 or 1), so
+    no sort of the edges finds a repeated pair. The load holds the compact
+    edges, one text chunk and the stack: 4.4 MiB traced for the 4.1 MiB
+    file ``simulate exp2 --m 60`` writes.
     """
     if n is not None and n < 1:
         raise ValueError(f"n must be at least 1, not {n}")
@@ -288,42 +299,11 @@ def load_dataset(graphs_path, labels_path, n=None):
 
     order = np.argsort(ids, kind="stable")
     sorted_ids = sorted(ids)
-    # one entry per edge row, in file order; a graph's position is its id's rank
-    edges = _read_edges_bulk(graphs_path, sorted_ids)
-    if edges is None:
-        edges = _read_edges(graphs_path, {gid: rank for rank, gid in enumerate(sorted_ids)})
-    lines, gpos, us, vs, weights = edges
-
-    gpos, us, vs = (np.asarray(x, dtype=np.int64) for x in (gpos, us, vs))
-    weights = np.asarray(weights, dtype=float)
-    largest = int(np.argmax(np.maximum(us, vs))) if len(lines) else None
-    max_vertex = -1 if largest is None else int(max(us[largest], vs[largest]))
-    if n is None:
-        if max_vertex < 0:
-            raise ValueError(f"{graphs_path}: no edges; pass the vertex count explicitly")
-        n = max_vertex + 1
-    elif max_vertex >= n:
-        raise ValueError(f"{graphs_path}: vertex index {max_vertex} exceeds n={n}")
-
-    m = len(ids)
-    # Python ints: every cell must have an int64 pair key below
-    if m * n * n > _INT64_MAX:
-        where = f"{graphs_path}:{lines[largest]}" if max_vertex + 1 == n else str(graphs_path)
-        raise ValueError(f"{where}: {m} graphs on {n} vertices have more than 2**63 - 1 cells")
-    pair = (gpos * n + np.minimum(us, vs)) * n + np.maximum(us, vs)
-    unique_pairs, first = np.unique(pair, return_index=True)
-    if first.size < pair.size:
-        again = int(np.setdiff1d(np.arange(pair.size), first)[0])
-        earlier = first[np.searchsorted(unique_pairs, pair[again])]
-        raise ValueError(
-            f"{graphs_path}:{lines[again]}: pair {us[again]},{vs[again]} of graph "
-            f"{sorted_ids[gpos[again]]} is already listed on line {lines[earlier]}"
-        )
-    # 0/1 weights are stored as uint8 from the start, never cast from float64
-    dtype = np.uint8 if np.all((weights == 0.0) | (weights == 1.0)) else np.float64
-    graphs = _adjacency_stack(m, n, dtype, f"{graphs_path}: ")
-    graphs[gpos, us, vs] = weights
-    graphs[gpos, vs, us] = weights
+    # a graph's position is its id's rank
+    chunks = _read_edges_bulk(graphs_path, sorted_ids)
+    if chunks is None:
+        chunks = _read_edges(graphs_path, {gid: rank for rank, gid in enumerate(sorted_ids)})
+    graphs = _edge_stack(graphs_path, chunks, sorted_ids, n)
 
     labels_arr = np.asarray([labels[i] for i in order])
     subject_ids = tuple(subjects[i] for i in order) if subjects else None
@@ -336,58 +316,77 @@ _INT64_MAX = np.iinfo(np.int64).max
 _EDGE_ROW = np.dtype([("gid", np.int64), ("u", np.int64), ("v", np.int64), ("w", np.float64)])
 
 
+def _smallest(values):
+    """Non-negative integers in the smallest unsigned dtype that holds them."""
+    return values.astype(np.min_scalar_type(int(values.max(initial=0))))
+
+
+def _edge_chunk(lines, gpos, us, vs, weights):
+    """``(lines, gpos, us, vs, weights)`` of a chunk of edge rows, as
+    ``_edge_stack`` reads them: graph positions and vertex indices in
+    ``_smallest`` dtype, weights as uint8 when each is 0 or 1 (-0.0 is
+    kept, as a float64 stack holds it), else as float64."""
+    weights = np.asarray(weights, dtype=float)
+    if np.all((weights == 1.0) | ((weights == 0.0) & ~np.signbit(weights))):
+        weights = weights.astype(np.uint8)
+    return lines, _smallest(gpos), _smallest(us), _smallest(vs), weights
+
+
 def _read_edges_bulk(graphs_path, sorted_ids):
-    """``(lines, gpos, us, vs, weights)`` of a graphs.csv that passes every
-    check of ``_read_edges``, from one ``np.loadtxt`` call on the open file;
-    None when the row parser must decide. loadtxt raises or warns on an
-    empty body, ids beyond int64 and every integer spelling but signed
-    digits (``1.0``, ``"1"``, ``1_0``); a blank line it skips would shift the
-    line numbers.
+    """The ``_edge_chunk``s of a graphs.csv that passes every check of
+    ``_read_edges``, one ``np.loadtxt`` call per text chunk of about
+    ``_CHUNK_CELLS`` characters cut after a newline; None as soon as a check
+    fails, for the row parser to decide. loadtxt raises or warns on an empty
+    chunk, ids beyond int64 and every integer spelling but signed digits
+    (``1.0``, ``"1"``, ``1_0``); a blank line it skips would shift the line
+    numbers, so the rows must number the newlines of the body.
     """
+    chunks, rows, newlines, unterminated = [], 0, 0, False
     try:
+        known = np.asarray(sorted_ids, dtype=np.int64)
         with open(graphs_path, newline="") as fh:
             # readline splits lines as loadtxt does, at "\r" too; the header
             # must end in "\n", so the body is everything after the first "\n"
             if fh.readline() not in ("graph_id,u,v,weight\n", "graph_id,u,v,weight\r\n"):
                 return None
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                rows = np.loadtxt(fh, dtype=_EDGE_ROW, delimiter=",", comments=None, ndmin=1)
-        newlines, last = _newlines(graphs_path)
-        known = np.asarray(sorted_ids, dtype=np.int64)
+            while text := fh.read(_CHUNK_CELLS):
+                while not text.endswith("\n") and (line := fh.readline()):
+                    text += line
+                newlines += text.count("\n")
+                unterminated = not text.endswith("\n")
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    edges = np.loadtxt(io.StringIO(text), dtype=_EDGE_ROW, delimiter=",",
+                                       comments=None, ndmin=1)
+                gid, us, vs, weights = (edges[name] for name in _EDGE_ROW.names)
+                # an id is listed where it is the id at its position
+                gpos = np.searchsorted(known, gid)
+                if not (np.array_equal(known.take(gpos, mode="clip"), gid)
+                        and np.all((us >= 0) & (vs >= 0) & ((us != vs) | (weights == 0.0))
+                                   & np.isfinite(weights))):
+                    return None
+                lines = range(rows + 2, rows + 2 + edges.size)
+                chunks.append(_edge_chunk(lines, gpos, us, vs, weights))
+                rows += edges.size
     except Exception:
         return None
-    gid, us, vs, weights = (rows[name] for name in _EDGE_ROW.names)
-    # an id is listed where it is the id at its position; ids are searched and
-    # gathered _CHUNK_CELLS bytes at a time, so no temporary holds them all
-    gpos = np.empty(rows.size, dtype=np.intp)
-    listed = True
-    for block in _chunks(rows.size, known.itemsize):
-        gpos[block] = np.searchsorted(known, gid[block])
-        listed = listed and np.array_equal(known.take(gpos[block], mode="clip"), gid[block])
-    clean = (
-        listed
-        # one row per line of the body, the last one with or without its newline
-        and rows.size == newlines - 1 + (last != b"\n")
-        and np.all((us >= 0) & (vs >= 0) & ((us != vs) | (weights == 0.0)) & np.isfinite(weights))
-    )
-    return (range(2, rows.size + 2), gpos, us, vs, weights) if clean else None
-
-
-def _newlines(path):
-    """How many newline bytes a file holds, and its last byte; read
-    ``_CHUNK_CELLS`` bytes at a time."""
-    count, last = 0, b""
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(_CHUNK_CELLS), b""):
-            count, last = count + block.count(b"\n"), block[-1:]
-    return count, last
+    # one row per line of the body, the last one with or without its newline
+    return chunks if 0 < rows == newlines + unterminated else None
 
 
 def _read_edges(graphs_path, position):
-    """``(lines, gpos, us, vs, weights)`` of graphs.csv, one row at a time;
-    the first bad row raises a ValueError that names its line."""
-    lines, gpos, us, vs, weights = [], [], [], [], []
+    """The ``_edge_chunk``s of graphs.csv, read one row at a time, a chunk
+    per ``_CHUNK_CELLS // _EDGE_ROW.itemsize`` rows; the first bad row
+    raises a ValueError that names its line."""
+    chunks, lines, gpos, us, vs, weights = [], [], [], [], [], []
+    per_chunk = max(1, _CHUNK_CELLS // _EDGE_ROW.itemsize)
+
+    def chunk():
+        edges = _edge_chunk(_smallest(np.array(lines)), *map(np.array, (gpos, us, vs, weights)))
+        for column in (lines, gpos, us, vs, weights):
+            column.clear()
+        return edges
+
     with open(graphs_path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -417,7 +416,81 @@ def _read_edges(graphs_path, position):
             us.append(u)
             vs.append(v)
             weights.append(w)
-    return lines, gpos, us, vs, weights
+            if len(lines) == per_chunk:
+                chunks.append(chunk())
+    if lines:
+        chunks.append(chunk())
+    return chunks
+
+
+def _upper_cells(gpos, us, vs):
+    """The stack cells (graph, min(u, v), max(u, v)) of edge rows."""
+    return gpos, np.minimum(us, vs), np.maximum(us, vs)
+
+
+def _edge_stack(graphs_path, chunks, sorted_ids, n):
+    """The (m, n, n) adjacency stack of the ``_edge_chunk``s of the m graphs
+    of ``sorted_ids``; ``n`` None is 1 + the largest vertex index. It is
+    allocated once, after the last chunk: uint8 when every weight is 0 or 1,
+    float64 otherwise. Before the weights it is the seen mask of the
+    ``_upper_cells``: fewer marked cells than rows means a repeated pair.
+    The weights then overwrite every mark, as each lands on (u, v) and
+    (v, u)."""
+    m = len(sorted_ids)
+    max_vertex, top_line = -1, None
+    for lines, _, us, vs, _ in chunks:
+        top = np.maximum(us, vs)
+        largest = int(np.argmax(top))
+        if top[largest] > max_vertex:
+            # the first row holding the largest index
+            max_vertex, top_line = int(top[largest]), lines[largest]
+    if n is None:
+        if max_vertex < 0:
+            raise ValueError(f"{graphs_path}: no edges; pass the vertex count explicitly")
+        n = max_vertex + 1
+    elif max_vertex >= n:
+        raise ValueError(f"{graphs_path}: vertex index {max_vertex} exceeds n={n}")
+    # Python ints: no cell of the stack may lie past an int64 offset
+    if m * n * n > _INT64_MAX:
+        where = f"{graphs_path}:{top_line}" if max_vertex + 1 == n else str(graphs_path)
+        raise ValueError(f"{where}: {m} graphs on {n} vertices have more than 2**63 - 1 cells")
+    binary = all(w.dtype == np.uint8 or np.all((w == 0.0) | (w == 1.0)) for *_, w in chunks)
+    graphs = _adjacency_stack(m, n, np.uint8 if binary else np.float64, f"{graphs_path}: ")
+    for _, gpos, us, vs, _ in chunks:
+        graphs[_upper_cells(gpos, us, vs)] = 1
+    if np.count_nonzero(graphs) < sum(len(lines) for lines, *_ in chunks):
+        raise _repeated_pair(graphs_path, chunks, sorted_ids, graphs)
+    for _, gpos, us, vs, weights in chunks:
+        graphs[gpos, us, vs] = weights
+        graphs[gpos, vs, us] = weights
+    return graphs
+
+
+def _repeated_pair(graphs_path, chunks, sorted_ids, seen):
+    """The ValueError naming the first row whose pair an earlier row lists,
+    and the line of the first: a second scan of the chunks in file order,
+    marking the zeroed ``seen`` stack as it goes."""
+    flat = seen.reshape(-1)
+    flat[:] = 0
+
+    def keys(gpos, us, vs):
+        return np.ravel_multi_index(_upper_cells(gpos, us, vs), seen.shape)
+
+    for lines, gpos, us, vs, _ in chunks:
+        key = keys(gpos, us, vs)
+        # rows whose pair an earlier row of this chunk or an earlier chunk lists
+        again = np.ones(key.size, dtype=bool)
+        again[np.unique(key, return_index=True)[1]] = False
+        again |= flat[key] != 0
+        if again.any():
+            i = int(np.argmax(again))
+            for previous, *columns, _ in chunks:
+                first = np.flatnonzero(keys(*columns) == key[i])
+                if first.size:
+                    return ValueError(
+                        f"{graphs_path}:{lines[i]}: pair {us[i]},{vs[i]} of graph "
+                        f"{sorted_ids[gpos[i]]} is already listed on line {previous[first[0]]}")
+        flat[key] = 1
 
 
 def save_dataset(dataset, graphs_path, labels_path):

@@ -109,7 +109,7 @@ class TestLabelSide:
     @pytest.mark.parametrize("labels, message", [
         ([0, 1, np.nan, 1, 0, 1, 0, 1, 0, 1], "labels contain non-finite entries"),
         ([0, 1, 1, np.inf, 0, 1, 0, 1, 0, 1], "labels contain non-finite entries"),
-        (np.zeros((10, 2)), "discrete metric expects a 1-d label vector"),
+        (np.zeros((10, 2)), "labels must be a 1-d vector"),
         ([1], "need at least 2 samples"),
     ], ids=["nan", "inf", "2-d", "one-sample"])
     def test_every_statistic_refuses_the_same_labels(self, labels, message):

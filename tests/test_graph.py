@@ -500,6 +500,16 @@ class TestCsvRoundTrip:
 
 LABELS = "graph_id,label\n0,0\n1,1\n"
 HUGE_ID = "99999999999999999999"
+CHUNK = graph._CHUNK_CELLS
+
+
+def padded(row, width):
+    """An edge row spread to ``width`` characters by spaces after its
+    fields, each field within the csv module's 131072-character limit."""
+    gid, u, v, w = row.split(",")
+    gap = " " * ((width - len(row)) // 3)
+    return f"{gid}{gap},{u}{gap},{v}{gap},{w}".ljust(width)
+
 
 # (graphs.csv body after its header line, labels.csv, whether the bulk parse
 # takes it, the error the load raises or None)
@@ -535,32 +545,57 @@ SPELLINGS = {
                       r"graphs.csv:4: pair 1,0 of graph 0 is already listed on line 2"),
     "repeated-pair-after-blank-line": ("0,0,1,1\n\n0,1,0,1\n", LABELS, False,
                                        r"graphs.csv:4: pair 1,0 of graph 0 is already listed on line 2"),
+    # a float64 stack keeps the sign of a zero weight
+    "negative-zero-weight": ("0,0,1,-0\n1,1,2,0.5\n", LABELS, True, None),
+    # the padded first row fills a text chunk, so later rows land in the next
+    "repeated-pair-across-chunks": (
+        padded("0,0,1,1", CHUNK) + "\n1,0,1,1\n0,1,0,1\n", LABELS, True,
+        r"graphs.csv:4: pair 1,0 of graph 0 is already listed on line 2"),
+    "unknown-id-in-the-last-chunk": (padded("0,0,1,1", CHUNK) + "\n7,1,2,1\n", LABELS, False,
+                                     r"graphs.csv:3: unknown graph id 7"),
+    # two default chunks: the first ends in its newline, the second at the end
+    # of the file, with no newline
+    "no-trailing-newline-at-a-chunk-edge": (
+        padded("0,0,1,1", CHUNK - 1) + "\n" + padded("1,1,2,0.5", CHUNK), LABELS, True, None),
 }
 
 
 def load_outcome(gp, lp):
-    """What ``load_dataset(n=3)`` gives: the dataset's fields, or its error."""
+    """What ``load_dataset(n=3)`` gives: the dataset's bytes, dtype, labels,
+    ids and n, or its error."""
     try:
         ds = graph.load_dataset(gp, lp, n=3)
     except ValueError as exc:
         return str(exc)
-    return ds.graphs.tolist(), ds.labels.tolist(), ds.graph_ids, ds.n
+    return ds.graphs.tobytes(), ds.graphs.dtype, ds.labels.tolist(), ds.graph_ids, ds.n
+
+
+def spelling_files(tmp_path, body, labels):
+    """The graphs.csv and labels.csv of a SPELLINGS case."""
+    gp, lp = tmp_path / "graphs.csv", tmp_path / "labels.csv"
+    lp.write_text(labels)
+    gp.write_bytes(("graph_id,u,v,weight\n" + body).encode())
+    return gp, lp
+
+
+def logged_row_parses(monkeypatch):
+    """The list each call of the row parser appends its arguments to."""
+    row_parses = []
+    read_edges = graph._read_edges
+
+    def row_parser(*args):
+        row_parses.append(args)
+        return read_edges(*args)
+
+    monkeypatch.setattr(graph, "_read_edges", row_parser)
+    return row_parses
 
 
 class TestCsvBulkPath:
     @pytest.mark.parametrize("body, labels, bulk, error", SPELLINGS.values(), ids=SPELLINGS.keys())
     def test_bulk_load_equals_the_row_parser(self, tmp_path, monkeypatch, body, labels, bulk, error):
-        gp, lp = tmp_path / "graphs.csv", tmp_path / "labels.csv"
-        lp.write_text(labels)
-        gp.write_bytes(("graph_id,u,v,weight\n" + body).encode())
-        row_parses = []
-        read_edges = graph._read_edges
-
-        def row_parser(*args):
-            row_parses.append(args)
-            return read_edges(*args)
-
-        monkeypatch.setattr(graph, "_read_edges", row_parser)
+        gp, lp = spelling_files(tmp_path, body, labels)
+        row_parses = logged_row_parses(monkeypatch)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             outcome = load_outcome(gp, lp)
@@ -572,6 +607,18 @@ class TestCsvBulkPath:
             assert re.search(error, outcome), outcome
         monkeypatch.setattr(graph, "_read_edges_bulk", lambda *args: None)
         assert load_outcome(gp, lp) == outcome
+
+    @pytest.mark.parametrize("chunk_cells", [1, 7, 64])
+    @pytest.mark.parametrize("body, labels, bulk, error", SPELLINGS.values(), ids=SPELLINGS.keys())
+    def test_chunk_size_changes_no_outcome(self, tmp_path, monkeypatch, chunk_cells,
+                                           body, labels, bulk, error):
+        # text chunks of a line or a few, row chunks of one or two rows
+        gp, lp = spelling_files(tmp_path, body, labels)
+        expected = load_outcome(gp, lp)
+        monkeypatch.setattr(graph, "_CHUNK_CELLS", chunk_cells)
+        row_parses = logged_row_parses(monkeypatch)
+        assert load_outcome(gp, lp) == expected
+        assert bool(row_parses) is not bulk
 
     @pytest.mark.parametrize("source", ["save_dataset", "simulate"])
     def test_clean_files_take_the_bulk_path(self, tmp_path, monkeypatch, source):
@@ -600,14 +647,20 @@ class TestCsvBulkPath:
             # a load lists the graphs in ascending id
             assert np.array_equal(loaded.graphs, ds.subset(np.argsort(ds.graph_ids)).graphs)
 
-    def test_bulk_parse_allocates_no_copy_of_the_file(self, tmp_path):
-        # the parse reads the open file: no string or StringIO of its body
+    @pytest.mark.parametrize("source, mib", [("bulk", 6), ("rows", 7)], ids=["bulk", "rows"])
+    def test_load_peak_is_bounded(self, tmp_path, source, mib):
+        # the 4.1 MiB file holds 337221 edges of a 2.3 MiB uint8 stack. The
+        # load holds each edge in 4 bytes, one text or row chunk, and the
+        # stack: traced peaks of 4.4 MiB in bulk and 5.0 MiB through the row
+        # parser, where one blank line sends the file. A parse of the whole
+        # file into 32-byte rows peaked at 28.7 and 56.8 MiB.
         assert main(["simulate", "exp2", "--m", "60", "--seed", "7", "--out", str(tmp_path)]) == 0
-        path = tmp_path / "graphs.csv"
-        edges = graph._read_edges_bulk(path, list(range(60)))  # untraced warm-up
-        assert edges is not None
-        peak = traced_peak(lambda: graph._read_edges_bulk(path, list(range(60))))
-        assert peak < 1.5 * len(edges[0]) * graph._EDGE_ROW.itemsize
+        gp, lp = tmp_path / "graphs.csv", tmp_path / "labels.csv"
+        if source == "rows":
+            header, body = gp.read_bytes().split(b"\n", 1)
+            gp.write_bytes(header + b"\n\n" + body)
+        graph.load_dataset(gp, lp)  # untraced warm-up
+        assert traced_peak(lambda: graph.load_dataset(gp, lp)) < mib * 2**20
 
     @pytest.mark.parametrize("weights, graph_ids", [
         ((0.0, 0.0, 0.0, 1.0, 1.0, 0.0), (0, 1)),

@@ -2,7 +2,9 @@
 ``scipy.linalg``. In a fresh interpreter, importing the package, a dcorr or
 rv screen, a plug-in ``classify`` run and a cca screen whose every block the
 Cholesky certificate settles load none of it; no step loads
-``scipy.ndimage`` or ``scipy.stats``."""
+``scipy.ndimage`` or ``scipy.stats``. Importing the CLI loads no top-level
+package but numpy, the standard library and vertexscreen, so the cold set-up
+of a run stays the interpreter, numpy and the package."""
 
 import json
 import os
@@ -16,9 +18,11 @@ from vertexscreen import evaluate, graph
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# prints the scipy modules loaded after each step, one JSON object
+# prints the scipy modules loaded after each step, and the top-level packages
+# the import loads besides those loaded at start, one JSON object
 PROBE = """
 import json, sys
+started = set(sys.modules)
 import numpy as np
 
 def loaded():
@@ -27,6 +31,8 @@ def loaded():
 steps = {}
 import vertexscreen, vertexscreen.cli
 steps["import"] = loaded()
+packages = {name.split(".")[0] for name in set(sys.modules) - started}
+steps["import-packages"] = sorted(packages - set(sys.stdlib_module_names))
 from vertexscreen import cli, corr
 code = cli.main(["screen", "--graphs", sys.argv[1], "--labels", sys.argv[2],
                  "--stat", "dcorr", "--out", sys.argv[3]])
@@ -67,6 +73,10 @@ def steps(tmp_path_factory):
 
 def test_importing_the_cli_loads_no_scipy(steps):
     assert steps["import"] == []
+
+
+def test_importing_the_cli_loads_numpy_and_the_standard_library_only(steps):
+    assert steps["import-packages"] == ["numpy", "vertexscreen"]
 
 
 def test_dcorr_screen_loads_no_scipy(steps):
